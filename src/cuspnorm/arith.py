@@ -177,6 +177,21 @@ def primes_in_progression(lam: int, m: int) -> list[int]:
     return [p for p in primes_up_to(2 * lam - 1) if p > lam and p % m == 1 % m]
 
 
+def bezout(p: int, q: int) -> tuple[int, int]:
+    """(s, t) with s*p + t*q = gcd(p, q) >= 0, by extended Euclid."""
+    old_r, r = p, q
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
 def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     """Solve x == r_i (mod m_i) simultaneously; return (x, lcm) with 0 <= x < lcm.
 

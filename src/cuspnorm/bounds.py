@@ -1,7 +1,8 @@
 """Symbolic exponent calculus over the parameters (N, M, Lambda, y, N0, L):
 max-of-monomials envelopes tracked modulo N^epsilon, exact domination
 certificates via vertex enumeration over small constraint polytopes, the
-two-branch Fourier-expansion sup bound, and the final exponent pipelines.
+two-branch Fourier-expansion sup bound, the counting envelopes with their
+numeric evaluator, and the final exponent pipelines.
 
 A monomial N^eN M^eM Lambda^eL y^ey N0^e0 L^el is identified with its
 exponent vector; taking log base N turns domination questions into exact
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import mpmath
 
-from .arith import euler_phi, factor
+from .arith import euler_phi, factor, squarefree_split
 from .errors import (
     ConfigError,
     InfeasibleConstraints,
@@ -416,8 +417,47 @@ def smooth_count(x: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exponent pipelines
+# counting envelopes
 # ---------------------------------------------------------------------------
+
+
+def evaluate_terms(terms, dps: int | None = None, **values) -> mpmath.mpf:
+    """Sum of the monomials `terms` at positive rational parameter values
+    (keywords named as in PARAMS), at dps + 10 working digits.
+
+    Every exponent must be a multiple of 1/2, so each monomial is exactly
+    (r_num / r_den) * sqrt(s) with integers r_num, r_den, s: it costs one
+    rounded division and, for s > 1, one rounded square root and product.
+    """
+    dps = dps or default_dps()
+    with mpmath.workdps(dps + 10):
+        total = mpmath.mpf(0)
+        for vec in terms:
+            r_num = r_den = s = 1
+            for param, e in zip(PARAMS, vec.exps):
+                if not e:
+                    continue
+                twice, rem = divmod(2 * e.numerator, e.denominator)
+                if rem:
+                    raise ConfigError(f"exponent {e} of {param} is not in Z/2")
+                k, half = divmod(twice, 2)
+                v = values[param]
+                num, den = v.numerator, v.denominator
+                if k > 0:
+                    r_num *= num**k
+                    r_den *= den**k
+                elif k < 0:
+                    r_num *= den**-k
+                    r_den *= num**-k
+                if half:  # sqrt(num/den) = sqrt(num*den) / den
+                    s *= num * den
+                    r_den *= den
+            term = mpmath.mpf(r_num) / r_den
+            if s != 1:
+                term *= mpmath.sqrt(s)
+            total += term
+        return total
+
 
 # the amplifier envelope, in display order
 AMPL_RHS_TERMS = (
@@ -426,6 +466,71 @@ AMPL_RHS_TERMS = (
     monomial(Lam=Fraction(5, 2), M=-2, N=Fraction(-1, 2)),
     monomial(Lam=4, M=-1, N=-1),
 )
+
+# The right-hand side of each counting estimate, in display order, with the
+# N^epsilon factors set to 1.  L is the length of the determinant range
+# (for "para" the determinant itself; its envelope is the constant term
+# alone when L is not a square, since then no matrix is parabolic).
+ENVELOPES = {
+    "eq1": (
+        monomial(L=1, M=-1, N=-1, y=-1),
+        monomial(L=Fraction(3, 2), M=-2, N=Fraction(-1, 2)),
+        monomial(L=2, M=-2, N=-1),
+    ),
+    "eq2": (
+        monomial(L=1, N=-1, y=-1),
+        monomial(L=2, M=-1, N=Fraction(-1, 2)),
+        monomial(L=3, M=-1, N=-1),
+    ),
+    "eq3": (
+        monomial(L=Fraction(3, 2), N=-1, y=-1),
+        monomial(L=3, M=-1, N=Fraction(-1, 2)),
+        monomial(L=Fraction(9, 2), M=-1, N=-1),
+    ),
+    "eq4": (
+        monomial(L=1, M=-1),
+        monomial(L=2, y=1, N=Fraction(1, 2), M=-2),
+        monomial(L=3, y=1, M=-2),
+    ),
+    "eq5": (
+        monomial(L=1, M=-1),
+        monomial(L=Fraction(5, 2), y=1, N=Fraction(1, 2), M=-2),
+        monomial(L=4, y=1, M=-2),
+    ),
+    "eq6": (
+        monomial(),
+        monomial(L=2, y=1, N=Fraction(1, 2), M=-1),
+        monomial(L=4, y=1, M=-1),
+    ),
+    "eq7": (
+        monomial(),
+        monomial(L=Fraction(1, 2), y=1, N=Fraction(1, 2), M=-1),
+        monomial(L=1, y=1, M=-1),
+    ),
+    "para": (
+        monomial(),
+        monomial(L=Fraction(1, 2), y=1, N0=1, M=-1),
+        monomial(L=Fraction(1, 2), N0=1, N=-1),
+    ),
+    "ampl": AMPL_RHS_TERMS,
+}
+
+
+def bound_rhs_ampl(n: int, m: int, lam: int, y, dps: int | None = None):
+    """Four-term envelope Lambda/M + Lambda^2 y N0 / M^3
+    + Lambda^(5/2) / (M^2 sqrt(N)) + Lambda^4 / (M N)."""
+    if m < 1 or n % (m * m) != 0:
+        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n0 = squarefree_split(n)[1]
+    return evaluate_terms(
+        AMPL_RHS_TERMS, dps, N=n, M=m, Lam=lam, y=Fraction(y), N0=n0
+    )
+
+
+# ---------------------------------------------------------------------------
+# exponent pipelines
+# ---------------------------------------------------------------------------
+
 AMPL_RHS = MonomialBound.of(*AMPL_RHS_TERMS)
 
 LAMBDA_CHOICE = monomial(N=Fraction(1, 3))

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import bounds, conjugation, counting, cusps, harness, hecke
 from .errors import CuspnormError
 from .modgroup import Mat2, PointH
@@ -29,6 +27,7 @@ class CommandResult:
     exit_code: int
     elapsed: float
     fmt: str = "json"
+    out: str | None = None  # --out path; stdout when None
 
     def rendered(self) -> str:
         if self.fmt == "raw":
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harness", help="envelope-ratio sweep for one lemma")
     p.add_argument("--lemma", choices=harness.LEMMAS, required=True)
-    p.add_argument("--levels", default="1..60", metavar="A..B")
+    p.add_argument("--levels", type=_levels_text, default="1..60", metavar="A..B")
     p.add_argument("--delta", type=_fraction, default=Fraction(1))
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -114,6 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _levels(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     return (int(lo), int(hi or lo))
+
+
+def _levels_text(text: str) -> str:
+    """The --levels text, checked to parse so that a malformed range is a
+    usage error; it is echoed verbatim in the output."""
+    try:
+        _levels(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"need A..B or A, got {text!r}") from exc
+    return text
 
 
 def _dispatch(args) -> tuple[object, dict, str]:
@@ -210,8 +219,8 @@ def run(argv: list[str]) -> CommandResult:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    mpmath.mp.dps = default_dps() + 10
     try:
+        default_dps()  # a malformed CUSPNORM_PRECISION fails every command alike
         payload, inputs, fmt = _dispatch(args)
         code = 0
     except (CuspnormError, ValueError, ZeroDivisionError) as exc:
@@ -220,20 +229,18 @@ def run(argv: list[str]) -> CommandResult:
         fmt = "json"
         code = 1
     elapsed = time.monotonic() - started
-    return CommandResult(args.command, inputs, payload, code, elapsed, fmt)
+    return CommandResult(
+        args.command, inputs, payload, code, elapsed, fmt, getattr(args, "out", None)
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     text = result.rendered()
-    out_path = None
-    source = sys.argv[1:] if argv is None else argv
-    if "--out" in source:
-        out_path = source[source.index("--out") + 1]
-    if out_path:
-        with open(out_path, "w") as fh:
+    if result.out:
+        with open(result.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {out_path}", file=sys.stderr)
+        print(f"wrote {result.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     print(f"[{result.command}] {result.elapsed:.3f}s exit={result.exit_code}",

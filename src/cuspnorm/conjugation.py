@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .arith import crt_solve, factor, valuation
+from .arith import bezout, crt_solve, factor, valuation
 from .cusps import cusp_denominator, local_profile
 from .errors import InternalSolveFailure, InvalidM, InvalidPrimeSet
 from .modgroup import Mat2, PointH, fd_reduce, mobius_act
@@ -335,18 +335,9 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
 
 def _complete_first_column(a: int, c: int) -> Mat2:
     """Some sigma in SL2(Z) with first column (a, c)."""
-    old_r, r = a, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    # a*old_s + c*old_t = 1  ->  sigma = (a, -old_t; c, old_s)
-    return Mat2(a, -old_t, c, old_s)
+    s, t = bezout(a, c)
+    # a*s + c*t = 1  ->  sigma = (a, -t; c, s)
+    return Mat2(a, -t, c, s)
 
 
 def gap_reduce(z: PointH, n: int) -> ReductionCertificate:

@@ -1,6 +1,6 @@
 """Exact enumeration of determinant-l matrices near a point of the upper
 half-plane, classification into generic / upper-triangular / parabolic
-counts, parabolic certificates, amplifier weights and envelope bounds.
+counts, parabolic certificates, amplifier weights and the amplified count sum.
 
 The family counted is Delta(l, N; M): integer matrices of determinant l
 with lower-left entry divisible by N and upper-left entry 1 mod M.  The
@@ -28,7 +28,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .arith import primes_in_progression, smooth_part, squarefree_split
+from .arith import bezout, primes_in_progression, smooth_part, squarefree_split
 from .conjugation import verify_gap_certificate
 from .errors import BudgetExceeded, InvalidM
 from .modgroup import Mat2, PointH, mobius_act, point_pair_u
@@ -298,17 +298,8 @@ def _fixed_point_conjugator(gamma: Mat2) -> Mat2:
     if q0 > 0:
         p0, q0 = -p0, -q0
     # solve p0*w + q0*v = 1; tau = (p0, -v; q0, w)
-    old_r, r = p0, q0
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return Mat2(p0, -old_t, q0, old_s)
+    w, v = bezout(p0, q0)
+    return Mat2(p0, -v, q0, w)
 
 
 def parabolic_certify(
@@ -425,97 +416,3 @@ def amplified_count_sum(
                 term = mpmath.mpf(yl.numerator) / yl.denominator * cnt
                 total += term / mpmath.sqrt(l)
     return total, pairs, w
-
-
-def bound_rhs_ampl(n: int, m: int, lam: int, y, dps: int | None = None):
-    """Four-term envelope Lambda/M + Lambda^2 y N0 / M^3
-    + Lambda^(5/2) / (M^2 sqrt(N)) + Lambda^4 / (M N)."""
-    if m < 1 or n % (m * m) != 0:
-        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
-    y = Fraction(y)
-    dps = dps or default_dps()
-    n0 = squarefree_split(n)[1]
-    with mpmath.workdps(dps + 10):
-        yf = mpmath.mpf(y.numerator) / y.denominator
-        lamf = mpmath.mpf(lam)
-        return (
-            lamf / m
-            + lamf**2 * yf * n0 / m**3
-            + lamf ** mpmath.mpf("2.5") / (m * m * mpmath.sqrt(n))
-            + lamf**4 / (m * n)
-        )
-
-
-@dataclass
-class SchmidtCheck:
-    """Exact |L cap D| against the 1 + R/lambda1 + R^2/covol envelope for a
-    rank-2 lattice and a centered disc (sanity utility, not a shortcut)."""
-
-    count: int
-    lambda1_sq: Fraction
-    covolume: Fraction
-    radius_sq: Fraction
-
-    def envelope(self) -> float:
-        r = float(self.radius_sq) ** 0.5
-        return 1 + r / float(self.lambda1_sq) ** 0.5 + float(self.radius_sq) / float(
-            self.covolume
-        )
-
-    def ratio(self) -> float:
-        return self.count / self.envelope()
-
-
-def schmidt_disc_count(v1, v2, radius_sq) -> SchmidtCheck:
-    """Count lattice points of Z*v1 + Z*v2 in the closed disc |P|^2 <= radius_sq.
-
-    Coefficient bounds come from Cramer's rule: |i| <= R |v2| / covol and
-    |j| <= R |v1| / covol; the scan inside the box is exact.
-    """
-    v1 = (Fraction(v1[0]), Fraction(v1[1]))
-    v2 = (Fraction(v2[0]), Fraction(v2[1]))
-    radius_sq = Fraction(radius_sq)
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det == 0:
-        raise ValueError("vectors do not span a rank-2 lattice")
-    covol = abs(det)
-    norm1 = v1[0] ** 2 + v1[1] ** 2
-    norm2 = v2[0] ** 2 + v2[1] ** 2
-
-    def coeff_bound(norm_other: Fraction) -> int:
-        bound_sq = radius_sq * norm_other / (covol * covol)
-        return isqrt(bound_sq.numerator // bound_sq.denominator) + 1
-
-    imax = coeff_bound(norm2)
-    jmax = coeff_bound(norm1)
-    count = 0
-    for i in range(-imax, imax + 1):
-        for j in range(-jmax, jmax + 1):
-            p = (i * v1[0] + j * v2[0], i * v1[1] + j * v2[1])
-            if p[0] ** 2 + p[1] ** 2 <= radius_sq:
-                count += 1
-    # shortest vector: |v| <= min(|v1|, |v2|) bounds the coefficient box
-    ub = min(norm1, norm2)
-    lambda1_sq = ub
-
-    def sv_bound(norm_other: Fraction) -> int:
-        bound_sq = ub * norm_other / (covol * covol)
-        return isqrt(bound_sq.numerator // bound_sq.denominator) + 1
-
-    for i in range(-sv_bound(norm2), sv_bound(norm2) + 1):
-        for j in range(-sv_bound(norm1), sv_bound(norm1) + 1):
-            if (i, j) == (0, 0):
-                continue
-            p = (i * v1[0] + j * v2[0], i * v1[1] + j * v2[1])
-            nrm = p[0] ** 2 + p[1] ** 2
-            if nrm < lambda1_sq:
-                lambda1_sq = nrm
-    return SchmidtCheck(count, lambda1_sq, covol, radius_sq)
-
-
-def __getattr__(name):
-    if name == "lemma_harness":
-        from .harness import lemma_harness
-
-        return lemma_harness
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,25 +11,23 @@ process pool and merged in canonical order.
 
 import hashlib
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import mpmath
 
 from .arith import primes_up_to, squarefree_split
-from .counting import (
-    amplified_count_sum,
-    bound_rhs_ampl,
-    classify_counts,
-    is_in_G,
-)
+from .bounds import ENVELOPES, bound_rhs_ampl, evaluate_terms
+from .counting import amplified_count_sum, classify_counts, is_in_G
 from .errors import ConfigError
 from .modgroup import PointH
 from .precision import default_dps
 
-LEMMAS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "para", "ampl")
+LEMMAS = tuple(ENVELOPES)  # eq1..eq7, para, ampl
 
 CSV_VERSION = "cuspnorm-harness-csv v1"
 CSV_HEADER = "lemma,N,M,L_or_Lambda,delta,x,y,lhs,rhs,ratio"
@@ -107,8 +105,31 @@ def default_l_values(n: int) -> tuple[int, ...]:
     return (c, 2 * c)
 
 
-def _primes_cong(limit: int, m: int) -> list[int]:
-    return [p for p in primes_up_to(limit) if p % m == 1 % m]
+def _progression(lval: int, m: int) -> list[int]:
+    """1 <= l0 <= L with l0 == 1 (mod M)."""
+    return [l0 for l0 in range(1, lval + 1) if l0 % m == 1 % m]
+
+
+def _prime_pairs(lval: int, m: int):
+    """Ordered pairs of primes p, q <= L with p, q == 1 (mod M)."""
+    primes = [p for p in primes_up_to(lval) if p % m == 1 % m]
+    return product(primes, repeat=2)
+
+
+# lemma -> (determinant multiset {l: multiplicity} at (L, M, l1), counted
+# stratum of CountReport); the envelopes are bounds.ENVELOPES[lemma]
+_LEMMA_COUNTS = {
+    "eq1": (lambda L, m, l1: Counter(_progression(L, m)), "n_star"),
+    "eq2": (lambda L, m, l1: Counter(a * a for a in _progression(L, m)), "n_star"),
+    "eq3": (lambda L, m, l1: Counter(l1 * a * a for a in _progression(L, m)), "n_star"),
+    "eq4": (lambda L, m, l1: Counter(p * q for p, q in _prime_pairs(L, m)), "n_u"),
+    "eq5": (lambda L, m, l1: Counter(p * q * q for p, q in _prime_pairs(L, m)), "n_u"),
+    "eq6": (
+        lambda L, m, l1: Counter(p * p * q * q for p, q in _prime_pairs(L, m)), "n_u"
+    ),
+    "eq7": (lambda L, m, l1: Counter(_progression(L, m)), "n_u"),
+    "para": (lambda L, m, l1: Counter([L]), "n_p"),
+}
 
 
 def _run_cell(args: tuple) -> dict | None:
@@ -125,68 +146,21 @@ def _run_cell(args: tuple) -> dict | None:
         return None
     x, y = z.x, z.y
     with mpmath.workdps(dps + 10):
-        yf = mpmath.mpf(y.numerator) / y.denominator
-        sq_n = mpmath.sqrt(n)
-        n0 = squarefree_split(n)[1]
-        L = mpmath.mpf(lval)
         if lemma == "ampl":
             lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m, dps=dps)
             rhs = bound_rhs_ampl(n, m, lval, y, dps=dps)
-        elif lemma == "para":
-            root = isqrt(lval)
-            cnt = classify_counts(z, lval, delta, n, m).n_p
-            lhs = mpmath.mpf(cnt)
-            if root * root == lval:
-                rhs = 1 + root * yf * n0 / m + mpmath.mpf(root) * n0 / n
-            else:
-                rhs = mpmath.mpf(1)
-        elif lemma in ("eq1", "eq2", "eq3", "eq7"):
-            total = 0
-            for l0 in range(1, lval + 1):
-                if l0 % m != 1 % m:
-                    continue
-                if lemma == "eq1":
-                    total += classify_counts(z, l0, delta, n, m).n_star
-                elif lemma == "eq2":
-                    total += classify_counts(z, l0 * l0, delta, n, m).n_star
-                elif lemma == "eq3":
-                    total += classify_counts(z, l1 * l0 * l0, delta, n, m).n_star
-                else:
-                    total += classify_counts(z, l0, delta, n, m).n_u
-            lhs = mpmath.mpf(total)
-            if lemma == "eq1":
-                rhs = L / (m * n * yf) + L ** mpmath.mpf("1.5") / (m * m * sq_n) \
-                    + L**2 / (m * m * n)
-            elif lemma == "eq2":
-                rhs = L / (n * yf) + L**2 / (m * sq_n) + L**3 / (m * n)
-            elif lemma == "eq3":
-                rhs = L ** mpmath.mpf("1.5") / (n * yf) + L**3 / (m * sq_n) \
-                    + L ** mpmath.mpf("4.5") / (m * n)
-            else:
-                rhs = 1 + mpmath.sqrt(L) * yf * sq_n / m + L * yf / m
-        else:  # eq4, eq5, eq6: double sums over primes == 1 mod M up to L
-            primes = _primes_cong(lval, m)
-            products: dict[int, int] = {}
-            for p in primes:
-                for p2 in primes:
-                    if lemma == "eq4":
-                        val = p * p2
-                    elif lemma == "eq5":
-                        val = p * p2 * p2
-                    else:
-                        val = p * p * p2 * p2
-                    products[val] = products.get(val, 0) + 1
-            total = 0
-            for val, mult in sorted(products.items()):
-                total += mult * classify_counts(z, val, delta, n, m).n_u
-            lhs = mpmath.mpf(total)
-            if lemma == "eq4":
-                rhs = L / m + L**2 * yf * sq_n / (m * m) + L**3 * yf / (m * m)
-            elif lemma == "eq5":
-                rhs = L / m + L ** mpmath.mpf("2.5") * yf * sq_n / (m * m) \
-                    + L**4 * yf / (m * m)
-            else:
-                rhs = 1 + L**2 * yf * sq_n / m + L**4 * yf / m
+        else:
+            determinants, stratum = _LEMMA_COUNTS[lemma]
+            lhs = mpmath.mpf(sum(
+                mult * getattr(classify_counts(z, l, delta, n, m), stratum)
+                for l, mult in sorted(determinants(lval, m, l1).items())
+            ))
+            terms = ENVELOPES[lemma]
+            if lemma == "para" and isqrt(lval) ** 2 != lval:
+                terms = terms[:1]  # no matrix of non-square determinant is parabolic
+            rhs = evaluate_terms(
+                terms, dps, N=n, M=m, y=y, N0=squarefree_split(n)[1], L=lval
+            )
         ratio = lhs / rhs
         return {
             "lemma": lemma,
@@ -211,16 +185,12 @@ def harness_cells(config: HarnessConfig) -> list[tuple]:
         m_values = [m for m in range(1, n0 + 1) if n0 % m == 0]
         for m in m_values:
             for lval in default_l_values(n):
-                if config.lemma == "ampl":
-                    if m * m > lval:
-                        continue
-                    lvals = [lval]
-                elif config.lemma == "para":
+                if config.lemma == "para":
                     # one cell per determinant l <= L, l == 1 (mod M)
-                    lvals = [l0 for l0 in range(1, lval + 1) if l0 % m == 1 % m]
+                    lvals = _progression(lval, m)
+                elif m * m > lval:
+                    continue
                 else:
-                    if m * m > lval:
-                        continue
                     lvals = [lval]
                 for lv in lvals:
                     for k in range(config.samples):

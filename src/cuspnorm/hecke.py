@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .arith import bezout
 from .counting import in_delta
 from .errors import InvalidM, PrereqFailed
 from .modgroup import Mat2
@@ -114,23 +115,8 @@ def sl2_lift_from_row(c: int, d: int, n: int) -> Mat2:
     while gcd(c0, d0) != 1:
         d0 += n
     # a*d0 - b*c0 = 1 via extended Euclid
-    a, b = _bezout(d0, c0)
+    a, b = bezout(d0, c0)
     return Mat2(a, -b, c0, d0)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """(x, y) with x*p + y*q = 1 for coprime p, q."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 @dataclass

@@ -10,7 +10,10 @@ def default_dps() -> int:
     raw = os.environ.get(_ENV)
     if raw is None:
         return 50
-    dps = int(raw)
+    try:
+        dps = int(raw)
+    except ValueError:
+        dps = 0
     if dps < 1:
-        raise ValueError(f"{_ENV} must be positive, got {raw}")
+        raise ValueError(f"{_ENV} must be a positive integer, got {raw!r}")
     return dps

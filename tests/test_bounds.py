@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from cuspnorm.bounds import (
     MonomialBound,
     bound_product,
     dominated_by,
+    evaluate_terms,
     fourier_branch_exponents,
     fourier_exponent,
     fourier_sup_bound,
@@ -261,6 +263,18 @@ def test_theorem_pipeline_case2():
     assert rep.exponent_at(F(1, 3)) == max(F(-1, 6), F(-1, 4) + F(1, 12))
     with pytest.raises(ConfigError):
         theorem_pipeline("case3")
+
+
+def test_evaluate_terms_examples():
+    # 4^(5/2) / (1/3) = 96 and (1/3)^(-1/2) * 9^(1/2) = 3 sqrt(3), summed
+    terms = (monomial(L=F(5, 2), y=-1), monomial(y=F(-1, 2), N=F(1, 2)))
+    v = evaluate_terms(terms, L=4, y=F(1, 3), N=9)
+    with mpmath.workdps(60):
+        expected = 96 + 3 * mpmath.sqrt(3)
+        assert mpmath.almosteq(v, expected, rel_eps=mpmath.mpf(10) ** -50)
+    assert evaluate_terms((monomial(),)) == 1
+    with pytest.raises(ConfigError):
+        evaluate_terms((monomial(N=F(1, 3)),), N=8)
 
 
 def test_norm_factor_examples():

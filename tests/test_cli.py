@@ -112,6 +112,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["reduce", "--level", "4", "--point", "zzz"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["harness", "--lemma", "eq7", "--levels", "1-3"])
+    assert exc.value.code == 2
 
 
 def test_cli_subprocess_byte_identical(tmp_path):
@@ -128,14 +131,16 @@ def test_cli_subprocess_byte_identical(tmp_path):
 
 def test_out_file(tmp_path):
     out = tmp_path / "table.csv"
-    cmd = [
-        sys.executable, "-m", "cuspnorm.cli", "harness", "--lemma", "eq7",
-        "--levels", "1..6", "--seed", "1", "--format", "csv", "--out", str(out),
-    ]
-    proc = subprocess.run(cmd, capture_output=True, check=True)
-    assert proc.stdout == b""
-    text = out.read_text()
-    assert text.startswith(f"# {CSV_VERSION}")
+    for out_args in (["--out", str(out)], [f"--out={out}"]):
+        cmd = [
+            sys.executable, "-m", "cuspnorm.cli", "harness", "--lemma", "eq7",
+            "--levels", "1..6", "--seed", "1", "--format", "csv", *out_args,
+        ]
+        proc = subprocess.run(cmd, capture_output=True, check=True)
+        assert proc.stdout == b""
+        text = out.read_text()
+        assert text.startswith(f"# {CSV_VERSION}")
+        out.unlink()
 
 
 def test_precision_env(tmp_path):
@@ -150,3 +155,13 @@ def test_precision_env(tmp_path):
     doc_l = json.loads(long)
     rs, rl = doc_s["result"]["rows"][0], doc_l["result"]["rows"][0]
     assert len(rs["rhs"]) < len(rl["rhs"])
+    # a malformed setting is a structured domain error, even for commands
+    # that report no reals
+    env["CUSPNORM_PRECISION"] = "abc"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspnorm.cli", "cusps", "--level", "4"],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["result"]["error"]["type"] == "ValueError"
+    assert b"Traceback" not in proc.stderr

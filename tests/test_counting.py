@@ -4,16 +4,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cuspnorm.bounds import bound_rhs_ampl
 from cuspnorm.counting import (
     amplified_count_sum,
     amplifier_weights,
-    bound_rhs_ampl,
     classify_counts,
     enumerate_delta_near,
     in_delta,
     is_in_G,
     parabolic_certify,
-    schmidt_disc_count,
 )
 from cuspnorm.errors import BudgetExceeded, InvalidM
 from cuspnorm.harness import sample_point_in_g
@@ -258,15 +257,3 @@ def test_budget_exceeded():
     z = PointH(0, Fraction(1, 10**9))
     with pytest.raises(BudgetExceeded):
         enumerate_delta_near(z, 1, 1, 1, 1, c_budget=1000)
-
-
-def test_schmidt_utility():
-    # integer lattice, radius 5: 81 points (classical disc count)
-    chk = schmidt_disc_count((1, 0), (0, 1), 25)
-    assert chk.count == 81
-    assert chk.lambda1_sq == 1 and chk.covolume == 1
-    assert chk.ratio() < 16
-    # skewed lattice keeps the envelope sane
-    chk = schmidt_disc_count((1, 0), (Fraction(1, 2), Fraction(1, 7)), 9)
-    assert chk.count >= 1
-    assert chk.ratio() < 16

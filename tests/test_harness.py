@@ -1,6 +1,7 @@
 import mpmath
 import pytest
 from fractions import Fraction
+from math import isqrt
 
 from cuspnorm.counting import classify_counts, is_in_G
 from cuspnorm.errors import ConfigError
@@ -65,27 +66,75 @@ def test_cells_canonical_and_guarded():
         assert lval % m == 1 % m
 
 
-def test_eq7_rhs_formula_spot_check():
-    # one known cell recomputed by hand: RHS = 1 + sqrt(L) y sqrt(N)/M + L y/M
-    res = lemma_harness(HarnessConfig(lemma="eq7", n_lo=4, n_hi=4, seed=2))
-    row = res.rows[0]
-    n, m, lval = row["N"], row["M"], row["L_or_Lambda"]
-    y = F(row["y"])
-    z = PointH(F(row["x"]), y)
-    total = sum(
-        classify_counts(z, l0, F(1), n, m).n_u
-        for l0 in range(1, lval + 1)
-        if l0 % m == 1 % m
-    )
-    assert mpmath.mpf(row["lhs"]) == total
-    with mpmath.workdps(60):
-        yf = mpmath.mpf(y.numerator) / y.denominator
-        rhs = 1 + mpmath.sqrt(lval) * yf * mpmath.sqrt(n) / m + lval * yf / m
-        tol = mpmath.mpf(10) ** -45  # row values carry 50 significant digits
-        assert mpmath.almosteq(mpmath.mpf(row["rhs"]), rhs, rel_eps=tol)
-        assert mpmath.almosteq(
-            mpmath.mpf(row["ratio"]), mpmath.mpf(row["lhs"]) / rhs, rel_eps=tol
-        )
+def _hand_lhs(lemma, z, n, m, lval):
+    """The lemma's left-hand side, one classify_counts call per term."""
+
+    def count(l, stratum):
+        return getattr(classify_counts(z, l, F(1), n, m), stratum)
+
+    prog = [l0 for l0 in range(1, lval + 1) if l0 % m == 1 % m]
+    primes = [
+        p for p in range(2, lval + 1)
+        if all(p % q for q in range(2, p)) and p % m == 1 % m
+    ]
+    singles = {
+        "eq1": (lambda a: a, "n_star"),
+        "eq2": (lambda a: a * a, "n_star"),
+        "eq3": (lambda a: a * a, "n_star"),  # l1 = 1
+        "eq7": (lambda a: a, "n_u"),
+    }
+    pairs = {
+        "eq4": lambda p, q: p * q,
+        "eq5": lambda p, q: p * q * q,
+        "eq6": lambda p, q: p * p * q * q,
+    }
+    if lemma in singles:
+        det, stratum = singles[lemma]
+        return sum(count(det(a), stratum) for a in prog)
+    if lemma in pairs:
+        return sum(count(pairs[lemma](p, q), "n_u") for p in primes for q in primes)
+    return count(lval, "n_p")
+
+
+def _hand_rhs(lemma, n, m, lval, yf):
+    """The lemma's envelope written out, with N^epsilon factors set to 1."""
+    n0 = max(d for d in range(1, n + 1) if n % (d * d) == 0)
+    L, sq_n = mpmath.mpf(lval), mpmath.sqrt(n)
+    root = mpmath.sqrt(L)
+    square = isqrt(lval) ** 2 == lval
+    return {
+        "eq1": L / (m * n * yf) + L**1.5 / (m * m * sq_n) + L**2 / (m * m * n),
+        "eq2": L / (n * yf) + L**2 / (m * sq_n) + L**3 / (m * n),
+        "eq3": L**1.5 / (n * yf) + L**3 / (m * sq_n) + L**4.5 / (m * n),
+        "eq4": L / m + L**2 * yf * sq_n / (m * m) + L**3 * yf / (m * m),
+        "eq5": L / m + L**2.5 * yf * sq_n / (m * m) + L**4 * yf / (m * m),
+        "eq6": 1 + L**2 * yf * sq_n / m + L**4 * yf / m,
+        "eq7": 1 + root * yf * sq_n / m + L * yf / m,
+        "para": 1 + (root * yf * n0 / m + root * n0 / n if square else 0),
+    }[lemma]
+
+
+@pytest.mark.parametrize(
+    "lemma", ["eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "para"]
+)
+def test_envelope_spot_check(lemma):
+    # every row of one level recomputed by hand, sharing no code with the
+    # harness's lemma table or the bounds envelope table
+    res = lemma_harness(HarnessConfig(lemma=lemma, n_lo=4, n_hi=4, seed=2))
+    assert res.rows
+    for row in res.rows:
+        n, m, lval = row["N"], row["M"], row["L_or_Lambda"]
+        y = F(row["y"])
+        z = PointH(F(row["x"]), y)
+        assert mpmath.mpf(row["lhs"]) == _hand_lhs(lemma, z, n, m, lval)
+        with mpmath.workdps(60):
+            yf = mpmath.mpf(y.numerator) / y.denominator
+            rhs = _hand_rhs(lemma, n, m, lval, yf)
+            tol = mpmath.mpf(10) ** -45  # row values carry 50 significant digits
+            assert mpmath.almosteq(mpmath.mpf(row["rhs"]), rhs, rel_eps=tol)
+            assert mpmath.almosteq(
+                mpmath.mpf(row["ratio"]), mpmath.mpf(row["lhs"]) / rhs, rel_eps=tol
+            )
 
 
 def test_para_nonsquare_rows_have_zero_lhs():
