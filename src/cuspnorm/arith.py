@@ -1,47 +1,24 @@
-"""Exact integer number theory: factorization, valuations, splits, CRT, sieves.
+"""Exact integer number theory: factorization, valuations, splits, CRT,
+Euclid and prime lists.
 
 Everything here is deterministic and exact; inputs are desk-scale
-(roughly 64-bit), so trial division backed by a smallest-prime-factor
-sieve is plenty.
+(roughly 64-bit, and in practice levels and determinants in the
+thousands), so trial division is plenty.
 """
 
 from math import gcd, isqrt, lcm
 
 from .errors import Inconsistent
 
-_SIEVE_LIMIT = 1 << 20
-_spf = None  # lazily built smallest-prime-factor table for n < _SIEVE_LIMIT
-
-
-def _spf_table():
-    global _spf
-    if _spf is None:
-        spf = list(range(_SIEVE_LIMIT))
-        for i in range(2, isqrt(_SIEVE_LIMIT) + 1):
-            if spf[i] == i:
-                for j in range(i * i, _SIEVE_LIMIT, i):
-                    if spf[j] == j:
-                        spf[j] = i
-        _spf = spf
-    return _spf
-
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as sorted (p, e) pairs; factor(1) == []."""
+    """Prime factorization of n >= 1 as sorted (p, e) pairs; factor(1) == [].
+
+    Trial division by 2, 3 and the wheel 5, 7, 11, 13, ... (numbers prime
+    to 6)."""
     if n < 1:
         raise ValueError(f"factor expects n >= 1, got {n}")
     out = []
-    if n < _SIEVE_LIMIT:
-        spf = _spf_table()
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-    # trial division for the rare large input
     for p in (2, 3):
         if n % p == 0:
             e = 0

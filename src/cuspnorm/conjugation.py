@@ -18,7 +18,7 @@ from math import ceil, floor, gcd, isqrt
 
 from .arith import bezout, crt_solve, factor, valuation
 from .cusps import cusp_denominator, local_profile
-from .errors import InternalSolveFailure, InvalidM, InvalidPrimeSet
+from .errors import BudgetExceeded, InternalSolveFailure, InvalidM, InvalidPrimeSet
 from .modgroup import Mat2, PointH, fd_reduce, mobius_act
 
 
@@ -313,13 +313,15 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
     (a - c x_w)^2 + c^2 y_w^2 <= 2 N y_w / (sqrt(3) M^2).
 
     Uses the rational over-cover 6 N y_w / (5 M^2) >= the true threshold;
-    every emitted candidate is re-verified exactly downstream.
+    every emitted candidate is re-verified exactly downstream.  Raises
+    BudgetExceeded rather than return a cut list when there are more than
+    budget candidates.
     """
     cap = Fraction(6 * n * w.y, 5 * m * m)
     step = n // m
     out = [(1, 0)] if m == 1 else []  # sigma with first column (1, 0)
     cc = step
-    while cc * cc * w.y * w.y <= cap and len(out) < budget:
+    while cc * cc * w.y * w.y <= cap:
         for c in (cc, -cc):
             if gcd(c, n) != n // m:
                 continue
@@ -329,8 +331,12 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
             for a in range(ceil(center - half), floor(center + half) + 1):
                 if (a - center) ** 2 <= rem and gcd(a, c) == 1:
                     out.append((a, c))
+        if len(out) > budget:
+            raise BudgetExceeded(
+                f"more than {budget} first-column candidates at N={n}, M={m}"
+            )
         cc += step
-    return out[:budget]
+    return out
 
 
 def _complete_first_column(a: int, c: int) -> Mat2:
@@ -355,6 +361,8 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     many sigma-columns compatible with the height bound; the first
     certificate passing every check is returned.  If nothing passes, the
     construction certificate is returned with its failing verdicts intact.
+    A search with more sigma-columns than its budget raises BudgetExceeded
+    instead of reporting failure.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)

@@ -11,20 +11,29 @@ Enumeration strategy.  u <= delta forces |cz + d|^2 <= l*K with
 K = 1 + 2*delta + 2*sqrt(delta^2 + delta); the rational window
 Kbar = 2 + 4*delta >= K keeps everything in integer arithmetic.  This
 bounds c (a multiple of N) and, per c, the entry d.  For fixed (c, d)
-with c != 0 the image gamma z lies in a Euclidean disc of radius
-2 y sqrt(delta^2 + delta) <= y (2 delta + 1), pinning a = c*Re(gamma z)
-+ l*q*(c*x + d*q)/... to a short interval, inside which a runs over the
-arithmetic progression solving a*d == l (mod |c|) and a == 1 (mod M);
-b = (a*d - l)/c is then forced.  For c = 0 the pairs (a, d) are the
-divisor factorizations of l and b runs over a short interval.  Every
-candidate passes a final exact filter, so the output is both sound and
-complete.
+with c != 0, b = (a*d - l)/c is forced and the condition becomes
+|(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2, a quadratic in a.  Writing
+z = (px + i py)/q, delta = dn/dd, A = c px + d q, S = A^2 + (c py)^2,
+T = 4 l dn q^2 S - dd (S - l q^2)^2, D = q S and N0 = c px S + l q^2 A,
+it holds exactly when T >= 0 and
+|a D - N0| <= Hf = isqrt(c^2 py^2 T // dd), i.e. for a in the closed
+interval [ceil((N0 - Hf)/D), floor((N0 + Hf)/D)] (the left side is an
+integer, and floor(sqrt(P/dd)) = isqrt(P // dd)).  The hits are the terms
+of the progression a*d == l (mod |c|), a == 1 (mod M) inside it; the
+progression depends only on d mod |c| and is solved once per residue, and
+when M | 2 the windows of c < 0 are those of c > 0 negated.  For
+c = 0 the pairs (a, d) are the divisor factorizations of l and b runs over
+an interval solved the same way.  Both strata come from one pair of window
+generators: `enumerate_delta_near` walks the windows, `count_delta_near`
+only measures them.  No candidate is tested after the fact; every window
+is exact, so the output is both sound and complete.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 import mpmath
 
@@ -59,10 +68,6 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _floordiv(a: int, b: int) -> int:
-    return a // b
-
-
 def _merge_progression(r1: int, m1: int, r2: int, m2: int):
     """Intersect a == r1 (mod m1) with a == r2 (mod m2); None if empty."""
     g = gcd(m1, m2)
@@ -75,6 +80,19 @@ def _merge_progression(r1: int, m1: int, r2: int, m2: int):
     return (r1 + m1 * t) % mm, mm
 
 
+def _a_progression(d: int, cc: int, l: int, m: int) -> tuple:
+    """(r, step) with a == r (mod step) exactly when a*d == l (mod cc) and
+    a == 1 (mod M); () when no a fits."""
+    g = gcd(d, cc)
+    if l % g:
+        return ()
+    c1 = cc // g
+    if c1 == 1:
+        return 1 % m, m
+    a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1
+    return _merge_progression(a0, c1, 1 % m, m) or ()
+
+
 def _divisor_sign_pairs(l: int):
     """All (a, d) in Z^2 with a*d = l > 0, both sign patterns."""
     small = [e for e in range(1, isqrt(l) + 1) if l % e == 0]
@@ -83,6 +101,110 @@ def _divisor_sign_pairs(l: int):
         d = l // a
         yield a, d
         yield -a, -d
+
+
+class _Cleared(NamedTuple):
+    """One enumeration problem cleared to integers: z = (px + i py)/q and
+    delta = dn/dd."""
+
+    l: int
+    n: int
+    m: int
+    px: int
+    py: int
+    q: int
+    dn: int
+    dd: int
+
+
+def _cleared(z: PointH, l: int, delta, n: int, m: int) -> _Cleared:
+    delta = Fraction(delta)
+    if l < 1 or delta < 0 or n < 1 or m < 1:
+        raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
+    q = lcm(z.x.denominator, z.y.denominator)
+    return _Cleared(
+        l, n, m, int(z.x * q), int(z.y * q), q, delta.numerator, delta.denominator
+    )
+
+
+def _upper_windows(cl: _Cleared):
+    """The c = 0 stratum: yield (a, d, b_lo, b_hi) for each divisor pair
+    a*d = l with a == 1 (mod M); the hits are exactly b in [b_lo, b_hi].
+
+    With s = a - d the u-condition reads (s*px + b*q)^2 <= py^2 (4 l delta
+    - s^2), and the integer left side may be compared with the floor of the
+    square root of the right side."""
+    l, _n, m, px, py, q, dn, dd = cl
+    for a, d in _divisor_sign_pairs(l):
+        if (a - 1) % m:
+            continue
+        s = a - d
+        rhs2 = py * py * (4 * l * dn - s * s * dd)
+        if rhs2 < 0:
+            continue
+        rb = isqrt(rhs2 // dd)
+        b_lo, b_hi = _ceildiv(-s * px - rb, q), (rb - s * px) // q
+        if b_lo <= b_hi:
+            yield a, d, b_lo, b_hi
+
+
+def _lower_windows(cl: _Cleared, c_budget: int):
+    """The c != 0 strata: yield (c, d, a_first, a_last, a_step) for each
+    (c, d) holding a hit; the hits are exactly a in range(a_first, a_last
+    + 1, a_step) with b = (a*d - l)/c.
+
+    Raises BudgetExceeded when the c-window holds more than c_budget
+    multiples of N, before the first window is yielded.
+    """
+    l, n, m, px, py, q, dn, dd = cl
+    # u <= delta forces |cz + d|^2 <= l*Kbar with Kbar = 2 + 4*delta;
+    # l*Kbar = wn/dd
+    wn = 2 * l * (dd + 2 * dn)
+    cmax = isqrt((wn * q * q) // (py * py * dd))
+    n_c_values = 2 * (cmax // n)
+    if n_c_values > c_budget:
+        raise BudgetExceeded(
+            f"c-window holds {n_c_values} multiples of N={n}, budget {c_budget}"
+        )
+    lq2 = l * q * q
+    tn = 4 * dn * lq2
+    # gamma -> -gamma acts like gamma on the half-plane and maps the hits of
+    # (c, d) onto those of (-c, -d) when -1 == 1 (mod M), i.e. when M | 2;
+    # then only c > 0 is scanned and each window is also yielded mirrored
+    mirror = 2 % m == 0
+    for cc in range(n, cmax + 1, n):
+        cpy2 = (cc * py) ** 2
+        rd = isqrt((wn * q * q - cpy2 * dd) // dd)
+        progs = {}  # d mod |c| -> (r_a, m_a), or () when no a fits
+        for c in (cc,) if mirror else (cc, -cc):
+            cpx = c * px
+            for d in range(_ceildiv(-cpx - rd, q), (rd - cpx) // q + 1):
+                key = d % cc
+                prog = progs.get(key)
+                if prog is None:
+                    prog = progs[key] = _a_progression(key, cc, l, m)
+                if not prog:
+                    continue
+                # With A + i c py = q (cz + d) and S = |A + i c py|^2, the
+                # condition |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2
+                # is (a D - N0)^2 <= c^2 py^2 T / dd.
+                A = cpx + d * q
+                S = A * A + cpy2
+                T = tn * S - dd * (S - lq2) ** 2
+                if T < 0:
+                    continue
+                D = q * S
+                N0 = cpx * S + lq2 * A
+                hf = isqrt(cpy2 * T // dd)
+                a_hi = (N0 + hf) // D
+                a_lo = -((hf - N0) // D)
+                r_a, m_a = prog
+                a_first = a_lo + (r_a - a_lo) % m_a
+                if a_first <= a_hi:
+                    yield c, d, a_first, a_hi, m_a
+                    if mirror:
+                        a_top = a_hi - (a_hi - a_first) % m_a
+                        yield -c, -d, -a_top, -a_first, m_a
 
 
 def enumerate_delta_near(
@@ -99,87 +221,37 @@ def enumerate_delta_near(
     Raises BudgetExceeded when the c-window holds more than c_budget
     multiples of N (guards against extremely small y).
     """
-    delta = Fraction(delta)
-    if l < 1 or delta < 0 or n < 1 or m < 1:
-        raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
-    x, y = z.x, z.y
-    q = lcm(x.denominator, y.denominator)
-    px = int(x * q)
-    py = int(y * q)
-    dn, dd = delta.numerator, delta.denominator
-    # l*Kbar = WN/dd with Kbar = 2 + 4*delta
-    wn = 2 * l * (dd + 2 * dn)
-    found: list[tuple[int, int, int, int]] = []
-
-    # exact final filter: |-c z^2 + (a-d) z + b|^2 <= 4 l delta y^2,
-    # cleared to integers over the common denominator q
-    pxx_pyy = px * px - py * py
-    exact_rhs = 4 * l * dn * py * py * q * q
-
-    def exact_ok(c: int, a: int, d: int, b: int) -> bool:
-        s = a - d
-        re = -c * pxx_pyy + s * px * q + b * q * q
-        im = -2 * c * px * py + s * py * q
-        return (re * re + im * im) * dd <= exact_rhs
-
-    # -- c = 0 stratum: a*d = l, b in a short window --------------------
-    for a, d in _divisor_sign_pairs(l):
-        if (a - 1) % m:
-            continue
-        s = a - d
-        rhs2 = py * py * (4 * l * dn - s * s * dd)
-        if rhs2 < 0:
-            continue
-        rb = isqrt(rhs2 // dd)
-        for b in range(_ceildiv(-s * px - rb, q), _floordiv(-s * px + rb, q) + 1):
-            if exact_ok(0, a, d, b):
-                found.append((0, a, d, b))
-
-    # -- c != 0 strata ---------------------------------------------------
-    cmax_sq = (wn * q * q) // (py * py * dd)
-    cmax = isqrt(cmax_sq)
-    n_c_values = 2 * (cmax // n)
-    if n_c_values > c_budget:
-        raise BudgetExceeded(
-            f"c-window holds {n_c_values} multiples of N={n}, budget {c_budget}"
-        )
-    half_factor = py * (2 * dn + dd)  # |c| * r_hat numerator piece
-    for cc in range(n, cmax + 1, n):
-        for c in (cc, -cc):
-            rc_num = wn * q * q - c * c * py * py * dd
-            rd = isqrt(rc_num // dd)
-            cpx = c * px
-            d_lo = _ceildiv(-cpx - rd, q)
-            d_hi = _floordiv(-cpx + rd, q)
-            for d in range(d_lo, d_hi + 1):
-                g = gcd(d, cc)
-                if l % g:
-                    continue
-                c1 = cc // g
-                if c1 == 1:
-                    prog = (1 % m, m)
-                else:
-                    a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1
-                    prog = _merge_progression(a0, c1, 1 % m, m)
-                    if prog is None:
-                        continue
-                r_a, m_a = prog
-                # disc window for a: |a - c(x + Re w)| <= |c| * y * (2 delta + 1)
-                qd = (cpx + d * q) ** 2 + (c * py) ** 2
-                center_num = (cpx * qd + l * q * q * (cpx + d * q)) * dd
-                half_num = cc * half_factor * qd
-                den = q * qd * dd
-                a_lo = _ceildiv(center_num - half_num, den)
-                a_hi = _floordiv(center_num + half_num, den)
-                a = a_lo + (r_a - a_lo) % m_a
-                while a <= a_hi:
-                    b = (a * d - l) // c
-                    if exact_ok(c, a, d, b):
-                        found.append((c, a, d, b))
-                    a += m_a
-
+    cl = _cleared(z, l, delta, n, m)
+    found = [
+        (0, a, d, b)
+        for a, d, b_lo, b_hi in _upper_windows(cl)
+        for b in range(b_lo, b_hi + 1)
+    ]
+    for c, d, a_first, a_last, a_step in _lower_windows(cl, c_budget):
+        for a in range(a_first, a_last + 1, a_step):
+            found.append((c, a, d, (a * d - l) // c))
     found.sort()
     return [Mat2(a, b, c, d) for c, a, d, b in found]
+
+
+def count_delta_near(
+    z: PointH,
+    l: int,
+    delta,
+    n: int,
+    m: int,
+    c_budget: int = 400_000,
+) -> int:
+    """len(enumerate_delta_near(z, l, delta, n, m, c_budget)), computed from
+    the windows alone without building a matrix.
+
+    Raises BudgetExceeded on the same inputs as enumerate_delta_near.
+    """
+    cl = _cleared(z, l, delta, n, m)
+    total = sum(b_hi - b_lo + 1 for _a, _d, b_lo, b_hi in _upper_windows(cl))
+    for _c, _d, a_first, a_last, a_step in _lower_windows(cl, c_budget):
+        total += (a_last - a_first) // a_step + 1
+    return total
 
 
 @dataclass
@@ -409,7 +481,7 @@ def amplified_count_sum(
     with mpmath.workdps(dps + 10):
         total = mpmath.mpf(0)
         for l in w.support():
-            cnt = len(enumerate_delta_near(z, l, delta, n, m, c_budget))
+            cnt = count_delta_near(z, l, delta, n, m, c_budget)
             yl = w.weights[l]
             pairs.append((l, yl, cnt))
             if cnt:

@@ -23,7 +23,7 @@ import mpmath
 from .arith import primes_up_to, squarefree_split
 from .bounds import ENVELOPES, bound_rhs_ampl, evaluate_terms
 from .counting import amplified_count_sum, classify_counts, is_in_G
-from .errors import ConfigError
+from .errors import BudgetExceeded, ConfigError
 from .modgroup import PointH
 from .precision import default_dps
 
@@ -145,35 +145,40 @@ def _run_cell(args: tuple) -> dict | None:
     if z is None:
         return None
     x, y = z.x, z.y
-    with mpmath.workdps(dps + 10):
-        if lemma == "ampl":
-            lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m, dps=dps)
-            rhs = bound_rhs_ampl(n, m, lval, y, dps=dps)
-        else:
-            determinants, stratum = _LEMMA_COUNTS[lemma]
-            lhs = mpmath.mpf(sum(
-                mult * getattr(classify_counts(z, l, delta, n, m), stratum)
-                for l, mult in sorted(determinants(lval, m, l1).items())
-            ))
-            terms = ENVELOPES[lemma]
-            if lemma == "para" and isqrt(lval) ** 2 != lval:
-                terms = terms[:1]  # no matrix of non-square determinant is parabolic
-            rhs = evaluate_terms(
-                terms, dps, N=n, M=m, y=y, N0=squarefree_split(n)[1], L=lval
-            )
-        ratio = lhs / rhs
-        return {
-            "lemma": lemma,
-            "N": n,
-            "M": m,
-            "L_or_Lambda": lval,
-            "delta": str(delta),
-            "x": f"{x.numerator}/{x.denominator}",
-            "y": f"{y.numerator}/{y.denominator}",
-            "lhs": mpmath.nstr(lhs, dps),
-            "rhs": mpmath.nstr(rhs, dps),
-            "ratio": mpmath.nstr(ratio, dps),
-        }
+    try:
+        with mpmath.workdps(dps + 10):
+            if lemma == "ampl":
+                lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m, dps=dps)
+                rhs = bound_rhs_ampl(n, m, lval, y, dps=dps)
+            else:
+                determinants, stratum = _LEMMA_COUNTS[lemma]
+                lhs = mpmath.mpf(sum(
+                    mult * getattr(classify_counts(z, l, delta, n, m), stratum)
+                    for l, mult in sorted(determinants(lval, m, l1).items())
+                ))
+                terms = ENVELOPES[lemma]
+                if lemma == "para" and isqrt(lval) ** 2 != lval:
+                    terms = terms[:1]  # no matrix of non-square determinant is parabolic
+                rhs = evaluate_terms(
+                    terms, dps, N=n, M=m, y=y, N0=squarefree_split(n)[1], L=lval
+                )
+            ratio = lhs / rhs
+            return {
+                "lemma": lemma,
+                "N": n,
+                "M": m,
+                "L_or_Lambda": lval,
+                "delta": str(delta),
+                "x": f"{x.numerator}/{x.denominator}",
+                "y": f"{y.numerator}/{y.denominator}",
+                "lhs": mpmath.nstr(lhs, dps),
+                "rhs": mpmath.nstr(rhs, dps),
+                "ratio": mpmath.nstr(ratio, dps),
+            }
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"harness cell lemma={lemma} N={n} M={m} L={lval} k={k}: {exc}"
+        ) from exc
 
 
 def harness_cells(config: HarnessConfig) -> list[tuple]:

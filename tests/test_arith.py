@@ -43,6 +43,47 @@ def test_factor_exhaustive_to_a_million():
         assert p == n, n
 
 
+def _factor_brute(n: int) -> list[tuple[int, int]]:
+    """Divide out every p <= n that is prime by Miller-Rabin."""
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0 and is_prime(p):
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    return out
+
+
+def test_factor_against_brute_force():
+    for n in range(1, 5001):
+        assert factor(n) == _factor_brute(n), n
+
+
+def _primes_near(n: int) -> list[int]:
+    # recognised by Miller-Rabin, which shares no code with factor
+    return [n + k for k in range(-200, 200) if is_prime(n + k)]
+
+
+def test_factor_near_powers_of_two():
+    p20, p40 = _primes_near(1 << 20), _primes_near(1 << 40)
+    for p in p20 + p40:
+        assert factor(p) == [(p, 1)]
+    lo, hi = p20[0], p20[-1]
+    assert factor(lo * hi) == [(lo, 1), (hi, 1)]  # composites near 2^40
+    assert factor(hi * hi) == [(hi, 2)]
+    assert factor(72 * lo) == [(2, 3), (3, 2), (lo, 1)]
+    assert factor(72 * p40[0]) == [(2, 3), (3, 2), (p40[0], 1)]
+    assert factor(1 << 40) == [(2, 40)]
+    # 2^20 - 1 = 3 * 5^2 * 11 * 31 * 41 and 2^40 - 1 = (2^20 - 1)(2^20 + 1)
+    assert factor((1 << 20) - 1) == [(3, 1), (5, 2), (11, 1), (31, 1), (41, 1)]
+    assert factor((1 << 40) - 1) == [
+        (3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1)
+    ]
+
+
 def test_squarefree_split_examples():
     assert squarefree_split(12) == (3, 2)
     assert squarefree_split(1) == (1, 1)

@@ -6,6 +6,7 @@ import pytest
 
 from cuspnorm.arith import factor
 from cuspnorm.conjugation import (
+    _first_column_candidates,
     atkin_lehner_matrix,
     gap_reduce,
     verify_gap_certificate,
@@ -14,7 +15,7 @@ from cuspnorm.conjugation import (
     width_one_conjugate,
 )
 from cuspnorm.cusps import cusp_denominator
-from cuspnorm.errors import InvalidM, InvalidPrimeSet, NotUnimodular
+from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimodular
 from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
 from oracles import rand_point, rand_sl2
@@ -203,6 +204,15 @@ def test_gap_target_floor_counterexample_is_honest():
         assert not v["lattice_ok"]
         assert v["y_bound_ok"]
         assert v["lattice_provable_ok"]
+
+
+def test_first_column_candidates_never_truncate():
+    w = PointH(Fraction(1, 3), Fraction(1, 50))
+    full = _first_column_candidates(w, 1, 1)
+    assert len(full) == 3
+    assert _first_column_candidates(w, 1, 1, budget=3) == full
+    with pytest.raises(BudgetExceeded):
+        _first_column_candidates(w, 1, 1, budget=2)
 
 
 def test_gap_provable_floor_random_sweep():

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuspnorm.bounds import bound_rhs_ampl
 from cuspnorm.counting import (
     amplified_count_sum,
     amplifier_weights,
     classify_counts,
+    count_delta_near,
     enumerate_delta_near,
     in_delta,
     is_in_G,
@@ -257,3 +261,102 @@ def test_budget_exceeded():
     z = PointH(0, Fraction(1, 10**9))
     with pytest.raises(BudgetExceeded):
         enumerate_delta_near(z, 1, 1, 1, 1, c_budget=1000)
+    with pytest.raises(BudgetExceeded):
+        count_delta_near(z, 1, 1, 1, 1, c_budget=1000)
+
+
+# -- the closed-form windows against the definitions ------------------------
+
+DELTAS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2))
+PAIRS_CAP = 3000  # keeps l * Kbar / (N y), the size of the (c, d) window, small
+
+
+def _window_size(z: PointH, l: int, delta: Fraction, n: int) -> Fraction:
+    return l * (2 + 4 * delta) / (n * z.y)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(z, l, delta, N, M) with y down to 1/64, l up to 2500 and M > 1 allowed
+    (M need not divide N for the enumeration to make sense)."""
+    n = draw(st.integers(1, 36))
+    m = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    delta = draw(st.sampled_from(DELTAS))
+    x = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 17)))
+    y = Fraction(draw(st.integers(1, 48)), draw(st.integers(1, 64)))
+    z = PointH(x, y)
+    l_max = max(1, min(2500, int(PAIRS_CAP / _window_size(z, 1, delta, n))))
+    l = draw(st.one_of(st.integers(1, min(l_max, 30)), st.integers(1, l_max)))
+    return z, l, delta, n, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_count_equals_len_enumerate_and_matrices_are_exact(case):
+    z, l, delta, n, m = case
+    mats = enumerate_delta_near(z, l, delta, n, m)
+    assert count_delta_near(z, l, delta, n, m) == len(mats)
+    keys = [(g.c, g.a, g.d, g.b) for g in mats]
+    assert keys == sorted(set(keys))
+    for g in mats:
+        # decided by modgroup alone, sharing no code with the windows
+        assert in_delta(g, l, n, m)
+        assert point_pair_u(mobius_act(g, z), z) <= delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.tuples(*[st.integers(-6, 6)] * 4),
+    st.integers(-20, 20),
+    st.integers(1, 12),
+)
+def test_matrix_on_the_boundary_is_counted(n, m, entries, x_num, y_den):
+    # delta = u(gamma z, z) puts gamma exactly on the boundary of its window
+    a0, b, c0, d = entries
+    a, c = 1 + m * a0, n * c0
+    l = a * d - b * c
+    assume(l >= 1)
+    z = PointH(Fraction(x_num, 7), Fraction(3, y_den))
+    gamma = Mat2(a, b, c, d)
+    delta = point_pair_u(mobius_act(gamma, z), z)
+    assume(_window_size(z, l, delta, n) <= PAIRS_CAP)
+    mats = enumerate_delta_near(z, l, delta, n, m)
+    assert gamma in mats
+    assert count_delta_near(z, l, delta, n, m) == len(mats)
+
+
+def _gamma0_element(n: int, m: int, word: list[tuple[int, int]], unit: int) -> Mat2:
+    """T^t and lower N-shears in the order given, times the diagonal-type
+    unit (u, k; N, d0) with u == 1 (mod M) when u is prime to N."""
+    g = Mat2.identity()
+    for t, j in word:
+        g = g * Mat2(1, t, 0, 1) * Mat2(1, 0, n * j, 1)
+    u = 1 + m * unit
+    if n > 1 and gcd(u, n) == 1:
+        d0 = pow(u, -1, n)
+        g = g * Mat2(u, (u * d0 - 1) // n, n, d0)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel_cases(),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), min_size=1, max_size=3),
+    st.integers(-2, 2),
+)
+def test_count_invariant_under_gamma0(case, word, unit):
+    # gamma -> g0^-1 gamma g0 maps Delta(l, N; M) onto itself and u is
+    # SL2(R)-invariant, so N(g0 z) = N(z) for g0 in Gamma0(N; M), the
+    # T-translations included; only the total is invariant, not the
+    # c = 0 / c != 0 split
+    z, l, delta, n, m = case
+    if n % m:
+        m = 1
+    g0 = _gamma0_element(n, m, word, unit)
+    assert g0.det == 1 and g0.c % n == 0 and (g0.a - 1) % m == 0
+    w = mobius_act(g0, z)
+    assume(_window_size(w, 1, delta, n) <= PAIRS_CAP)
+    l = min(l, int(PAIRS_CAP / _window_size(w, 1, delta, n)))
+    assert count_delta_near(w, l, delta, n, m) == count_delta_near(z, l, delta, n, m)

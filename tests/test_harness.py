@@ -3,8 +3,9 @@ import pytest
 from fractions import Fraction
 from math import isqrt
 
+from cuspnorm import counting, harness
 from cuspnorm.counting import classify_counts, is_in_G
-from cuspnorm.errors import ConfigError
+from cuspnorm.errors import BudgetExceeded, ConfigError
 from cuspnorm.harness import (
     HarnessConfig,
     default_l_values,
@@ -178,3 +179,19 @@ def test_csv_shape():
     assert len(lines) == 2 + len(res.rows)
     for line in lines[2:]:
         assert len(line.split(",")) == 10
+
+
+@pytest.mark.parametrize("lemma, probe", [
+    ("eq1", "classify_counts"), ("ampl", "amplified_count_sum")
+])
+def test_budget_exceeded_names_the_cell(monkeypatch, lemma, probe):
+    real = getattr(counting, probe)
+    monkeypatch.setattr(harness, probe, lambda *a, **kw: real(*a, **kw, c_budget=0))
+    config = HarnessConfig(lemma=lemma, n_lo=1, n_hi=1)
+    cell = harness_cells(config)[0]
+    lemma_, n, m, lval, k = cell[:5]
+    with pytest.raises(BudgetExceeded) as info:
+        harness._run_cell(cell)
+    assert f"lemma={lemma_} N={n} M={m} L={lval} k={k}: c-window" in str(info.value)
+    with pytest.raises(BudgetExceeded, match=f"lemma={lemma} N=1 M=1"):
+        lemma_harness(config)
