@@ -6,7 +6,7 @@ Everything here is deterministic and exact; inputs are desk-scale
 thousands), so trial division is plenty.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import Inconsistent
 
@@ -38,30 +38,6 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def divisors(n: int) -> list[int]:
@@ -169,6 +145,19 @@ def bezout(p: int, q: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """Intersect x == r1 (mod m1) with x == r2 (mod m2) for moduli >= 1:
+    (r, lcm) with 0 <= r < lcm and x == r (mod lcm), or None when the two
+    conflict on a shared factor."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    mm = m1 // g * m2
+    # x = r1 + m1*t with m1*t == r2 - r1 (mod m2); pow(_, -1, 1) is 0
+    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    return (r1 + m1 * t) % mm, mm
+
+
 def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     """Solve x == r_i (mod m_i) simultaneously; return (x, lcm) with 0 <= x < lcm.
 
@@ -178,12 +167,8 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     for ri, mi in congruences:
         if mi < 1:
             raise ValueError("moduli must be >= 1")
-        g = gcd(m, mi)
-        if (ri - r) % g:
+        merged = crt_pair(r, m, ri, mi)
+        if merged is None:
             raise Inconsistent(f"x == {r} (mod {m}) conflicts with x == {ri} (mod {mi})")
-        lcm_i = lcm(m, mi)
-        # combine: x = r + m*t with m*t == ri - r (mod mi)
-        t = ((ri - r) // g * pow(m // g, -1, mi // g)) % (mi // g) if mi != g else 0
-        r = (r + m * t) % lcm_i
-        m = lcm_i
+        r, m = merged
     return r, m

@@ -52,9 +52,6 @@ class ExponentVector:
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         return ExponentVector(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
     def __str__(self) -> str:
         parts = []
         for p, e in zip(PARAMS, self.exps):
@@ -139,8 +136,7 @@ def substitute(b, param: str, replacement: ExponentVector):
 class ConstraintSet:
     """Linear inequalities sum_i coeffs[i] * x_i <= rhs over named variables.
 
-    The feasible region must be a bounded nonempty polytope; equalities are
-    entered as inequality pairs via `eq`.
+    The feasible region must be a bounded nonempty polytope.
     """
 
     variables: tuple[str, ...]
@@ -154,57 +150,19 @@ class ConstraintSet:
     def ge(self, coeffs: dict, rhs) -> "ConstraintSet":
         return self.le({v: -Fraction(c) for v, c in coeffs.items()}, -Fraction(rhs))
 
-    def eq(self, coeffs: dict, rhs) -> "ConstraintSet":
-        self.le(coeffs, rhs)
-        self.ge(coeffs, rhs)
-        return self
-
     def box(self, var: str, lo, hi) -> "ConstraintSet":
         self.ge({var: 1}, lo)
         self.le({var: 1}, hi)
         return self
 
 
-def _solve_square(rows, rhs):
-    """Exact Gaussian elimination; None if singular."""
-    d = len(rhs)
-    mat = [list(rows[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for r in range(d):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return tuple(mat[i][d] for i in range(d))
-
-
-def _rank(rows, d):
+def _rref(rows, d):
+    """Exact reduced row echelon form over the first d columns: (matrix,
+    pivots), where row i has its leading 1 in column pivots[i], alone there."""
     mat = [list(r) for r in rows]
-    rank = 0
+    pivots = []
     for col in range(d):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _null_direction(rows, d):
-    """A nonzero solution of rows * v = 0, or None if only the trivial one."""
-    mat = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(d):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
@@ -215,15 +173,18 @@ def _null_direction(rows, d):
             if r != rank and mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(d) if c not in pivots]
-    if not free:
-        return None
+        pivots.append(col)
+    return mat, pivots
+
+
+def _null_direction(mat, pivots, d):
+    """A nonzero v with rows * v = 0, read off the reduced form (mat, pivots)
+    of rows over d columns; rank < d is required."""
+    free = next(c for c in range(d) if c not in pivots)
     v = [Fraction(0)] * d
-    v[free[0]] = Fraction(1)
-    for col, r in pivots.items():
-        v[col] = -mat[r][free[0]]
+    v[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        v[col] = -mat[r][free]
     return tuple(v)
 
 
@@ -235,28 +196,27 @@ def vertices(cs: ConstraintSet) -> list[tuple[Fraction, ...]]:
     """
     d = len(cs.variables)
     rows = [r for r, _ in cs.rows]
-    rhs = [b for _, b in cs.rows]
-    if len(rows) < d or _rank(rows, d) < d:
-        v = _null_direction(rows, d) if rows else tuple([Fraction(1)] * d)
+    mat, pivots = _rref(rows, d)
+    if len(pivots) < d:
+        v = _null_direction(mat, pivots, d) if rows else tuple([Fraction(1)] * d)
         raise UnboundedPolytope(
             f"constraint matrix has rank < {d}; free direction {v}"
         )
     # pointedness: look for a nonzero v with A v <= 0 among (d-1)-face rays
     for subset in combinations(range(len(rows)), d - 1):
-        sub = [rows[i] for i in subset]
-        if _rank(sub, d) != d - 1:
+        mat, pivots = _rref([rows[i] for i in subset], d)
+        if len(pivots) != d - 1:
             continue
-        v = _null_direction(sub, d)
-        if v is None:
-            continue
+        v = _null_direction(mat, pivots, d)
         for cand in (v, tuple(-x for x in v)):
             if all(sum(c * x for c, x in zip(row, cand)) <= 0 for row in rows):
                 raise UnboundedPolytope(f"recession direction {cand}")
     verts = set()
     for subset in combinations(range(len(rows)), d):
-        sol = _solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
-        if sol is None:
+        mat, pivots = _rref([cs.rows[i][0] + (cs.rows[i][1],) for i in subset], d)
+        if len(pivots) < d:
             continue
+        sol = tuple(row[d] for row in mat)
         if all(
             sum(c * x for c, x in zip(row, sol)) <= b for row, b in cs.rows
         ):
@@ -343,15 +303,15 @@ class FourierBound:
         }
 
 
-def fourier_sup_bound(n: int, m: int, y, dps: int | None = None) -> FourierBound:
+def fourier_sup_bound(n: int, m: int, y) -> FourierBound:
+    """The two-branch bound at (N, M, y); precision from CUSPNORM_PRECISION."""
     if m < 1 or n % (m * m):
         raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
     y = Fraction(y)
     if y * n < 1:
         raise OutOfRange(f"y = {y} below 1/N = 1/{n}")
-    dps = dps or default_dps()
     low = y * m * m <= 1
-    with mpmath.workdps(dps + 10):
+    with mpmath.workdps(default_dps() + 10):
         if low:
             fourth = Fraction(1) / (n * y) ** 2
             value = 1 / mpmath.sqrt(mpmath.mpf(n) * y.numerator / y.denominator)
@@ -367,21 +327,6 @@ def fourier_branch_exponents(mu: Fraction, h: Fraction) -> dict[str, Fraction]:
     high is mu/2 - 1/2 - h/4."""
     mu, h = Fraction(mu), Fraction(h)
     return {"low": -(1 + h) / 2, "high": mu / 2 - Fraction(1, 2) - h / 4}
-
-
-def fourier_exponent(mu: Fraction, h: Fraction) -> tuple[str, Fraction]:
-    """Branch and exponent of the bound at M = N^mu, y = N^h (h >= -1).
-
-    Low branch -(1 + h)/2 applies for h <= -2 mu; otherwise
-    mu/2 - 1/2 - h/4.
-    """
-    mu, h = Fraction(mu), Fraction(h)
-    if h < -1:
-        raise OutOfRange(f"y = N^{h} below 1/N")
-    branches = fourier_branch_exponents(mu, h)
-    if h <= -2 * mu:
-        return "low", branches["low"]
-    return "high", branches["high"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +366,16 @@ def smooth_count(x: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_terms(terms, dps: int | None = None, **values) -> mpmath.mpf:
+def evaluate_terms(terms, **values) -> mpmath.mpf:
     """Sum of the monomials `terms` at positive rational parameter values
-    (keywords named as in PARAMS), at dps + 10 working digits.
+    (keywords named as in PARAMS), at default_dps() + 10 working digits
+    (CUSPNORM_PRECISION).
 
     Every exponent must be a multiple of 1/2, so each monomial is exactly
     (r_num / r_den) * sqrt(s) with integers r_num, r_den, s: it costs one
     rounded division and, for s > 1, one rounded square root and product.
     """
-    dps = dps or default_dps()
-    with mpmath.workdps(dps + 10):
+    with mpmath.workdps(default_dps() + 10):
         total = mpmath.mpf(0)
         for vec in terms:
             r_num = r_den = s = 1
@@ -516,15 +461,14 @@ ENVELOPES = {
 }
 
 
-def bound_rhs_ampl(n: int, m: int, lam: int, y, dps: int | None = None):
+def bound_rhs_ampl(n: int, m: int, lam: int, y):
     """Four-term envelope Lambda/M + Lambda^2 y N0 / M^3
-    + Lambda^(5/2) / (M^2 sqrt(N)) + Lambda^4 / (M N)."""
+    + Lambda^(5/2) / (M^2 sqrt(N)) + Lambda^4 / (M N), evaluated at the
+    precision of evaluate_terms (CUSPNORM_PRECISION)."""
     if m < 1 or n % (m * m) != 0:
         raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
     n0 = squarefree_split(n)[1]
-    return evaluate_terms(
-        AMPL_RHS_TERMS, dps, N=n, M=m, Lam=lam, y=Fraction(y), N0=n0
-    )
+    return evaluate_terms(AMPL_RHS_TERMS, N=n, M=m, Lam=lam, y=Fraction(y), N0=n0)
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,21 @@ def _dispatch(args) -> tuple[object, dict, str]:
     raise CuspnormError(f"unhandled command {cmd!r}")
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """argv with `--point X,Y` written as `--point=X,Y`, since argparse reads
+    a separate value that starts with '-' (a negative x) as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--point":
+            tok = f"{out.pop()}={tok}"
+        out.append(tok)
+    return out
+
+
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute one invocation; domain errors become exit code 1."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(argv))
     started = time.monotonic()
     try:
         default_dps()  # a malformed CUSPNORM_PRECISION fails every command alike

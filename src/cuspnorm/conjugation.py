@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .arith import bezout, crt_solve, factor, valuation
+from .arith import crt_solve, factor, valuation
 from .cusps import cusp_denominator, local_profile
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidM, InvalidPrimeSet
-from .modgroup import Mat2, PointH, fd_reduce, mobius_act
+from .modgroup import Mat2, PointH, complete_first_column, fd_reduce, mobius_act
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,6 @@ def atkin_lehner_matrix(n: int, s: set[int]) -> AtkinLehnerOp:
     return AtkinLehnerOp(Mat2(n_s * al, be, n, n_s), prime_set, n_s, n)
 
 
-def w_squared_in_center_gamma0(op: AtkinLehnerOp) -> bool:
-    """Check W^2 = lambda * gamma with lambda rational and gamma in Gamma0(N)."""
-    w2 = op.w * op.w
-    for lam in (op.n_s, -op.n_s):
-        g = Mat2(
-            Fraction(w2.a, lam),
-            Fraction(w2.b, lam),
-            Fraction(w2.c, lam),
-            Fraction(w2.d, lam),
-        )
-        if g.is_integral() and g.det == 1 and int(g.c) % op.level == 0:
-            return True
-    return False
-
-
 @dataclass
 class GapVerdict:
     """Outcome of the weighted-lattice inequality check at a point."""
@@ -101,13 +86,15 @@ class ReductionCertificate:
     """Full output of the width-one / gap-principle pipeline.
 
     sigma = W * tau * n * diag(1/M1, M1/N_S) exactly; verification holds
-    the re-checked postconditions (and, in gap mode, the point z' with its
-    height and lattice verdicts).
+    the postconditions, each recomputed from sigma for either method (and,
+    in gap mode, the point z' with its height and lattice verdicts).
 
     method is "construction" for the local-profile algorithm, whose n is
     upper-unitriangular, or "search" for a certificate found by the
     verified fallback scan (its n is the exact rational solving matrix,
-    not necessarily unipotent).
+    not necessarily unipotent).  Only a construction certificate records
+    scale_identity_ok: the identity Im z' = (M1^2/N_S) Im z0 rests on n
+    being unipotent.
     """
 
     level: int
@@ -146,6 +133,24 @@ class ReductionCertificate:
         if self.z0 is not None:
             out["z0"] = self.z0.serialize()
         return out
+
+
+def _postconditions(sigma: Mat2, n: int, m: int, m1: int, n_s: int) -> dict:
+    """The claims of a width-one certificate, decided on sigma and (N, M, M1,
+    N_S): C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S."""
+    c_sigma = cusp_denominator(sigma, n)
+    return {
+        "sigma_in_sl2": sigma.is_sl2(),
+        "c_sigma": c_sigma,
+        "c_sigma_equals_n_over_m": c_sigma == n // m,
+        "m_squared_divides_n": n % (m * m) == 0,
+        "m1_is_gcd_m_n_s": m1 == gcd(m, n_s),
+        "m1_squared_divides_n_s": n_s % (m1 * m1) == 0,
+    }
+
+
+def _all_hold(verification: dict) -> bool:
+    return all(v for v in verification.values() if isinstance(v, bool))
 
 
 def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
@@ -195,15 +200,8 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     if not sigma.is_sl2():
         raise InternalSolveFailure(f"constructed sigma {sigma!r} is not in SL2(Z)")
     sigma = sigma.to_int()
-    verification = {
-        "sigma_in_sl2": True,
-        "c_sigma": cusp_denominator(sigma, n),
-        "c_sigma_equals_n_over_m": cusp_denominator(sigma, n) == n // m,
-        "m_squared_divides_n": n % (m * m) == 0,
-        "m1_is_gcd_m_n_s": m1 == gcd(m, n_s),
-        "m1_squared_divides_n_s": n_s % (m1 * m1) == 0,
-    }
-    if not all(v for v in verification.values() if isinstance(v, bool)):
+    verification = _postconditions(sigma, n, m, m1, n_s)
+    if not _all_hold(verification):
         raise InternalSolveFailure(f"postcondition failed: {verification}")
     return ReductionCertificate(
         level=n,
@@ -219,9 +217,9 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     )
 
 
-def _verify_lattice_floor(z_prime: PointH, n: int, m: int, bound) -> GapVerdict:
-    """Decide |c z' + d|^2 >= bound(c) for all (c, d) != (0, 0), where bound
-    never exceeds 3/4.
+def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict:
+    """Decide |c z' + d|^2 >= (3/4) (M^2 gcd(c, N/M^2) / N)^k over (c, d) != 0
+    for k >= 1; the bound is at most 3/4 as gcd(c, N/M^2) <= N/M^2.
 
     Finite search: only pairs with |c z' + d|^2 < 3/4 can violate, which
     forces c^2 y'^2 < 3/4 and (c x' + d)^2 < 3/4, a finite box scanned
@@ -229,7 +227,12 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, bound) -> GapVerdict:
     """
     if m < 1 or n % (m * m) != 0:
         raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n_over_m2 = n // (m * m)
+    den = 4 * n**k
     x, y = z_prime.x, z_prime.y
+
+    def bound(c: int) -> Fraction:
+        return Fraction(3 * (m * m * gcd(c, n_over_m2)) ** k, den)
 
     def lhs(c: int, d: int) -> Fraction:
         return (c * x + d) ** 2 + (c * y) ** 2
@@ -256,55 +259,42 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, bound) -> GapVerdict:
 
 def verify_gap_certificate(z_prime: PointH, n: int, m: int) -> GapVerdict:
     """Check the target lattice floor
-    |c z' + d|^2 >= 3 M^2 gcd(c, N/M^2) / (4N) for all (c, d) != (0, 0).
-
-    The right side is at most 3/4 since gcd(c, N/M^2) <= N/M^2, so the
-    finite-box scan of _verify_lattice_floor decides the full quantifier.
-    """
-    n_over_m2 = n // (m * m) if m >= 1 and n % (m * m) == 0 else 1
-
-    def bound(c: int) -> Fraction:
-        g = gcd(c, n_over_m2) if c else n_over_m2
-        return Fraction(3 * m * m * g, 4 * n)
-
-    return _verify_lattice_floor(z_prime, n, m, bound)
+    |c z' + d|^2 >= 3 M^2 gcd(c, N/M^2) / (4N) for all (c, d) != (0, 0)."""
+    return _verify_lattice_floor(z_prime, n, m, 1)
 
 
 def verify_gap_provable(z_prime: PointH, n: int, m: int) -> GapVerdict:
     """Check the weaker floor |c z' + d|^2 >= 3 M^4 gcd(c, N/M^2)^2 / (4 N^2).
 
     This is the constant the width-one construction actually guarantees
-    (the target floor of verify_gap_certificate can fail for it); the right
-    side is again at most 3/4.
+    (the target floor of verify_gap_certificate can fail for it).
     """
-    n_over_m2 = n // (m * m) if m >= 1 and n % (m * m) == 0 else 1
-
-    def bound(c: int) -> Fraction:
-        g = gcd(c, n_over_m2) if c else n_over_m2
-        return Fraction(3 * m**4 * g * g, 4 * n * n)
-
-    return _verify_lattice_floor(z_prime, n, m, bound)
+    return _verify_lattice_floor(z_prime, n, m, 2)
 
 
-def _attach_gap_verdicts(cert: ReductionCertificate, z: PointH, n: int) -> bool:
-    """Compute z' = sigma^-1 W z and record the height, scale and lattice
-    verdicts on the certificate; returns True when all hold."""
-    g = cert.sigma.inverse() * cert.w.w  # det = N_S > 0
-    z_prime = mobius_act(g, z)
+def _record_height(cert: ReductionCertificate, z: PointH, n: int) -> bool:
+    """Set z' = sigma^-1 W z and record y'^2 >= 3 M^4 / (4 N^2), which is
+    returned, and for a construction certificate the scale identity."""
+    z_prime = mobius_act(cert.sigma.inverse() * cert.w.w, z)  # det = N_S > 0
     cert.z_prime = z_prime
     yp = z_prime.y
     cert.verification["y_bound_ok"] = yp * yp * 4 * n * n >= 3 * cert.m**4
-    if cert.z0 is not None:
+    if cert.method == "construction":
         cert.verification["scale_identity_ok"] = (
             yp == Fraction(cert.m1 * cert.m1, cert.n_s) * cert.z0.y
         )
-    verdict = verify_gap_certificate(z_prime, n, cert.m)
+    return cert.verification["y_bound_ok"]
+
+
+def _record_lattice(cert: ReductionCertificate, n: int) -> bool:
+    """Record the target and provable lattice verdicts; returns the target's."""
+    verdict = verify_gap_certificate(cert.z_prime, n, cert.m)
     cert.verification["lattice"] = verdict
     cert.verification["lattice_ok"] = verdict.passed
     cert.verification["lattice_provable_ok"] = verify_gap_provable(
-        z_prime, n, cert.m
+        cert.z_prime, n, cert.m
     ).passed
-    return cert.verification["y_bound_ok"] and verdict.passed
+    return verdict.passed
 
 
 def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
@@ -339,20 +329,16 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
     return out
 
 
-def _complete_first_column(a: int, c: int) -> Mat2:
-    """Some sigma in SL2(Z) with first column (a, c)."""
-    s, t = bezout(a, c)
-    # a*s + c*t = 1  ->  sigma = (a, -t; c, s)
-    return Mat2(a, -t, c, s)
-
-
 def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     """Move z by a width-one conjugation to z' = sigma^{-1} W z with
     certified height and lattice lower bounds.
 
-    Records, exactly: C(sigma) = N/M, y'^2 >= 3 M^4 / (4 N^2), the full
-    (c, d)-quantified inequality, and (construction mode) the scale
-    identity Im z' = (M1^2/N_S) Im z0.
+    Records, exactly and for either method: the postconditions C(sigma) =
+    N/M, M1 = gcd(M, N_S) and M1^2 | N_S recomputed from sigma,
+    y'^2 >= 3 M^4 / (4 N^2), and the full (c, d)-quantified inequality at
+    the target and the provable floor.  The scale identity Im z' =
+    (M1^2/N_S) Im z0 is recorded in construction mode only, since a search
+    certificate's n is not unipotent and the identity need not hold.
 
     The local-profile construction is tried first.  Its lattice bound can
     genuinely fail (the constant in the target inequality is stronger than
@@ -367,9 +353,9 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)
     cert.z0 = z0
-    if _attach_gap_verdicts(cert, z, n):
+    height_ok = _record_height(cert, z, n)
+    if _record_lattice(cert, n) and height_ok:
         return cert
-    fallback = cert
     m_values = [m for m in range(1, n + 1) if n % (m * m) == 0]
     subsets = [set()]
     for p, _e in factor(n):
@@ -380,10 +366,11 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
             op = atkin_lehner_matrix(n, s)
             w_point = mobius_act(op.w, z)
             for a, c in _first_column_candidates(w_point, n, m):
-                sigma = _complete_first_column(a, c)
-                if cusp_denominator(sigma, n) != n // m:
-                    continue
+                sigma = complete_first_column(a, c)
                 m1 = gcd(m, op.n_s)
+                verification = _postconditions(sigma, n, m, m1, op.n_s)
+                if not _all_hold(verification):
+                    continue
                 shift = (
                     tau.inverse()
                     * op.w.inverse()
@@ -401,29 +388,9 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
                     n_shift=shift,
                     sigma=sigma,
                     z0=z0,
+                    verification=verification,
                     method="search",
-                    verification={
-                        "sigma_in_sl2": sigma.is_sl2(),
-                        "c_sigma": cusp_denominator(sigma, n),
-                        "c_sigma_equals_n_over_m": True,
-                        "m_squared_divides_n": n % (m * m) == 0,
-                        "m1_is_gcd_m_n_s": True,
-                        "m1_squared_divides_n_s": op.n_s % (m1 * m1) == 0,
-                    },
                 )
-                g = cand.sigma.inverse() * cand.w.w
-                z_prime = mobius_act(g, z)
-                cand.z_prime = z_prime
-                yp = z_prime.y
-                cand.verification["y_bound_ok"] = yp * yp * 4 * n * n >= 3 * m**4
-                if not cand.verification["y_bound_ok"]:
-                    continue
-                verdict = verify_gap_certificate(z_prime, n, m)
-                cand.verification["lattice"] = verdict
-                cand.verification["lattice_ok"] = verdict.passed
-                cand.verification["lattice_provable_ok"] = verify_gap_provable(
-                    z_prime, n, m
-                ).passed
-                if verdict.passed:
+                if _record_height(cand, z, n) and _record_lattice(cand, n):
                     return cand
-    return fallback
+    return cert

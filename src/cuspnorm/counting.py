@@ -37,10 +37,16 @@ from typing import NamedTuple
 
 import mpmath
 
-from .arith import bezout, primes_in_progression, smooth_part, squarefree_split
+from .arith import (
+    crt_pair,
+    divisors,
+    primes_in_progression,
+    smooth_part,
+    squarefree_split,
+)
 from .conjugation import verify_gap_certificate
 from .errors import BudgetExceeded, InvalidM
-from .modgroup import Mat2, PointH, mobius_act, point_pair_u
+from .modgroup import Mat2, PointH, complete_first_column, mobius_act, point_pair_u
 from .precision import default_dps
 
 
@@ -68,18 +74,6 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _merge_progression(r1: int, m1: int, r2: int, m2: int):
-    """Intersect a == r1 (mod m1) with a == r2 (mod m2); None if empty."""
-    g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    mm = m1 // g * m2
-    if m2 // g == 1:
-        return r1 % mm, mm
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % mm, mm
-
-
 def _a_progression(d: int, cc: int, l: int, m: int) -> tuple:
     """(r, step) with a == r (mod step) exactly when a*d == l (mod cc) and
     a == 1 (mod M); () when no a fits."""
@@ -90,14 +84,12 @@ def _a_progression(d: int, cc: int, l: int, m: int) -> tuple:
     if c1 == 1:
         return 1 % m, m
     a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1
-    return _merge_progression(a0, c1, 1 % m, m) or ()
+    return crt_pair(a0, c1, 1 % m, m) or ()
 
 
 def _divisor_sign_pairs(l: int):
     """All (a, d) in Z^2 with a*d = l > 0, both sign patterns."""
-    small = [e for e in range(1, isqrt(l) + 1) if l % e == 0]
-    divs = small + [l // e for e in reversed(small) if e * e != l]
-    for a in divs:
+    for a in divisors(l):
         d = l // a
         yield a, d
         yield -a, -d
@@ -369,9 +361,7 @@ def _fixed_point_conjugator(gamma: Mat2) -> Mat2:
     q0 //= g
     if q0 > 0:
         p0, q0 = -p0, -q0
-    # solve p0*w + q0*v = 1; tau = (p0, -v; q0, w)
-    w, v = bezout(p0, q0)
-    return Mat2(p0, -v, q0, w)
+    return complete_first_column(p0, q0)
 
 
 def parabolic_certify(
@@ -461,12 +451,12 @@ def amplified_count_sum(
     n: int,
     m: int,
     c_budget: int = 400_000,
-    dps: int | None = None,
 ):
     """Weighted count sum_l y_l / sqrt(l) * N(z, l, delta, N; M).
 
-    Returns (value, pairs, weights) with value an mpmath float at >= dps
-    significant digits and pairs the exact list of (l, y_l, count).
+    Returns (value, pairs, weights) with value an mpmath float at no fewer
+    significant digits than default_dps() (CUSPNORM_PRECISION) and pairs
+    the exact list of (l, y_l, count).
 
     The envelope bound assumes M^2 <= Lambda and z in G(N; M); the sum is
     still well-defined otherwise, so violations only warn.
@@ -475,10 +465,9 @@ def amplified_count_sum(
         warnings.warn(f"amplifier envelope assumes M^2 <= Lambda, got M={m}, Lambda={lam}")
     if not is_in_G(z, n, m):
         warnings.warn(f"point {z!r} lies outside G({n};{m}); bounds may not apply")
-    dps = dps or default_dps()
     w = amplifier_weights(lam, m)
     pairs = []
-    with mpmath.workdps(dps + 10):
+    with mpmath.workdps(default_dps() + 10):
         total = mpmath.mpf(0)
         for l in w.support():
             cnt = count_delta_near(z, l, delta, n, m, c_budget)

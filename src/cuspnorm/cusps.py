@@ -25,9 +25,6 @@ class CuspClass:
     denominator: int
     width: int
 
-    def rep(self) -> tuple[int, int]:
-        return (self.a, self.c)
-
 
 @dataclass(frozen=True)
 class LocalProfile:
@@ -105,72 +102,6 @@ def cusp_table_json(n: int) -> dict:
             for k in enumerate_cusps(n)
         ],
     }
-
-
-def _unit_generators(n: int) -> list[int]:
-    """A small generating set of (Z/n)^x, found greedily."""
-    if n <= 2:
-        return []
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    gens: list[int] = []
-    span = {1}
-    for u in units:
-        if u in span:
-            continue
-        gens.append(u)
-        span = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for g in gens:
-                w = v * g % n
-                if w not in span:
-                    span.add(w)
-                    stack.append(w)
-        if len(span) == len(units):
-            break
-    return gens
-
-
-def brute_force_cusp_orbits(n: int) -> dict[tuple[int, int], int]:
-    """Orbit id for every pair (a, c) mod N with gcd(a, c, N) = 1 under the
-    image of Gamma0(N) acting on column vectors.
-
-    Independent validation oracle for enumerate_cusps: BFS closure under the
-    generators T: (a, c) -> (a + c, c) and diag(u, 1/u): (a, c) -> (ua, c/u),
-    which generate the full upper-triangular image of Gamma0(N) mod N.
-    """
-    if n == 1:
-        return {(0, 0): 0}
-    gens = _unit_generators(n)
-    gen_pairs = [(u, pow(u, -1, n)) for u in gens]
-    if n > 2:
-        gen_pairs.append((n - 1, n - 1))  # -I
-    orbit: dict[tuple[int, int], int] = {}
-    next_id = 0
-    for a0 in range(n):
-        for c0 in range(n):
-            if gcd(gcd(a0, c0), n) != 1 or (a0, c0) in orbit:
-                continue
-            stack = [(a0, c0)]
-            orbit[(a0, c0)] = next_id
-            while stack:
-                a, c = stack.pop()
-                nbrs = [((a + c) % n, c)]
-                for u, uinv in gen_pairs:
-                    nbrs.append((u * a % n, uinv * c % n))
-                for pr in nbrs:
-                    if pr not in orbit:
-                        orbit[pr] = next_id
-                        stack.append(pr)
-            next_id += 1
-    return orbit
-
-
-def brute_force_cusp_count(n: int) -> int:
-    """Number of cusps of Gamma0(N) by explicit orbit enumeration."""
-    orbits = brute_force_cusp_orbits(n)
-    return len(set(orbits.values()))
 
 
 def doublecoset_normal_form(tau: Mat2, p: int, np_: int) -> tuple[Mat2, Mat2, Fraction]:

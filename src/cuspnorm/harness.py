@@ -43,7 +43,6 @@ class HarnessConfig:
     seed: int = 0
     jobs: int = 1
     l1: int = 1  # fixed first determinant factor for eq3
-    dps: int | None = None
 
     def __post_init__(self):
         self.delta = Fraction(self.delta)
@@ -133,9 +132,9 @@ _LEMMA_COUNTS = {
 
 
 def _run_cell(args: tuple) -> dict | None:
-    (lemma, n, m, lval, k, seed, delta_s, l1, dps) = args
+    (lemma, n, m, lval, k, seed, delta_s, l1) = args
     delta = Fraction(delta_s)
-    dps = dps or default_dps()
+    dps = default_dps()
     rng = random.Random(_cell_seed(seed, lemma, n, m, lval, k))
     if lemma == "ampl":
         y_hi_sq = Fraction(1, n)  # the amplifier envelope needs y <= N^(-1/2)
@@ -148,8 +147,8 @@ def _run_cell(args: tuple) -> dict | None:
     try:
         with mpmath.workdps(dps + 10):
             if lemma == "ampl":
-                lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m, dps=dps)
-                rhs = bound_rhs_ampl(n, m, lval, y, dps=dps)
+                lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m)
+                rhs = bound_rhs_ampl(n, m, lval, y)
             else:
                 determinants, stratum = _LEMMA_COUNTS[lemma]
                 lhs = mpmath.mpf(sum(
@@ -160,7 +159,7 @@ def _run_cell(args: tuple) -> dict | None:
                 if lemma == "para" and isqrt(lval) ** 2 != lval:
                     terms = terms[:1]  # no matrix of non-square determinant is parabolic
                 rhs = evaluate_terms(
-                    terms, dps, N=n, M=m, y=y, N0=squarefree_split(n)[1], L=lval
+                    terms, N=n, M=m, y=y, N0=squarefree_split(n)[1], L=lval
                 )
             ratio = lhs / rhs
             return {
@@ -201,7 +200,7 @@ def harness_cells(config: HarnessConfig) -> list[tuple]:
                     for k in range(config.samples):
                         cells.append(
                             (config.lemma, n, m, lv, k, config.seed, delta_s,
-                             config.l1, config.dps)
+                             config.l1)
                         )
     return sorted(set(cells))
 
@@ -216,7 +215,7 @@ class HarnessResult:
         """Largest ratio over the rows, compared exactly on the mpf values."""
         best = None
         best_row = None
-        with mpmath.workdps((self.config.dps or default_dps()) + 10):
+        with mpmath.workdps(default_dps() + 10):
             for row in self.rows:
                 r = mpmath.mpf(row["ratio"])
                 if best is None or r > best:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import bezout
+from .arith import bezout, divisors
 from .counting import in_delta
 from .errors import InvalidM, PrereqFailed
 from .modgroup import Mat2
@@ -34,42 +34,11 @@ def hnf_reps(l: int) -> list[Mat2]:
     if l < 1:
         raise ValueError(f"hnf_reps expects l >= 1, got {l}")
     out = []
-    for a in range(1, l + 1):
-        if l % a:
-            continue
+    for a in divisors(l):
         d = l // a
         for b in range(d):
             out.append(Mat2(a, b, 0, d))
     return out
-
-
-def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
-    """Factor an integer matrix of determinant l > 0 as u * h, u in SL2(Z),
-    h the Hermite representative.  Row-reduces the first column by SL2(Z)
-    operations on the left, then normalizes signs and the off-diagonal."""
-    g = gamma.to_int()
-    if g.det <= 0:
-        raise ValueError(f"hnf_decompose expects det > 0, got {g.det}")
-    left = Mat2.identity()  # accumulated SL2 row operations
-    a, b, c, d = g.entries()
-    while c:
-        # r1 <- r1 - q r2, then swap rows with a sign; |c| strictly drops
-        quo = a // c
-        a, b = a - quo * c, b - quo * d
-        left = Mat2(1, -quo, 0, 1) * left
-        a, b, c, d = -c, -d, a, b
-        left = Mat2(0, -1, 1, 0) * left
-    if a < 0:
-        a, b, c, d = -a, -b, -c, -d
-        left = Mat2(-1, 0, 0, -1) * left
-    # clear b into [0, d)
-    quo = b // d
-    b -= quo * d
-    left = Mat2(1, -quo, 0, 1) * left
-    h = Mat2(a, b, c, d)
-    u = left.inverse().to_int()
-    assert u.det == 1 and (u * h).entries() == g.entries()
-    return u, h
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -96,12 +65,6 @@ def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
                 continue
             reps.add(min(((s * c) % n, (s * d) % n) for s in scalars))
     return tuple(sorted(reps))
-
-
-def _canonical_row(c: int, d: int, n: int, m: int) -> tuple[int, int]:
-    if n == 1:
-        return (0, 0)
-    return min(((s * c) % n, (s * d) % n) for s in _scalars(n, m))
 
 
 def sl2_lift_from_row(c: int, d: int, n: int) -> Mat2:
@@ -156,10 +119,11 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
     reps = []
+    hermite = hnf_reps(l)
     for c, d in _row_cosets(n, m):
         u = sl2_lift_from_row(c, d, n)
         a_lift = int(u.a)
-        for h in hnf_reps(l):
+        for h in hermite:
             a1 = int(h.a)
             if (c * a1) % n:
                 continue
@@ -170,23 +134,6 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
             reps.append(gamma)
     table = CosetTable(l, n, m, reps)
     return table
-
-
-def coset_key(gamma: Mat2, n: int, m: int) -> tuple:
-    """Canonical label of the right coset Gamma0(N; M) * gamma."""
-    u, h = hnf_decompose(gamma)
-    row = _canonical_row(int(u.c) % n, int(u.d) % n, n, m)
-    return (row, h.entries())
-
-
-def same_coset(g1: Mat2, g2: Mat2, n: int, m: int) -> bool:
-    """Exact test g1 * g2^-1 in Gamma0(N; M) (integer arithmetic only)."""
-    l = g2.det
-    prod = g1 * g2.adjugate()  # l * (g1 g2^-1)
-    if any(int(e) % l for e in prod.entries()):
-        return False
-    q = Mat2(*(int(e) // l for e in prod.entries()))
-    return q.det == 1 and q.c % n == 0 and q.a % m == 1 % m and q.d % m == 1 % m
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Exact 2x2 matrix algebra, the Moebius action on rational points of the
-upper half-plane, the point-pair invariant u, and fundamental-domain reduction.
+upper half-plane, completion of a primitive column to SL2(Z), the point-pair
+invariant u, and fundamental-domain reduction.
 
 All geometric predicates are decided over Q; irrational thresholds such as
 sqrt(3)/2 are compared by squaring both (positive) sides.
@@ -8,6 +9,7 @@ sqrt(3)/2 are compared by squaring both (positive) sides.
 from fractions import Fraction
 from math import ceil
 
+from .arith import bezout
 from .errors import NotUnimodular
 
 
@@ -99,9 +101,6 @@ class Mat2:
             raise NotUnimodular(f"expected SL2(Z), got {self!r} with det {self.det}")
         return self
 
-    def scale(self, s) -> "Mat2":
-        return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
-
     def to_json(self):
         def enc(e):
             e = Fraction(e)
@@ -110,9 +109,11 @@ class Mat2:
         return [[enc(self.a), enc(self.b)], [enc(self.c), enc(self.d)]]
 
 
-# standard generators
-MAT_T = Mat2(1, 1, 0, 1)
-MAT_S = Mat2(0, -1, 1, 0)
+def complete_first_column(a: int, c: int) -> Mat2:
+    """A matrix of SL2(Z) with first column (a, c), for gcd(a, c) = 1:
+    (a, -t; c, s) with s*a + t*c = 1 from extended Euclid."""
+    s, t = bezout(a, c)
+    return Mat2(a, -t, c, s)
 
 
 class PointH:

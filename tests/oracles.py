@@ -1,19 +1,43 @@
 """Independent oracles and random generators shared by the test modules.
 
 These deliberately avoid the library's own enumeration logic: the box
-oracle scans raw entry boxes against the defining conditions only, and the
-random matrix generators build group elements from words in S and T.
+oracle scans raw entry boxes against the defining conditions only, the
+random matrix generators build group elements from words in S and T, and
+the number-theoretic oracles (cusp orbits, Hermite decomposition, coset
+labels, primality, W^2, the Fourier exponent) work from definitions and
+import no private helper of the code they check.
 """
 
+import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
+from cuspnorm.errors import OutOfRange
 from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
 
 S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
+
+
+def seeded_rng(*key) -> random.Random:
+    """A generator seeded by the sha256 of the key, stable across platforms."""
+    raw = "|".join(str(k) for k in key).encode()
+    return random.Random(int.from_bytes(hashlib.sha256(raw).digest()[:8], "big"))
+
+
+def gap_sweep_points(n_max: int):
+    """The C3 point distribution for N <= n_max: 100 seeded rationals per
+    level, x = a/den and y = b/den with den <= 64."""
+    for n in range(1, n_max + 1):
+        for k in range(100):
+            rng = seeded_rng(0, "gap", n, k)
+            den = rng.randint(1, 64)
+            x = Fraction(rng.randint(-2 * den, 2 * den), den)
+            y = Fraction(rng.randint(1, 2 * den), den)
+            yield n, PointH(x, y)
 
 
 def rand_fraction(rng: random.Random, lo: int, hi: int, den_max: int = 64) -> Fraction:
@@ -119,3 +143,176 @@ def box_oracle_delta(z: PointH, l: int, delta, n: int, m: int, box: int):
                 if u_exact_ok(a, b, c, d):
                     out.append((int(a), int(b), c, int(d)))
     return sorted(out)
+
+
+def _unit_generators(n: int) -> list[int]:
+    """A small generating set of (Z/n)^x, found greedily."""
+    if n <= 2:
+        return []
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    gens: list[int] = []
+    span = {1}
+    for u in units:
+        if u in span:
+            continue
+        gens.append(u)
+        span = {1}
+        stack = [1]
+        while stack:
+            v = stack.pop()
+            for g in gens:
+                w = v * g % n
+                if w not in span:
+                    span.add(w)
+                    stack.append(w)
+        if len(span) == len(units):
+            break
+    return gens
+
+
+def brute_force_cusp_orbits(n: int) -> dict[tuple[int, int], int]:
+    """Orbit id for every pair (a, c) mod N with gcd(a, c, N) = 1 under the
+    image of Gamma0(N) acting on column vectors.
+
+    Validation oracle for enumerate_cusps: BFS closure under the generators
+    T: (a, c) -> (a + c, c) and diag(u, 1/u): (a, c) -> (ua, c/u), which
+    generate the full upper-triangular image of Gamma0(N) mod N.
+    """
+    if n == 1:
+        return {(0, 0): 0}
+    gens = _unit_generators(n)
+    gen_pairs = [(u, pow(u, -1, n)) for u in gens]
+    if n > 2:
+        gen_pairs.append((n - 1, n - 1))  # -I
+    orbit: dict[tuple[int, int], int] = {}
+    next_id = 0
+    for a0 in range(n):
+        for c0 in range(n):
+            if gcd(gcd(a0, c0), n) != 1 or (a0, c0) in orbit:
+                continue
+            stack = [(a0, c0)]
+            orbit[(a0, c0)] = next_id
+            while stack:
+                a, c = stack.pop()
+                nbrs = [((a + c) % n, c)]
+                for u, uinv in gen_pairs:
+                    nbrs.append((u * a % n, uinv * c % n))
+                for pr in nbrs:
+                    if pr not in orbit:
+                        orbit[pr] = next_id
+                        stack.append(pr)
+            next_id += 1
+    return orbit
+
+
+def brute_force_cusp_count(n: int) -> int:
+    """Number of cusps of Gamma0(N) by explicit orbit enumeration."""
+    orbits = brute_force_cusp_orbits(n)
+    return len(set(orbits.values()))
+
+
+def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
+    """Factor an integer matrix of determinant l > 0 as u * h, u in SL2(Z),
+    h the Hermite representative.  Row-reduces the first column by SL2(Z)
+    operations on the left, then normalizes signs and the off-diagonal."""
+    g = gamma.to_int()
+    if g.det <= 0:
+        raise ValueError(f"hnf_decompose expects det > 0, got {g.det}")
+    left = Mat2.identity()  # accumulated SL2 row operations
+    a, b, c, d = g.entries()
+    while c:
+        # r1 <- r1 - q r2, then swap rows with a sign; |c| strictly drops
+        quo = a // c
+        a, b = a - quo * c, b - quo * d
+        left = Mat2(1, -quo, 0, 1) * left
+        a, b, c, d = -c, -d, a, b
+        left = Mat2(0, -1, 1, 0) * left
+    if a < 0:
+        a, b, c, d = -a, -b, -c, -d
+        left = Mat2(-1, 0, 0, -1) * left
+    # clear b into [0, d)
+    quo = b // d
+    b -= quo * d
+    left = Mat2(1, -quo, 0, 1) * left
+    h = Mat2(a, b, c, d)
+    u = left.inverse().to_int()
+    assert u.det == 1 and (u * h).entries() == g.entries()
+    return u, h
+
+
+def _canonical_row(c: int, d: int, n: int, m: int) -> tuple[int, int]:
+    """The least (s c, s d) mod N over the units s mod N with s == 1 (mod M)."""
+    if n == 1:
+        return (0, 0)
+    units = [s for s in range(1, n) if gcd(s, n) == 1 and s % m == 1 % m]
+    return min(((s * c) % n, (s * d) % n) for s in units)
+
+
+def coset_key(gamma: Mat2, n: int, m: int) -> tuple:
+    """Canonical label of the right coset Gamma0(N; M) * gamma."""
+    u, h = hnf_decompose(gamma)
+    row = _canonical_row(int(u.c) % n, int(u.d) % n, n, m)
+    return (row, h.entries())
+
+
+def same_coset(g1: Mat2, g2: Mat2, n: int, m: int) -> bool:
+    """Exact test g1 * g2^-1 in Gamma0(N; M) (integer arithmetic only)."""
+    l = g2.det
+    prod = g1 * g2.adjugate()  # l * (g1 g2^-1)
+    if any(int(e) % l for e in prod.entries()):
+        return False
+    q = Mat2(*(int(e) // l for e in prod.entries()))
+    return q.det == 1 and q.c % n == 0 and q.a % m == 1 % m and q.d % m == 1 % m
+
+
+def w_squared_in_center_gamma0(op) -> bool:
+    """Check W^2 = lambda * gamma with lambda rational and gamma in Gamma0(N)
+    for an Atkin-Lehner operator op."""
+    w2 = op.w * op.w
+    for lam in (op.n_s, -op.n_s):
+        g = Mat2(
+            Fraction(w2.a, lam),
+            Fraction(w2.b, lam),
+            Fraction(w2.c, lam),
+            Fraction(w2.d, lam),
+        )
+        if g.is_integral() and g.det == 1 and int(g.c) % op.level == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def fourier_exponent(mu, h) -> tuple[str, Fraction]:
+    """Branch and exponent of the Fourier sup bound at M = N^mu, y = N^h
+    (h >= -1): the low branch (N y)^(-1/2) gives -(1 + h)/2 and applies for
+    h <= -2 mu, i.e. y <= 1/M^2; otherwise M^(1/2) N^(-1/2) y^(-1/4) gives
+    mu/2 - 1/2 - h/4."""
+    mu, h = Fraction(mu), Fraction(h)
+    if h < -1:
+        raise OutOfRange(f"y = N^{h} below 1/N")
+    if h <= -2 * mu:
+        return "low", -(1 + h) / 2
+    return "high", mu / 2 - Fraction(1, 2) - h / 4

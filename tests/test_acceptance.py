@@ -10,8 +10,6 @@ same sweep.  The criterion is implemented exactly as stated and left red
 rather than weakened.
 """
 
-import hashlib
-import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -21,7 +19,7 @@ import mpmath
 from cuspnorm.arith import divisors, euler_phi, factor, squarefree_split
 from cuspnorm.conjugation import gap_reduce, verify_gap_provable, width_one_conjugate
 from cuspnorm.counting import classify_counts, enumerate_delta_near, parabolic_certify
-from cuspnorm.cusps import brute_force_cusp_count, enumerate_cusps
+from cuspnorm.cusps import enumerate_cusps
 from cuspnorm.harness import HarnessConfig, lemma_harness, sample_point_in_g
 from cuspnorm.hecke import (
     conjugation_invariance,
@@ -38,8 +36,16 @@ from cuspnorm.bounds import (
     substitute,
     theorem_pipeline,
 )
-from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
-from oracles import box_oracle_delta, rand_det_matrix, rand_point, rand_sl2
+from cuspnorm.modgroup import Mat2, mobius_act, point_pair_u
+from oracles import (
+    box_oracle_delta,
+    brute_force_cusp_count,
+    gap_sweep_points,
+    rand_det_matrix,
+    rand_point,
+    rand_sl2,
+    seeded_rng,
+)
 
 F = Fraction
 
@@ -47,11 +53,6 @@ F = Fraction
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def seeded_rng(*key) -> random.Random:
-    raw = "|".join(str(k) for k in key).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(raw).digest()[:8], "big"))
 
 
 def test_criterion_1_cusp_census():
@@ -98,16 +99,6 @@ def test_criterion_2_width_one_conjugation():
     )
 
 
-def _gap_sweep_points():
-    for n in range(1, 61):
-        for k in range(100):
-            rng = seeded_rng(0, "gap", n, k)
-            den = rng.randint(1, 64)
-            x = F(rng.randint(-2 * den, 2 * den), den)
-            y = F(rng.randint(1, 2 * den), den)
-            yield n, PointH(x, y)
-
-
 def test_criterion_3_gap_principle():
     # EXPECTED RED.  The asserted lattice floor 3M^2 gcd(c, N/M^2)/(4N) is
     # not achievable for every point: counterexamples are certified by
@@ -117,7 +108,7 @@ def test_criterion_3_gap_principle():
     # provably guarantees.
     started = time.monotonic()
     bad = []
-    for n, z in _gap_sweep_points():
+    for n, z in gap_sweep_points(60):
         cert = gap_reduce(z, n)
         v = cert.verification
         if not (v["y_bound_ok"] and v["lattice_ok"]):
@@ -134,7 +125,7 @@ def test_criterion_3_companion_provable_floor():
     # identical sweep, corrected floor 3M^4(c, N/M^2)^2/(4N^2): all pass
     started = time.monotonic()
     bad = 0
-    for n, z in _gap_sweep_points():
+    for n, z in gap_sweep_points(60):
         cert = gap_reduce(z, n)
         ok = cert.verification["y_bound_ok"] and (
             cert.verification["lattice_ok"]

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from cuspnorm.arith import (
     ceil_sqrt_div,
+    crt_pair,
     crt_solve,
     divisors,
     euler_phi,
     factor,
-    is_prime,
     primes_in_progression,
     primes_up_to,
     smooth_part,
     squarefree_split,
 )
 from cuspnorm.errors import Inconsistent
+from oracles import is_prime
 
 
 def test_factor_examples():
@@ -178,6 +179,28 @@ def test_crt_examples():
     assert crt_solve([(0, 5)]) == (0, 5)
     with pytest.raises(Inconsistent):
         crt_solve([(1, 2), (0, 4)])
+
+
+def test_crt_pair_against_brute_force():
+    # every pair of congruences with moduli <= 12, conflicting ones and
+    # residues outside [0, m) included
+    for m1 in range(1, 13):
+        for m2 in range(1, 13):
+            mm = lcm(m1, m2)
+            for r1 in range(-m1, m1):
+                for r2 in range(-m2, m2):
+                    hits = [
+                        x for x in range(mm) if (x - r1) % m1 == 0 == (x - r2) % m2
+                    ]
+                    merged = crt_pair(r1, m1, r2, m2)
+                    if not hits:
+                        assert merged is None
+                        with pytest.raises(Inconsistent):
+                            crt_solve([(r1, m1), (r2, m2)])
+                    else:
+                        assert hits == [hits[0]]
+                        assert merged == (hits[0], mm)
+                        assert crt_solve([(r1, m1), (r2, m2)]) == merged
 
 
 def test_crt_random_against_scan():

@@ -15,7 +15,6 @@ from cuspnorm.bounds import (
     dominated_by,
     evaluate_terms,
     fourier_branch_exponents,
-    fourier_exponent,
     fourier_sup_bound,
     maximize,
     monomial,
@@ -32,6 +31,7 @@ from cuspnorm.errors import (
     OutOfRange,
     UnboundedPolytope,
 )
+from oracles import fourier_exponent
 
 F = Fraction
 
@@ -158,6 +158,27 @@ def test_vertices_of_box():
     }
 
 
+def test_vertices_of_degenerate_pyramid():
+    # the square pyramid 0 <= z <= min(2x, 2 - 2x, 2y, 2 - 2y): four facets
+    # meet at the apex, and the redundant x + y + z <= 2 touches the edge
+    # from (1, 1, 0) to the apex, so five constraints are active at the apex
+    # and four at (1, 1, 0), against d = 3
+    cs = ConstraintSet(("x", "y", "z"))
+    cs.ge({"z": 1}, 0)
+    cs.le({"z": 1, "x": -2}, 0)
+    cs.le({"z": 1, "x": 2}, 2)
+    cs.le({"z": 1, "y": -2}, 0)
+    cs.le({"z": 1, "y": 2}, 2)
+    cs.le({"x": 1, "y": 1, "z": 1}, 2)
+    assert vertices(cs) == [
+        (F(0), F(0), F(0)),
+        (F(0), F(1), F(0)),
+        (F(1, 2), F(1, 2), F(1)),
+        (F(1), F(0), F(0)),
+        (F(1), F(1), F(0)),
+    ]
+
+
 def test_dominated_by_agrees_with_grid_sampler():
     # sound direction: an ok verdict admits no violating grid point; a
     # failing verdict carries an exactly-violating vertex
@@ -239,6 +260,15 @@ def test_fourier_exponent_symbolic():
     assert branch == "high"
     with pytest.raises(OutOfRange):
         fourier_exponent(F(1, 12), F(-3, 2))
+    # at N = 2^12, M = N^mu and y = N^h the concrete bound takes the same
+    # branch, and its exact fourth power is N^(4e) = 2^(48e)
+    n = 2**12
+    for k in range(7):
+        for t in range(-12, 13):
+            branch, e = fourier_exponent(F(k, 12), F(t, 12))
+            b = fourier_sup_bound(n, 2**k, F(2) ** t)
+            assert b.branch == branch, (k, t)
+            assert b.fourth_power == F(2) ** int(48 * e), (k, t)
 
 
 def test_theorem_pipeline_main():

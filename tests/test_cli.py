@@ -105,6 +105,22 @@ def test_domain_error_exit_code():
     assert res.exit_code == 1
 
 
+def test_negative_point_as_separate_argument():
+    # a value that starts with '-' follows --point as its own argument
+    for argv in (
+        ["count", "--level", "4", "--l", "1"],
+        ["reduce", "--level", "2"],
+    ):
+        spaced = run(argv + ["--point", "-2/7,1/9"])
+        glued = run(argv + ["--point=-2/7,1/9"])
+        assert spaced.exit_code == 0, spaced.payload
+        assert spaced.inputs["point"] == "-2/7,1/9"
+        assert spaced.rendered() == glued.rendered()
+    with pytest.raises(SystemExit) as exc:
+        run(["reduce", "--level", "2", "--point"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["count", "--level", "notanint", "--l", "1", "--point", "0/1,1/1"])

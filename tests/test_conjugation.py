@@ -1,24 +1,23 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from cuspnorm.arith import factor
+from cuspnorm.arith import factor, valuation
 from cuspnorm.conjugation import (
     _first_column_candidates,
     atkin_lehner_matrix,
     gap_reduce,
     verify_gap_certificate,
     verify_gap_provable,
-    w_squared_in_center_gamma0,
     width_one_conjugate,
 )
 from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimodular
 from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
-from oracles import rand_point, rand_sl2
+from oracles import gap_sweep_points, rand_point, rand_sl2, w_squared_in_center_gamma0
 
 
 def all_prime_subsets(n):
@@ -204,6 +203,30 @@ def test_gap_target_floor_counterexample_is_honest():
         assert not v["lattice_ok"]
         assert v["y_bound_ok"]
         assert v["lattice_provable_ok"]
+
+
+def test_search_certificates_recompute_postconditions():
+    # C3 points with N <= 12: each search certificate's claims, recomputed
+    # here from the definitions; only construction certificates carry the
+    # scale identity
+    searched = 0
+    for n, z in gap_sweep_points(12):
+        cert = gap_reduce(z, n)
+        v = cert.verification
+        if cert.method == "construction":
+            assert "scale_identity_ok" in v
+            continue
+        searched += 1
+        assert "scale_identity_ok" not in v
+        sigma, m, m1, n_s = cert.sigma, cert.m, cert.m1, cert.n_s
+        assert sigma.det == 1 and v["sigma_in_sl2"]
+        assert v["c_sigma"] == gcd(int(sigma.c), n) == n // m
+        assert v["c_sigma_equals_n_over_m"]
+        assert n % (m * m) == 0 and v["m_squared_divides_n"]
+        assert m1 == gcd(m, n_s) and v["m1_is_gcd_m_n_s"]
+        assert n_s % (m1 * m1) == 0 and v["m1_squared_divides_n_s"]
+        assert n_s == prod(p ** valuation(n, p) for p in cert.s_primes)
+    assert searched > 0
 
 
 def test_first_column_candidates_never_truncate():

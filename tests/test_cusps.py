@@ -6,8 +6,6 @@ import pytest
 
 from cuspnorm.arith import divisors, euler_phi, factor, valuation
 from cuspnorm.cusps import (
-    brute_force_cusp_count,
-    brute_force_cusp_orbits,
     cusp_denominator,
     cusp_width,
     doublecoset_normal_form,
@@ -16,7 +14,7 @@ from cuspnorm.cusps import (
 )
 from cuspnorm.errors import NotUnimodular
 from cuspnorm.modgroup import Mat2
-from oracles import rand_sl2
+from oracles import brute_force_cusp_count, brute_force_cusp_orbits, rand_sl2
 
 
 def phi_formula_count(n):

@@ -9,16 +9,19 @@ from cuspnorm.errors import InvalidM, PrereqFailed
 from cuspnorm.hecke import (
     conjugation_invariance,
     coset_count_invariance,
-    coset_key,
     coset_reps_delta,
-    hnf_decompose,
     hnf_reps,
     random_gamma0nm_element,
-    same_coset,
     sl2_lift_from_row,
 )
 from cuspnorm.modgroup import Mat2
-from oracles import rand_det_matrix, rand_sl2
+from oracles import (
+    coset_key,
+    hnf_decompose,
+    rand_det_matrix,
+    rand_sl2,
+    same_coset,
+)
 
 
 def sigma1(l):

@@ -4,22 +4,20 @@ from fractions import Fraction
 import pytest
 
 from cuspnorm.modgroup import (
-    MAT_S,
-    MAT_T,
     Mat2,
     PointH,
     fd_reduce,
     mobius_act,
     point_pair_u,
 )
-from oracles import rand_det_matrix, rand_point, rand_sl2_bounded
+from oracles import S, T, rand_det_matrix, rand_point, rand_sl2_bounded
 
 
 def test_mobius_examples():
     z = PointH(Fraction(1, 3), Fraction(2, 5))
     assert mobius_act(Mat2.identity(), z) == z
-    assert mobius_act(MAT_T, PointH(0, 1)) == PointH(1, 1)
-    assert mobius_act(MAT_S, PointH(0, 2)) == PointH(0, Fraction(1, 2))
+    assert mobius_act(T, PointH(0, 1)) == PointH(1, 1)
+    assert mobius_act(S, PointH(0, 2)) == PointH(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         mobius_act(Mat2(1, 0, 0, -1), z)  # det < 0 is not an action on H
 
@@ -39,7 +37,7 @@ def test_point_pair_u_examples():
     assert point_pair_u(i, i) == 0
     assert point_pair_u(i, PointH(1, 1)) == Fraction(1, 4)
     # parabolic pin: u(T z', z') = t^2 / (4 l y'^2) with t = 1, l = 1
-    assert point_pair_u(mobius_act(MAT_T, i), i) == Fraction(1, 4)
+    assert point_pair_u(mobius_act(T, i), i) == Fraction(1, 4)
 
 
 def test_point_pair_u_symmetry_positivity():

@@ -1,0 +1,69 @@
+"""Byte-identity gate: sha256 digests of CLI stdout, recorded at commit
+367463d, for the harness CSV of every lemma at N <= 12, three `reduce`
+points (construction, the honest failure, search) and the README `count`,
+`hecke` and `exponent` examples.
+
+A refactoring must leave every digest unchanged.  A change that alters an
+output on purpose updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from cuspnorm.cli import run
+
+LEMMAS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "para", "ampl")
+
+CASES = {
+    **{
+        f"harness-{lemma}": [
+            "harness", "--lemma", lemma, "--levels", "1..12", "--seed", "0",
+            "--format", "csv",
+        ]
+        for lemma in LEMMAS
+    },
+    "reduce-construction": ["reduce", "--level", "4", "--point", "1/2,1/4"],
+    "reduce-failed": ["reduce", "--level", "4", "--point", "3/5,1/4"],
+    "reduce-search": ["reduce", "--level", "2", "--point=-1/17,14/17"],
+    "count-matrices": [
+        "count", "--level", "4", "--m", "2", "--l", "1", "--delta", "1/100",
+        "--point", "0/1,2/1", "--matrices",
+    ],
+    "hecke": [
+        "hecke", "--level", "9", "--m", "3", "--l", "4",
+        "--check-conjugation", "1,0,3,1",
+    ],
+    "exponent-main": ["exponent", "--case", "main"],
+    "exponent-case2-text": [
+        "exponent", "--case", "case2", "--nu", "1/2", "--format", "text",
+    ],
+}
+
+DIGESTS = {
+    "harness-eq1": "3fd1a7fedfe7e54a7fc6a6404be091d6b2e1caeb9ce4ebbf0ca5a098e6b1aa63",
+    "harness-eq2": "e300ba33a87b265d0ea78ca63ab1066cd8faef4dfef54b17d2b17f38c4362eb7",
+    "harness-eq3": "2267086f262d0280a9ea14978a1322aeb481836d22d28cfff36ed32c1e004988",
+    "harness-eq4": "cf122b205b9ff2f422614c2587fd53bdc86b4fc87a9b131815675dc3a85af95b",
+    "harness-eq5": "56c35b0f110844738f96f6c5c8e847b58f829c12545e3e9adea14e1d8ac12c15",
+    "harness-eq6": "ed94f9e951a74730380128ae228a350c4fcba543d209d4dd2bc2fa22350f2b0e",
+    "harness-eq7": "b6997a92a642c5f7d019f456b61560fe19d6ba00bd2fb7955f1528bff7077345",
+    "harness-para": "d52230aadfa064177c33be943eb265dc2b3d276d5761ff99d5ab1ff4ceaa3035",
+    "harness-ampl": "4f463d3e41d68dc5aa6fbc573e4c42cd5ea6f9276868a4db1504e0fd9c73f35d",
+    "reduce-construction": "c875de3eea079b3fd4375f8213096adba8140aeec2c83d21c6f26c31bf6377f8",
+    "reduce-failed": "f9094223c8fcc360eff4f34936e1e616d158eba275953a9f7b1f4d709bd05c9f",
+    "reduce-search": "cd6f5bc241499368c8018e3251b13c9f0a60ca63bb95bb71f77433986118c463",
+    "count-matrices": "61d17f367606e5066215e79c36a774bbcebb5a5ce2bcc880d166d1fbed18958b",
+    "hecke": "bac1e47b7221b2a3348ff6b69cfd9304f9c12558a09a7b71d4d015f1510af5a9",
+    "exponent-main": "4138f45b4cec1ad368832475f198ffc1562299e8e8ee31487c4cf927325cabaf",
+    "exponent-case2-text": "3e2b64afaeefc687c861596d49a3ac1f4b131ab019bc505be26c7d5ec87fabe0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_digest_unchanged(name, monkeypatch):
+    monkeypatch.delenv("CUSPNORM_PRECISION", raising=False)  # digits as recorded
+    result = run(CASES[name])
+    assert result.exit_code == 0, result.payload
+    digest = hashlib.sha256(result.rendered().encode()).hexdigest()
+    assert digest == DIGESTS[name]
