@@ -1,7 +1,10 @@
 """Byte-identity gate: sha256 digests of CLI stdout, recorded at commit
 367463d, for the harness CSV of every lemma at N <= 12, three `reduce`
 points (construction, the honest failure, search) and the README `count`,
-`hecke` and `exponent` examples.
+`hecke` and `exponent` examples; and, recorded at commit 15e7f75, one
+digest of `gap_reduce(z, n).to_json()` over the C3 points with N <= 12
+(construction, search and one failed certificate, whose verdict strings
+are not trivial).
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -9,9 +12,13 @@ output on purpose updates the digest here and says why in CHANGES.md.
 
 import hashlib
 
+import json
+
 import pytest
 
 from cuspnorm.cli import run
+from cuspnorm.conjugation import gap_reduce
+from oracles import gap_sweep_points
 
 LEMMAS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "para", "ampl")
 
@@ -67,3 +74,14 @@ def test_stdout_digest_unchanged(name, monkeypatch):
     assert result.exit_code == 0, result.payload
     digest = hashlib.sha256(result.rendered().encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+GAP_DIGEST = "089a164f78732da94d0ca1ce5555444142df67bf11eb205de874e2abe01fbfc8"
+
+
+def test_gap_reduce_digest_unchanged():
+    h = hashlib.sha256()
+    for n, z in gap_sweep_points(12):
+        h.update(json.dumps(gap_reduce(z, n).to_json(), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GAP_DIGEST
