@@ -214,12 +214,18 @@ def _dispatch(args) -> tuple[object, dict, str]:
     raise CuspnormError(f"unhandled command {cmd!r}")
 
 
+def _is_point_flag(tok: str) -> bool:
+    """`--point` or an abbreviation of it that argparse accepts (`--p` on)."""
+    return len(tok) > 2 and "--point".startswith(tok)
+
+
 def _attach_point_values(argv: list[str]) -> list[str]:
-    """argv with `--point X,Y` written as `--point=X,Y`, since argparse reads
-    a separate value that starts with '-' (a negative x) as an option."""
+    """argv with `--point X,Y` written as `--point=X,Y`, and likewise for the
+    abbreviations `--p` to `--poin`, since argparse reads a separate value
+    that starts with '-' (a negative x) as an option."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--point":
+        if out and _is_point_flag(out[-1]):
             tok = f"{out.pop()}={tok}"
         out.append(tok)
     return out

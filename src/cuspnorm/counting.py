@@ -32,7 +32,7 @@ is exact, so the output is both sound and complete.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
 import mpmath
@@ -113,10 +113,8 @@ def _cleared(z: PointH, l: int, delta, n: int, m: int) -> _Cleared:
     delta = Fraction(delta)
     if l < 1 or delta < 0 or n < 1 or m < 1:
         raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
-    q = lcm(z.x.denominator, z.y.denominator)
-    return _Cleared(
-        l, n, m, int(z.x * q), int(z.y * q), q, delta.numerator, delta.denominator
-    )
+    px, py, q = z.cleared()
+    return _Cleared(l, n, m, px, py, q, delta.numerator, delta.denominator)
 
 
 def _upper_windows(cl: _Cleared):

@@ -7,7 +7,7 @@ sqrt(3)/2 are compared by squaring both (positive) sides.
 """
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from .arith import bezout
 from .errors import NotUnimodular
@@ -122,8 +122,8 @@ class PointH:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        self.x = x if type(x) is Fraction else Fraction(x)
+        self.y = y if type(y) is Fraction else Fraction(y)
         if self.y <= 0:
             raise ValueError(f"point must have y > 0, got y = {self.y}")
 
@@ -137,6 +137,12 @@ class PointH:
 
     def __repr__(self):
         return f"PointH({self.x}, {self.y})"
+
+    def cleared(self) -> tuple[int, int, int]:
+        """(px, py, q) with z = (px + i py)/q, q the lcm of the denominators."""
+        xd, yd = self.x.denominator, self.y.denominator
+        q = lcm(xd, yd)
+        return self.x.numerator * (q // xd), self.y.numerator * (q // yd), q
 
     def serialize(self) -> str:
         """"x_num/x_den,y_num/y_den" wire format."""
@@ -152,15 +158,29 @@ class PointH:
 
 
 def mobius_act(g: Mat2, z: PointH) -> PointH:
-    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0."""
-    det = Fraction(g.det)
+    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0, on integers.
+
+    g is scaled by the lcm s of its entry denominators, which leaves the
+    action unchanged, and z is cleared to (px + i py)/q.  With
+    e = c px + d q and D = e^2 + (c py)^2 = q^2 |cz + d|^2 > 0, the image
+    is x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so
+    exactly two Fractions are built.  The sign of det(g) is that of the
+    scaled determinant s^2 det(g).
+    """
+    a, b, c, d = g.a, g.b, g.c, g.d
+    s = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    a = a.numerator * (s // a.denominator)
+    b = b.numerator * (s // b.denominator)
+    c = c.numerator * (s // c.denominator)
+    d = d.numerator * (s // d.denominator)
+    det = a * d - b * c
     if det <= 0:
-        raise ValueError(f"mobius_act needs det > 0, got {det}")
-    x, y = z.x, z.y
-    den = (g.c * x + g.d) ** 2 + (g.c * y) ** 2  # |cz+d|^2 > 0 since y > 0
-    new_x = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * y * y) / den
-    new_y = det * y / den
-    return PointH(new_x, new_y)
+        raise ValueError(f"mobius_act needs det > 0, got {Fraction(det, s * s)}")
+    px, py, q = z.cleared()
+    e = c * px + d * q
+    den = e * e + (c * py) ** 2
+    new_x = Fraction((a * px + b * q) * e + a * c * py * py, den)
+    return PointH(new_x, Fraction(det * py * q, den))
 
 
 def point_pair_u(z: PointH, w: PointH) -> Fraction:

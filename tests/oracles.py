@@ -11,12 +11,13 @@ import no private helper of the code they check.
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import numpy as np
 
-from cuspnorm.errors import OutOfRange
-from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
+from cuspnorm.conjugation import GapVerdict
+from cuspnorm.errors import InvalidM, OutOfRange
+from cuspnorm.modgroup import Mat2, PointH, point_pair_u
 
 S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
@@ -81,6 +82,52 @@ def rand_det_matrix(rng: random.Random, det: int) -> Mat2:
     return rand_sl2(rng, 3) * h * rand_sl2(rng, 3)
 
 
+def fraction_mobius_act(g: Mat2, z: PointH) -> PointH:
+    """(az + b)/(cz + d) for det(g) > 0, from the Fraction formulas on the
+    entries of g and z as given: nothing is scaled or cleared."""
+    det = Fraction(g.det)
+    if det <= 0:
+        raise ValueError(f"mobius_act needs det > 0, got {det}")
+    x, y = z.x, z.y
+    den = (g.c * x + g.d) ** 2 + (g.c * y) ** 2  # |cz+d|^2 > 0 since y > 0
+    new_x = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * y * y) / den
+    new_y = det * y / den
+    return PointH(new_x, new_y)
+
+
+def lattice_floor_pairs(z: PointH, n: int, m: int, k: int):
+    """Yield ((c, d), |c z + d|^2, (3/4) (M^2 gcd(c, N/M^2) / N)^k) over the
+    box of the lattice-floor scan, in its order, in Fractions: (0, 1), then
+    c = 1, 2, ... while 4 c^2 y^2 < 3 and d from ceil(-cx - 1) to
+    floor(-cx + 1)."""
+    if m < 1 or n % (m * m) != 0:
+        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n_over_m2 = n // (m * m)
+    x, y = z.x, z.y
+
+    def bound(c: int) -> Fraction:
+        return Fraction(3 * (m * m * gcd(c, n_over_m2)) ** k, 4 * n**k)
+
+    yield (0, 1), Fraction(1), bound(0)
+    c = 1
+    while c * c * y * y * 4 < 3:
+        center = -c * x
+        for d in range(ceil(center - 1), floor(center + 1) + 1):
+            yield (c, d), (c * x + d) ** 2 + (c * y) ** 2, bound(c)
+        c += 1
+
+
+def lattice_floor_verdict(z: PointH, n: int, m: int, k: int) -> GapVerdict:
+    """The lattice-floor verdict from Fractions: the worst pair is the first
+    of least margin lhs - bound in scan order."""
+    worst = None
+    for pair, lhs, bound in lattice_floor_pairs(z, n, m, k):
+        if worst is None or lhs - bound < worst[1] - worst[2]:
+            worst = (pair, lhs, bound)
+    pair, lhs, bound = worst
+    return GapVerdict(lhs >= bound, pair, lhs - bound, lhs, bound)
+
+
 def box_oracle_delta(z: PointH, l: int, delta, n: int, m: int, box: int):
     """All gamma in Delta(l, N; M) with max |entry| <= box and
     u(gamma z, z) <= delta, straight from the definitions.
@@ -100,7 +147,7 @@ def box_oracle_delta(z: PointH, l: int, delta, n: int, m: int, box: int):
 
     def u_exact_ok(a, b, c, d):
         g = Mat2(int(a), int(b), int(c), int(d))
-        return point_pair_u(mobius_act(g, z), z) <= delta
+        return point_pair_u(fraction_mobius_act(g, z), z) <= delta
 
     def prefilter(a_arr, b_arr, c, d_arr):
         gz = (a_arr * zf + b_arr) / (c * zf + d_arr)

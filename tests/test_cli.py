@@ -121,6 +121,16 @@ def test_negative_point_as_separate_argument():
     assert exc.value.code == 2
 
 
+def test_negative_point_after_abbreviated_flag():
+    # argparse accepts --p ... --poin for --point; each takes a negative x
+    argv = ["count", "--level", "4", "--l", "1"]
+    glued = run(argv + ["--point=-2/7,1/9"])
+    for flag in ("--p", "--po", "--poi", "--poin"):
+        spaced = run(argv + [flag, "-2/7,1/9"])
+        assert spaced.exit_code == 0, spaced.payload
+        assert spaced.rendered() == glued.rendered()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["count", "--level", "notanint", "--l", "1", "--point", "0/1,1/1"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspnorm.arith import factor, valuation
 from cuspnorm.conjugation import (
@@ -17,7 +19,14 @@ from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimodular
 from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
-from oracles import gap_sweep_points, rand_point, rand_sl2, w_squared_in_center_gamma0
+from oracles import (
+    gap_sweep_points,
+    lattice_floor_pairs,
+    lattice_floor_verdict,
+    rand_point,
+    rand_sl2,
+    w_squared_in_center_gamma0,
+)
 
 
 def all_prime_subsets(n):
@@ -161,6 +170,82 @@ def test_verify_gap_examples():
     assert v.min_lhs == Fraction(1, 100)
     with pytest.raises(InvalidM):
         verify_gap_certificate(PointH(0, 1), 8, 3)
+
+
+VERIFIERS = {1: verify_gap_certificate, 2: verify_gap_provable}
+
+
+def _same_verdict(z, n, m, k):
+    verdict = VERIFIERS[k](z, n, m)
+    oracle = lattice_floor_verdict(z, n, m, k)
+    assert verdict == oracle
+    assert verdict.to_json() == oracle.to_json()
+
+
+def _least_margin_pairs(z, n, m, k):
+    margins = [
+        (pair, lhs - bound) for pair, lhs, bound in lattice_floor_pairs(z, n, m, k)
+    ]
+    least = min(margin for _pair, margin in margins)
+    return least, [pair for pair, margin in margins if margin == least]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 48),
+    st.integers(-64, 64),
+    st.integers(1, 64),
+    st.integers(1, 32),
+    st.sampled_from((1, 2)),
+    st.data(),
+)
+def test_lattice_floor_matches_fraction_oracle(n, x_num, y_num, den, k, data):
+    m = data.draw(st.sampled_from([m for m in range(1, n + 1) if n % m**2 == 0]))
+    _same_verdict(PointH(Fraction(x_num, den), Fraction(y_num, den)), n, m, k)
+
+
+@pytest.mark.parametrize("n, m, x, y", [
+    (3, 1, Fraction(0), Fraction(1, 2)),
+    (9, 1, Fraction(1, 3), Fraction(1, 6)),
+    (27, 3, Fraction(0), Fraction(1, 2)),
+    (36, 2, Fraction(1, 3), Fraction(1, 6)),
+])
+def test_lattice_floor_exact_zero_margin(n, m, x, y):
+    # |c z + d|^2 meets the target floor exactly: the verdict passes at 0
+    z = PointH(x, y)
+    assert _least_margin_pairs(z, n, m, 1)[0] == 0
+    v = verify_gap_certificate(z, n, m)
+    assert v.passed and v.min_margin == 0 and v.min_lhs == v.bound_at_worst
+    for k in (1, 2):
+        _same_verdict(z, n, m, k)
+
+
+@pytest.mark.parametrize("n, m, x, y, tied", [
+    (1, 1, Fraction(1, 2), Fraction(1, 2), [(1, -1), (1, 0)]),
+    (1, 1, Fraction(2, 5), Fraction(1, 5), [(1, 0), (2, -1)]),
+    (2, 1, Fraction(1, 4), Fraction(1, 4), [(1, 0), (2, -1), (2, 0)]),
+    (4, 2, Fraction(2, 5), Fraction(1, 5), [(1, 0), (2, -1)]),
+])
+def test_lattice_floor_tied_minimum(n, m, x, y, tied):
+    # several pairs share the least margin: the first in scan order is worst
+    z = PointH(x, y)
+    assert _least_margin_pairs(z, n, m, 1)[1] == tied
+    assert verify_gap_certificate(z, n, m).worst_pair == tied[0]
+    for k in (1, 2):
+        _same_verdict(z, n, m, k)
+
+
+def test_passed_target_floor_decides_the_provable_floor():
+    # gap_reduce scans the provable floor only when the target floor fails
+    for n, z in gap_sweep_points(12):
+        cert = gap_reduce(z, n)
+        zp = cert.z_prime
+        provable = verify_gap_provable(zp, n, cert.m).passed
+        assert cert.verification["lattice_provable_ok"] == provable
+        for m in (m for m in range(1, n + 1) if n % (m * m) == 0):
+            for point in (z, zp):
+                if verify_gap_certificate(point, n, m).passed:
+                    assert verify_gap_provable(point, n, m).passed
 
 
 def test_verify_gap_agrees_with_direct_scan():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -360,3 +360,35 @@ def test_count_invariant_under_gamma0(case, word, unit):
     assume(_window_size(w, 1, delta, n) <= PAIRS_CAP)
     l = min(l, int(PAIRS_CAP / _window_size(w, 1, delta, n)))
     assert count_delta_near(w, l, delta, n, m) == count_delta_near(z, l, delta, n, m)
+
+
+def test_parabolic_count_invariant_under_gamma0_example():
+    # trace is a conjugation invariant, so n_p(g0 z) = n_p(z); the c = 0 /
+    # c != 0 split of the rest is not, and here it moves
+    z = PointH(Fraction(-6, 5), Fraction(1, 2))
+    g0 = Mat2(1, 0, 4, 1)
+    at_z = classify_counts(z, 4, 1, 4, 1)
+    at_w = classify_counts(mobius_act(g0, z), 4, 1, 4, 1)
+    assert (at_z.n_star, at_z.n_u, at_z.n_p) == (42, 8, 18)
+    assert (at_w.n_star, at_w.n_u, at_w.n_p) == (50, 0, 18)
+    assert any(g.c != 0 for g in at_z.parabolic)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel_cases(),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), min_size=1, max_size=3),
+    st.integers(-2, 2),
+)
+def test_parabolic_count_invariant_under_gamma0(case, word, unit):
+    # l is made a square, so that s * I and its conjugates make n_p > 0
+    z, l, delta, n, m = case
+    if n % m:
+        m = 1
+    g0 = _gamma0_element(n, m, word, unit)
+    w = mobius_act(g0, z)
+    assume(_window_size(w, 1, delta, n) <= PAIRS_CAP)
+    l = min(l, int(PAIRS_CAP / _window_size(w, 1, delta, n)))
+    l = isqrt(l) ** 2
+    moved = classify_counts(w, l, delta, n, m)
+    assert moved.n_p == classify_counts(z, l, delta, n, m).n_p

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspnorm.modgroup import (
     Mat2,
@@ -10,7 +12,14 @@ from cuspnorm.modgroup import (
     mobius_act,
     point_pair_u,
 )
-from oracles import S, T, rand_det_matrix, rand_point, rand_sl2_bounded
+from oracles import (
+    S,
+    T,
+    fraction_mobius_act,
+    rand_det_matrix,
+    rand_point,
+    rand_sl2_bounded,
+)
 
 
 def test_mobius_examples():
@@ -20,6 +29,40 @@ def test_mobius_examples():
     assert mobius_act(S, PointH(0, 2)) == PointH(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         mobius_act(Mat2(1, 0, 0, -1), z)  # det < 0 is not an action on H
+
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+points = st.builds(
+    PointH,
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)),
+    st.builds(Fraction, st.integers(1, 50), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(*[st.integers(-20, 20)] * 4),
+        st.tuples(*[fractions] * 4),
+    ),
+    st.integers(1, 6),
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+    points,
+)
+def test_mobius_act_matches_fraction_oracle(entries, t, scale, z):
+    # integer and rational matrices, and non-reduced multiples of them: a
+    # positive scalar leaves the action, and the error, unchanged
+    for g in (Mat2(*entries), Mat2(*(t * e for e in entries)),
+              Mat2(*(scale * e for e in entries))):
+        if g.det > 0:
+            assert mobius_act(g, z) == fraction_mobius_act(g, z)
+            assert mobius_act(g, z) == mobius_act(Mat2(*entries), z)
+        else:
+            with pytest.raises(ValueError) as ours:
+                mobius_act(g, z)
+            with pytest.raises(ValueError) as oracle:
+                fraction_mobius_act(g, z)
+            assert str(ours.value) == str(oracle.value)
 
 
 def test_mobius_imaginary_part_formula():
