@@ -235,8 +235,8 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     """
     if m < 1 or n % (m * m) != 0:
         raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
-    n_over_m2 = n // (m * m)
     m2 = m * m
+    n_over_m2 = n // m2
     den = 4 * n**k
     px, py, q = z_prime.cleared()
     q2 = q * q

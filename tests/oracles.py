@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
-random matrix generators build group elements from words in S and T, and
-the number-theoretic oracles (cusp orbits, Hermite decomposition, coset
-labels, primality, W^2, the Fourier exponent) work from definitions and
-import no private helper of the code they check.
+random matrix generators build group elements from words in S and T, the
+lattice-floor scan and the Moebius action compute in Fractions where the
+package clears denominators to integers, and the number-theoretic oracles
+(cusp orbits, Hermite decomposition, coset labels, primality, W^2, the
+Fourier exponent) work from definitions and import no private helper of
+the code they check.
 """
 
 import hashlib
