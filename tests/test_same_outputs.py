@@ -1,10 +1,11 @@
 """Byte-identity gate: sha256 digests of CLI stdout, recorded at commit
 367463d, for the harness CSV of every lemma at N <= 12, three `reduce`
 points (construction, the honest failure, search) and the README `count`,
-`hecke` and `exponent` examples; and, recorded at commit 15e7f75, one
+`hecke` and `exponent` examples; recorded at commit 15e7f75, one
 digest of `gap_reduce(z, n).to_json()` over the C3 points with N <= 12
 (construction, search and one failed certificate, whose verdict strings
-are not trivial).
+are not trivial); and, recorded at commit 90a3a5f, the same digest over
+all 6,000 C3 points with N <= 60 (all seven failed certificates).
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -77,11 +78,20 @@ def test_stdout_digest_unchanged(name, monkeypatch):
 
 
 GAP_DIGEST = "089a164f78732da94d0ca1ce5555444142df67bf11eb205de874e2abe01fbfc8"
+GAP_SWEEP_DIGEST = "d5f0ea0d0c206c64052093c98f20c82fe9bfef0eb8a4bff9b4b9522978f07bc1"
+
+
+def _gap_digest(n_max: int) -> str:
+    h = hashlib.sha256()
+    for n, z in gap_sweep_points(n_max):
+        h.update(json.dumps(gap_reduce(z, n).to_json(), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def test_gap_reduce_digest_unchanged():
-    h = hashlib.sha256()
-    for n, z in gap_sweep_points(12):
-        h.update(json.dumps(gap_reduce(z, n).to_json(), sort_keys=True).encode())
-        h.update(b"\n")
-    assert h.hexdigest() == GAP_DIGEST
+    assert _gap_digest(12) == GAP_DIGEST
+
+
+def test_gap_sweep_digest_unchanged():
+    assert _gap_digest(60) == GAP_SWEEP_DIGEST
