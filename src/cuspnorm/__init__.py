@@ -1,129 +1,21 @@
 """Exact-arithmetic toolkit for the cusp geometry of Gamma0(N): cusp/width
 tables, Atkin-Lehner conjugation to width-one cusps, a certified gap
 principle, complete matrix counting near a point, Hecke coset
-combinatorics on Gamma0(N; M), and a symbolic exponent optimizer."""
+combinatorics on Gamma0(N; M), and a symbolic exponent optimizer.
 
-from .arith import (
-    ceil_sqrt_div,
-    crt_solve,
-    divisors,
-    euler_phi,
-    factor,
-    primes_in_progression,
-    smooth_part,
-    squarefree_split,
-)
-from .bounds import (
-    ConstraintSet,
-    ExponentVector,
-    MonomialBound,
-    bound_product,
-    bound_rhs_ampl,
-    dominated_by,
-    fourier_sup_bound,
-    monomial,
-    norm_factor,
-    smooth_count,
-    substitute,
-    theorem_pipeline,
-)
-from .conjugation import (
-    AtkinLehnerOp,
-    ReductionCertificate,
-    atkin_lehner_matrix,
-    gap_reduce,
-    verify_gap_certificate,
-    verify_gap_provable,
-    width_one_conjugate,
-)
-from .counting import (
-    AmplifierWeights,
-    CountReport,
-    ParabolicCertificate,
-    amplified_count_sum,
-    classify_counts,
-    count_delta_near,
-    enumerate_delta_near,
-    in_delta,
-    is_in_G,
-    parabolic_certify,
-)
-from .cusps import (
-    CuspClass,
-    LocalProfile,
-    cusp_denominator,
-    cusp_width,
-    doublecoset_normal_form,
-    enumerate_cusps,
-    local_profile,
-)
-from .harness import HarnessConfig, lemma_harness
-from .hecke import (
-    CosetTable,
-    conjugation_invariance,
-    coset_count_invariance,
-    coset_reps_delta,
-    hnf_reps,
-)
-from .modgroup import Mat2, PointH, fd_reduce, mobius_act, point_pair_u
+The package exports its documented entry points; everything else lives in
+the submodules (`cuspnorm.bounds`, `cuspnorm.hecke`, ...)."""
+
+from .conjugation import gap_reduce
+from .counting import count_delta_near, enumerate_delta_near
+from .modgroup import Mat2, PointH
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplifierWeights",
-    "AtkinLehnerOp",
-    "ConstraintSet",
-    "CosetTable",
-    "CountReport",
-    "CuspClass",
-    "ExponentVector",
-    "HarnessConfig",
-    "LocalProfile",
     "Mat2",
-    "MonomialBound",
-    "ParabolicCertificate",
     "PointH",
-    "ReductionCertificate",
-    "amplified_count_sum",
-    "atkin_lehner_matrix",
-    "bound_product",
-    "bound_rhs_ampl",
-    "ceil_sqrt_div",
-    "classify_counts",
-    "conjugation_invariance",
-    "coset_count_invariance",
-    "coset_reps_delta",
     "count_delta_near",
-    "crt_solve",
-    "cusp_denominator",
-    "cusp_width",
-    "divisors",
-    "dominated_by",
-    "doublecoset_normal_form",
-    "enumerate_cusps",
     "enumerate_delta_near",
-    "euler_phi",
-    "factor",
-    "fd_reduce",
-    "fourier_sup_bound",
     "gap_reduce",
-    "hnf_reps",
-    "in_delta",
-    "is_in_G",
-    "lemma_harness",
-    "local_profile",
-    "mobius_act",
-    "monomial",
-    "norm_factor",
-    "parabolic_certify",
-    "point_pair_u",
-    "primes_in_progression",
-    "smooth_count",
-    "smooth_part",
-    "squarefree_split",
-    "substitute",
-    "theorem_pipeline",
-    "verify_gap_certificate",
-    "verify_gap_provable",
-    "width_one_conjugate",
 ]

@@ -8,7 +8,7 @@ thousands), so trial division is plenty.
 
 from math import gcd, isqrt
 
-from .errors import Inconsistent
+from .errors import Inconsistent, InvalidM
 
 
 def factor(n: int) -> list[tuple[int, int]]:
@@ -68,6 +68,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             n2 *= p
     return n2, n0
+
+
+def n_over_m_squared(n: int, m: int) -> int:
+    """N / M^2; raises InvalidM unless M >= 1 and M^2 | N."""
+    if m < 1 or n % (m * m):
+        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    return n // (m * m)
 
 
 def smooth_part(n: int, m: int) -> int:

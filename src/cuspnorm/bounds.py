@@ -18,11 +18,10 @@ from itertools import combinations
 
 import mpmath
 
-from .arith import euler_phi, factor, squarefree_split
+from .arith import euler_phi, factor, n_over_m_squared, squarefree_split
 from .errors import (
     ConfigError,
     InfeasibleConstraints,
-    InvalidM,
     OutOfRange,
     UnboundedPolytope,
 )
@@ -305,8 +304,7 @@ class FourierBound:
 
 def fourier_sup_bound(n: int, m: int, y) -> FourierBound:
     """The two-branch bound at (N, M, y); precision from CUSPNORM_PRECISION."""
-    if m < 1 or n % (m * m):
-        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n_over_m_squared(n, m)
     y = Fraction(y)
     if y * n < 1:
         raise OutOfRange(f"y = {y} below 1/N = 1/{n}")
@@ -465,8 +463,7 @@ def bound_rhs_ampl(n: int, m: int, lam: int, y):
     """Four-term envelope Lambda/M + Lambda^2 y N0 / M^3
     + Lambda^(5/2) / (M^2 sqrt(N)) + Lambda^4 / (M N), evaluated at the
     precision of evaluate_terms (CUSPNORM_PRECISION)."""
-    if m < 1 or n % (m * m) != 0:
-        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n_over_m_squared(n, m)
     n0 = squarefree_split(n)[1]
     return evaluate_terms(AMPL_RHS_TERMS, N=n, M=m, Lam=lam, y=Fraction(y), N0=n0)
 

@@ -1,5 +1,6 @@
 """Atkin-Lehner operators, conjugation of an arbitrary cusp to a width-one
-cusp, and the gap-principle reduction with exact certificate verification.
+cusp, the region G(N; M), and the gap-principle reduction with exact
+certificate verification.
 
 The pipeline: fd-reduce z, read off the local profile of the reducing
 matrix tau, pick the prime set S where the local width is positive, build
@@ -8,17 +9,19 @@ the unipotent correction n so that
 
     sigma = W * tau * n * diag(1/M1, M1/N_S)
 
-is integral of determinant one with denominator N/M.  Every postcondition
-is re-verified on the constructed certificate rather than trusted.
+is integral of determinant one with denominator N/M.  sigma is formed on
+integers, each entry of W * tau * n scaled by one exact division, and
+every postcondition is re-verified on the constructed certificate rather
+than trusted.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .arith import crt_solve, factor, valuation
+from .arith import crt_solve, factor, n_over_m_squared, valuation
 from .cusps import cusp_denominator, local_profile
-from .errors import BudgetExceeded, InternalSolveFailure, InvalidM, InvalidPrimeSet
+from .errors import BudgetExceeded, InternalSolveFailure, InvalidPrimeSet
 from .modgroup import Mat2, PointH, complete_first_column, fd_reduce, mobius_act
 
 
@@ -85,9 +88,10 @@ class GapVerdict:
 class ReductionCertificate:
     """Full output of the width-one / gap-principle pipeline.
 
-    sigma = W * tau * n * diag(1/M1, M1/N_S) exactly; verification holds
-    the postconditions, each recomputed from sigma for either method (and,
-    in gap mode, the point z' with its height and lattice verdicts).
+    sigma = W * tau * n * diag(1/M1, M1/N_S) exactly, with the level, S and
+    N_S those of the Atkin-Lehner operator w; verification holds the
+    postconditions, each recomputed from sigma for either method (and, in
+    gap mode, the point z' with its height and lattice verdicts).
 
     method is "construction" for the local-profile algorithm, whose n is
     upper-unitriangular, or "search" for a certificate found by the
@@ -97,28 +101,25 @@ class ReductionCertificate:
     being unipotent.
     """
 
-    level: int
     tau: Mat2
-    s_primes: tuple[int, ...]
     w: AtkinLehnerOp
     m1: int
     m: int
-    n_s: int
     n_shift: Mat2
     sigma: Mat2
+    verification: dict
+    method: str
     z_prime: PointH | None = None
     z0: PointH | None = None
-    verification: dict = field(default_factory=dict)
-    method: str = "construction"
 
     def to_json(self):
         out = {
-            "level": self.level,
+            "level": self.w.level,
             "method": self.method,
             "tau": self.tau.to_json(),
-            "S": sorted(self.s_primes),
+            "S": sorted(self.w.s_primes),
             "W": self.w.w.to_json(),
-            "N_S": self.n_s,
+            "N_S": self.w.n_s,
             "M1": self.m1,
             "M": self.m,
             "n": self.n_shift.to_json(),
@@ -135,11 +136,16 @@ class ReductionCertificate:
         return out
 
 
-def _postconditions(sigma: Mat2, n: int, m: int, m1: int, n_s: int) -> dict:
-    """The claims of a width-one certificate, decided on sigma and (N, M, M1,
-    N_S): C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S."""
+def _certificate(
+    tau: Mat2, op: AtkinLehnerOp, m: int, m1: int, n_shift: Mat2, sigma: Mat2,
+    method: str,
+) -> ReductionCertificate:
+    """The one constructor of a certificate.  Its postconditions, the claims
+    C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S, are decided
+    on sigma and (N, M, M1, N_S)."""
+    n, n_s = op.level, op.n_s
     c_sigma = cusp_denominator(sigma, n)
-    return {
+    verification = {
         "sigma_in_sl2": sigma.is_sl2(),
         "c_sigma": c_sigma,
         "c_sigma_equals_n_over_m": c_sigma == n // m,
@@ -147,6 +153,7 @@ def _postconditions(sigma: Mat2, n: int, m: int, m1: int, n_s: int) -> dict:
         "m1_is_gcd_m_n_s": m1 == gcd(m, n_s),
         "m1_squared_divides_n_s": n_s % (m1 * m1) == 0,
     }
+    return ReductionCertificate(tau, op, m1, m, n_shift, sigma, verification, method)
 
 
 def _all_hold(verification: dict) -> bool:
@@ -159,25 +166,22 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     Chooses S = {p : w_p(tau) > 0}, M1 = prod_{p in S} p^{c_p}, and
     M = M1 * prod_{p | N, p not in S} p^{n_p - c_p}; solves
     A*u == -B*M1, C*u == -D*M1 (mod N_S) for the shift n = (1, u/M1; 0, 1),
-    prime-by-prime with a brute scan then CRT.  All claims about sigma are
-    verified before returning.
+    prime-by-prime with a brute scan then CRT, where (A, B; C, D) = W tau.
+    sigma is then (A/M1, (A u + B M1)/N_S; C/M1, (C u + D M1)/N_S), each
+    entry one exact division.  All claims about sigma are verified before
+    returning.
     """
     tau.require_sl2()
     prof = local_profile(tau, n)
-    s_primes = tuple(p for p, _np, _cp, wp in prof.entries if wp > 0)
-    m1 = 1
-    m = 1
-    n_s = 1
+    m1 = m = 1
     for p, np_, cp, wp in prof.entries:
         if wp > 0:
             m1 *= p**cp
             m *= p**cp
-            n_s *= p**np_
         else:
             m *= p ** (np_ - cp)
-    op = atkin_lehner_matrix(n, set(s_primes))
-    wt = op.w * tau
-    a_, b_, c_, d_ = wt.entries()
+    op = atkin_lehner_matrix(n, {p for p, _np, _cp, wp in prof.entries if wp > 0})
+    a_, b_, c_, d_ = (op.w * tau).entries()
     congruences = []
     for p, np_, _cp, wp in prof.entries:
         if wp == 0:
@@ -194,27 +198,22 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
             )
         congruences.append((sols[0], q))
     u = crt_solve(congruences)[0] if congruences else 0
-    n_shift = Mat2(1, Fraction(u, m1), 0, 1)
-    scale = Mat2(Fraction(1, m1), 0, 0, Fraction(m1, n_s))
-    sigma = op.w * tau * n_shift * scale
-    if not sigma.is_sl2():
-        raise InternalSolveFailure(f"constructed sigma {sigma!r} is not in SL2(Z)")
-    sigma = sigma.to_int()
-    verification = _postconditions(sigma, n, m, m1, n_s)
-    if not _all_hold(verification):
-        raise InternalSolveFailure(f"postcondition failed: {verification}")
-    return ReductionCertificate(
-        level=n,
-        tau=tau,
-        s_primes=s_primes,
-        w=op,
-        m1=m1,
-        m=m,
-        n_s=n_s,
-        n_shift=n_shift,
-        sigma=sigma,
-        verification=verification,
+    n_s = op.n_s
+    entries = []
+    ratios = ((a_, m1), (a_ * u + b_ * m1, n_s), (c_, m1), (c_ * u + d_ * m1, n_s))
+    for num, den in ratios:
+        quo, rem = divmod(num, den)
+        if rem:
+            raise InternalSolveFailure(
+                f"sigma = W tau n diag(1/M1, M1/N_S) is not integral for tau={tau!r}, N={n}"
+            )
+        entries.append(quo)
+    cert = _certificate(
+        tau, op, m, m1, Mat2(1, Fraction(u, m1), 0, 1), Mat2(*entries), "construction"
     )
+    if not _all_hold(cert.verification):
+        raise InternalSolveFailure(f"postcondition failed: {cert.verification}")
+    return cert
 
 
 def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict:
@@ -233,10 +232,8 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     the first pair of least margin is the worst, and the verdict's
     Fractions are built once, for it.
     """
-    if m < 1 or n % (m * m) != 0:
-        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
+    n_over_m2 = n_over_m_squared(n, m)
     m2 = m * m
-    n_over_m2 = n // m2
     den = 4 * n**k
     px, py, q = z_prime.cleared()
     q2 = q * q
@@ -279,26 +276,40 @@ def verify_gap_provable(z_prime: PointH, n: int, m: int) -> GapVerdict:
     return _verify_lattice_floor(z_prime, n, m, 2)
 
 
-def _record_height(cert: ReductionCertificate, z: PointH, n: int) -> bool:
-    """Set z' = sigma^-1 W z and record y'^2 >= 3 M^4 / (4 N^2), which is
-    returned, and for a construction certificate the scale identity."""
-    z_prime = mobius_act(cert.sigma.inverse() * cert.w.w, z)  # det = N_S > 0
+def _height_ok(y: Fraction, n: int, m: int) -> bool:
+    """The height floor of G(N; M), y >= sqrt(3) M^2 / (2N), squared:
+    4 N^2 y^2 >= 3 M^4."""
+    return y * y * 4 * n * n >= 3 * m**4
+
+
+def is_in_G(z: PointH, n: int, m: int) -> bool:
+    """Membership in the region G(N; M): height y >= sqrt(3) M^2 / (2N) and
+    |cz + d|^2 >= 3 M^2 gcd(c, N/M^2) / (4N) for all (c, d) != (0, 0)."""
+    n_over_m_squared(n, m)
+    return _height_ok(z.y, n, m) and verify_gap_certificate(z, n, m).passed
+
+
+def _record_height(cert: ReductionCertificate, z: PointH) -> bool:
+    """Set z' = sigma^-1 W z = adj(sigma) W z and record the height floor
+    y'^2 >= 3 M^4 / (4 N^2), which is returned, and for a construction
+    certificate the scale identity."""
+    z_prime = mobius_act(cert.sigma.adjugate() * cert.w.w, z)  # det = N_S > 0
     cert.z_prime = z_prime
-    yp = z_prime.y
-    cert.verification["y_bound_ok"] = yp * yp * 4 * n * n >= 3 * cert.m**4
+    cert.verification["y_bound_ok"] = _height_ok(z_prime.y, cert.w.level, cert.m)
     if cert.method == "construction":
         cert.verification["scale_identity_ok"] = (
-            yp == Fraction(cert.m1 * cert.m1, cert.n_s) * cert.z0.y
+            z_prime.y == Fraction(cert.m1 * cert.m1, cert.w.n_s) * cert.z0.y
         )
     return cert.verification["y_bound_ok"]
 
 
-def _record_lattice(cert: ReductionCertificate, n: int) -> bool:
+def _record_lattice(cert: ReductionCertificate) -> bool:
     """Record the target and provable lattice verdicts; returns the target's.
 
     The provable floor is scanned only when the target floor fails: since
     M^2 gcd(c, N/M^2) / N <= 1, its bound is at most the target bound at
     every c, so a passed target floor decides it."""
+    n = cert.w.level
     verdict = verify_gap_certificate(cert.z_prime, n, cert.m)
     cert.verification["lattice"] = verdict
     cert.verification["lattice_ok"] = verdict.passed
@@ -308,7 +319,10 @@ def _record_lattice(cert: ReductionCertificate, n: int) -> bool:
     return verdict.passed
 
 
-def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
+CANDIDATE_BUDGET = 4000  # most sigma-columns one (M, S) of the search may scan
+
+
+def _first_column_candidates(w: PointH, n: int, m: int):
     """Coprime first columns (a, c) of sigma with gcd(c, N) = N/M and
     Im(sigma^-1 w) >= sqrt(3) M^2 / (2N), i.e.
     (a - c x_w)^2 + c^2 y_w^2 <= 2 N y_w / (sqrt(3) M^2).
@@ -316,7 +330,7 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
     Uses the rational over-cover 6 N y_w / (5 M^2) >= the true threshold;
     every emitted candidate is re-verified exactly downstream.  Raises
     BudgetExceeded rather than return a cut list when there are more than
-    budget candidates.
+    CANDIDATE_BUDGET candidates.
     """
     cap = Fraction(6 * n * w.y, 5 * m * m)
     step = n // m
@@ -332,9 +346,9 @@ def _first_column_candidates(w: PointH, n: int, m: int, budget: int = 4000):
             for a in range(ceil(center - half), floor(center + half) + 1):
                 if (a - center) ** 2 <= rem and gcd(a, c) == 1:
                     out.append((a, c))
-        if len(out) > budget:
+        if len(out) > CANDIDATE_BUDGET:
             raise BudgetExceeded(
-                f"more than {budget} first-column candidates at N={n}, M={m}"
+                f"more than {CANDIDATE_BUDGET} first-column candidates at N={n}, M={m}"
             )
         cc += step
     return out
@@ -356,16 +370,18 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     what the construction guarantees), so on failure a deterministic
     verified search runs over M^2 | N, prime subsets S, and the finitely
     many sigma-columns compatible with the height bound; the first
-    certificate passing every check is returned.  If nothing passes, the
-    construction certificate is returned with its failing verdicts intact.
-    A search with more sigma-columns than its budget raises BudgetExceeded
-    instead of reporting failure.
+    certificate passing every check is returned.  Its shift is
+    n = tau^-1 W^-1 sigma diag(M1, N_S/M1), formed on integers as
+    adj(tau) adj(W) sigma diag(M1, N_S/M1) and divided by N_S.  If nothing
+    passes, the construction certificate is returned with its failing
+    verdicts intact.  A search with more sigma-columns than its budget
+    raises BudgetExceeded instead of reporting failure.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)
     cert.z0 = z0
-    height_ok = _record_height(cert, z, n)
-    if _record_lattice(cert, n) and height_ok:
+    height_ok = _record_height(cert, z)
+    if _record_lattice(cert) and height_ok:
         return cert
     m_values = [m for m in range(1, n + 1) if n % (m * m) == 0]
     subsets = [set()]
@@ -376,32 +392,18 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
         for s in subsets:
             op = atkin_lehner_matrix(n, s)
             w_point = mobius_act(op.w, z)
+            m1 = gcd(m, op.n_s)
+            back = tau.adjugate() * op.w.adjugate()  # N_S tau^-1 W^-1
             for a, c in _first_column_candidates(w_point, n, m):
                 sigma = complete_first_column(a, c)
-                m1 = gcd(m, op.n_s)
-                verification = _postconditions(sigma, n, m, m1, op.n_s)
-                if not _all_hold(verification):
-                    continue
-                shift = (
-                    tau.inverse()
-                    * op.w.inverse()
-                    * sigma
-                    * Mat2(m1, 0, 0, Fraction(op.n_s, m1))
-                )
-                cand = ReductionCertificate(
-                    level=n,
-                    tau=tau,
-                    s_primes=tuple(sorted(s)),
-                    w=op,
-                    m1=m1,
-                    m=m,
-                    n_s=op.n_s,
-                    n_shift=shift,
-                    sigma=sigma,
-                    z0=z0,
-                    verification=verification,
-                    method="search",
-                )
-                if _record_height(cand, z, n) and _record_lattice(cand, n):
+                shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
+                n_shift = Mat2(*(Fraction(e, op.n_s) for e in shift.entries()))
+                cand = _certificate(tau, op, m, m1, n_shift, sigma, "search")
+                cand.z0 = z0
+                if (
+                    _all_hold(cand.verification)
+                    and _record_height(cand, z)
+                    and _record_lattice(cand)
+                ):
                     return cand
     return cert

@@ -44,8 +44,8 @@ from .arith import (
     smooth_part,
     squarefree_split,
 )
-from .conjugation import verify_gap_certificate
-from .errors import BudgetExceeded, InvalidM
+from .conjugation import is_in_G
+from .errors import BudgetExceeded
 from .modgroup import Mat2, PointH, complete_first_column, mobius_act, point_pair_u
 from .precision import default_dps
 
@@ -60,14 +60,7 @@ def in_delta(gamma: Mat2, l: int, n: int, m: int) -> bool:
     )
 
 
-def is_in_G(z: PointH, n: int, m: int) -> bool:
-    """Membership in the region G(N; M): height y >= sqrt(3) M^2 / (2N) and
-    |cz + d|^2 >= 3 M^2 gcd(c, N/M^2) / (4N) for all (c, d) != (0, 0)."""
-    if m < 1 or n % (m * m) != 0:
-        raise InvalidM(f"M^2 = {m * m} does not divide N = {n}")
-    if z.y * z.y * 4 * n * n < 3 * m**4:
-        return False
-    return verify_gap_certificate(z, n, m).passed
+C_BUDGET = 400_000  # most multiples of N one c-window may hold
 
 
 def _ceildiv(a: int, b: int) -> int:
@@ -138,12 +131,12 @@ def _upper_windows(cl: _Cleared):
             yield a, d, b_lo, b_hi
 
 
-def _lower_windows(cl: _Cleared, c_budget: int):
+def _lower_windows(cl: _Cleared):
     """The c != 0 strata: yield (c, d, a_first, a_last, a_step) for each
     (c, d) holding a hit; the hits are exactly a in range(a_first, a_last
     + 1, a_step) with b = (a*d - l)/c.
 
-    Raises BudgetExceeded when the c-window holds more than c_budget
+    Raises BudgetExceeded when the c-window holds more than C_BUDGET
     multiples of N, before the first window is yielded.
     """
     l, n, m, px, py, q, dn, dd = cl
@@ -152,9 +145,9 @@ def _lower_windows(cl: _Cleared, c_budget: int):
     wn = 2 * l * (dd + 2 * dn)
     cmax = isqrt((wn * q * q) // (py * py * dd))
     n_c_values = 2 * (cmax // n)
-    if n_c_values > c_budget:
+    if n_c_values > C_BUDGET:
         raise BudgetExceeded(
-            f"c-window holds {n_c_values} multiples of N={n}, budget {c_budget}"
+            f"c-window holds {n_c_values} multiples of N={n}, budget {C_BUDGET}"
         )
     lq2 = l * q * q
     tn = 4 * dn * lq2
@@ -197,18 +190,11 @@ def _lower_windows(cl: _Cleared, c_budget: int):
                         yield -c, -d, -a_top, -a_first, m_a
 
 
-def enumerate_delta_near(
-    z: PointH,
-    l: int,
-    delta,
-    n: int,
-    m: int,
-    c_budget: int = 400_000,
-) -> list[Mat2]:
+def enumerate_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[Mat2]:
     """The complete set of gamma in Delta(l, N; M) with u(gamma z, z) <= delta,
     sorted lexicographically by (c, a, d, b).
 
-    Raises BudgetExceeded when the c-window holds more than c_budget
+    Raises BudgetExceeded when the c-window holds more than C_BUDGET
     multiples of N (guards against extremely small y).
     """
     cl = _cleared(z, l, delta, n, m)
@@ -217,29 +203,22 @@ def enumerate_delta_near(
         for a, d, b_lo, b_hi in _upper_windows(cl)
         for b in range(b_lo, b_hi + 1)
     ]
-    for c, d, a_first, a_last, a_step in _lower_windows(cl, c_budget):
+    for c, d, a_first, a_last, a_step in _lower_windows(cl):
         for a in range(a_first, a_last + 1, a_step):
             found.append((c, a, d, (a * d - l) // c))
     found.sort()
     return [Mat2(a, b, c, d) for c, a, d, b in found]
 
 
-def count_delta_near(
-    z: PointH,
-    l: int,
-    delta,
-    n: int,
-    m: int,
-    c_budget: int = 400_000,
-) -> int:
-    """len(enumerate_delta_near(z, l, delta, n, m, c_budget)), computed from
-    the windows alone without building a matrix.
+def count_delta_near(z: PointH, l: int, delta, n: int, m: int) -> int:
+    """len(enumerate_delta_near(z, l, delta, n, m)), computed from the
+    windows alone without building a matrix.
 
     Raises BudgetExceeded on the same inputs as enumerate_delta_near.
     """
     cl = _cleared(z, l, delta, n, m)
     total = sum(b_hi - b_lo + 1 for _a, _d, b_lo, b_hi in _upper_windows(cl))
-    for _c, _d, a_first, a_last, a_step in _lower_windows(cl, c_budget):
+    for _c, _d, a_first, a_last, a_step in _lower_windows(cl):
         total += (a_last - a_first) // a_step + 1
     return total
 
@@ -292,14 +271,12 @@ class CountReport:
         return out
 
 
-def classify_counts(
-    z: PointH, l: int, delta, n: int, m: int, c_budget: int = 400_000
-) -> CountReport:
+def classify_counts(z: PointH, l: int, delta, n: int, m: int) -> CountReport:
     """Partition the enumeration by (c != 0, tr^2 != 4l) / (c = 0, tr^2 != 4l)
     / (tr^2 = 4l)."""
     delta = Fraction(delta)
     star, upper, para = [], [], []
-    for g in enumerate_delta_near(z, l, delta, n, m, c_budget):
+    for g in enumerate_delta_near(z, l, delta, n, m):
         if g.trace * g.trace == 4 * l:
             para.append(g)
         elif g.c != 0:
@@ -363,7 +340,7 @@ def _fixed_point_conjugator(gamma: Mat2) -> Mat2:
 
 
 def parabolic_certify(
-    z: PointH, l: int, delta, n: int, m: int, c_budget: int = 400_000
+    z: PointH, l: int, delta, n: int, m: int
 ) -> list[ParabolicCertificate]:
     """Certificates for every parabolic matrix counted at (z, l, delta, N, M).
 
@@ -378,12 +355,12 @@ def parabolic_certify(
         return []
     _n2, n0 = squarefree_split(n)
     n_over_m2 = n // (m * m) if n % (m * m) == 0 else None
-    report = classify_counts(z, l, delta, n, m, c_budget)
+    report = classify_counts(z, l, delta, n, m)
     certs = []
     for gamma in report.parabolic:
         tau = _fixed_point_conjugator(gamma)
-        conj = tau.inverse() * gamma * tau
-        conj = conj.to_int()
+        tinv = tau.adjugate()  # tau^-1, as tau is in SL2(Z)
+        conj = tinv * gamma * tau
         assert conj.c == 0 and conj.a == conj.d and abs(conj.a) == ml, conj
         sign = 1 if conj.a > 0 else -1
         t = sign * conj.b
@@ -392,7 +369,6 @@ def parabolic_certify(
             t0 = t // t1
         else:
             t1, t0 = 1, 0
-        tinv = tau.adjugate()
         c_tau, d_tau = int(tinv.c), int(tinv.d)
         checks = {
             "n_divides_c_tau_sq_t": (c_tau * c_tau * t) % n == 0,
@@ -442,14 +418,7 @@ def amplifier_weights(lam: int, m: int) -> AmplifierWeights:
     return AmplifierWeights(lam, m, primes, weights)
 
 
-def amplified_count_sum(
-    z: PointH,
-    lam: int,
-    delta,
-    n: int,
-    m: int,
-    c_budget: int = 400_000,
-):
+def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
     """Weighted count sum_l y_l / sqrt(l) * N(z, l, delta, N; M).
 
     Returns (value, pairs, weights) with value an mpmath float at no fewer
@@ -468,7 +437,7 @@ def amplified_count_sum(
     with mpmath.workdps(default_dps() + 10):
         total = mpmath.mpf(0)
         for l in w.support():
-            cnt = count_delta_near(z, l, delta, n, m, c_budget)
+            cnt = count_delta_near(z, l, delta, n, m)
             yl = w.weights[l]
             pairs.append((l, yl, cnt))
             if cnt:

@@ -22,7 +22,8 @@ import mpmath
 
 from .arith import primes_up_to, squarefree_split
 from .bounds import ENVELOPES, bound_rhs_ampl, evaluate_terms
-from .counting import amplified_count_sum, classify_counts, is_in_G
+from .conjugation import is_in_G
+from .counting import amplified_count_sum, classify_counts
 from .errors import BudgetExceeded, ConfigError
 from .modgroup import PointH
 from .precision import default_dps
@@ -70,15 +71,15 @@ def _ceil_sqrt_ratio(a: int, b: int) -> int:
     return s
 
 
+SAMPLE_TRIES = 200  # draws before sample_point_in_g gives up on a cell
+
+
 def sample_point_in_g(
-    n: int,
-    m: int,
-    rng: random.Random,
-    y_hi_sq: Fraction,
-    max_tries: int = 200,
+    n: int, m: int, rng: random.Random, y_hi_sq: Fraction
 ) -> PointH | None:
     """Rational z with x = k/(2N+1), y = j/(4N^2), rejection-sampled into
-    G(N; M); y ranges over [sqrt(3) M^2/(2N), sqrt(y_hi_sq)]."""
+    G(N; M) in at most SAMPLE_TRIES draws; y ranges over
+    [sqrt(3) M^2/(2N), sqrt(y_hi_sq)]."""
     den = 4 * n * n
     num_lo = _ceil_sqrt_ratio(3 * m**4 * den * den, 4 * n * n)
     hi = y_hi_sq * den * den
@@ -86,7 +87,7 @@ def sample_point_in_g(
     if num_hi < num_lo:
         return None
     xden = 2 * n + 1
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         z = PointH(
             Fraction(rng.randint(-n, n), xden),
             Fraction(rng.randint(num_lo, num_hi), den),

@@ -90,7 +90,6 @@ class CosetTable:
     n: int
     m: int
     reps: list[Mat2]
-    method: str = "pair"
 
     @property
     def count(self) -> int:
@@ -102,7 +101,7 @@ class CosetTable:
             "N": self.n,
             "M": self.m,
             "count": self.count,
-            "method": self.method,
+            "method": "pair",
             "reps": [g.to_json() for g in self.reps],
         }
 
@@ -129,7 +128,7 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
                 continue
             if (a_lift * a1) % m != 1 % m:
                 continue
-            gamma = (u * h).to_int()
+            gamma = u * h
             assert in_delta(gamma, l, n, m), (gamma, l, n, m)
             reps.append(gamma)
     table = CosetTable(l, n, m, reps)

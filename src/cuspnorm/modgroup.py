@@ -64,34 +64,11 @@ class Mat2:
     def adjugate(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def inverse(self) -> "Mat2":
-        """Exact inverse; entries become Fractions unless det divides exactly."""
-        det = self.det
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        if det == 1:
-            return self.adjugate()
-        if det == -1:
-            return Mat2(-self.d, self.b, self.c, -self.a)
-        return Mat2(
-            Fraction(self.d, det),
-            Fraction(-self.b, det),
-            Fraction(-self.c, det),
-            Fraction(self.a, det),
-        )
-
     def is_integral(self) -> bool:
         return all(
             isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
             for e in self.entries()
         )
-
-    def to_int(self) -> "Mat2":
-        """Copy with plain int entries; raises if any entry is non-integral."""
-        if not self.is_integral():
-            raise ValueError(f"non-integral matrix {self!r}")
-        a, b, c, d = (int(e) for e in self.entries())
-        return Mat2(a, b, c, d)
 
     def is_sl2(self) -> bool:
         return self.is_integral() and self.det == 1

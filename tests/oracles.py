@@ -3,8 +3,9 @@
 These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
 random matrix generators build group elements from words in S and T, the
-lattice-floor scan and the Moebius action compute in Fractions where the
-package clears denominators to integers, and the number-theoretic oracles
+lattice-floor scan, the Moebius action and the width-one sigma and shift
+compute in Fractions where the package clears denominators to integers,
+and the number-theoretic oracles
 (cusp orbits, Hermite decomposition, coset labels, primality, W^2, the
 Fourier exponent) work from definitions and import no private helper of
 the code they check.
@@ -95,6 +96,20 @@ def fraction_mobius_act(g: Mat2, z: PointH) -> PointH:
     new_x = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * y * y) / den
     new_y = det * y / den
     return PointH(new_x, new_y)
+
+
+def fraction_sigma(op, tau: Mat2, n_shift: Mat2, m1: int) -> Mat2:
+    """sigma = W tau n diag(1/M1, M1/N_S) for an Atkin-Lehner operator op,
+    as a product of Fraction matrices, checked to lie in SL2(Z)."""
+    scale = Mat2(Fraction(1, m1), 0, 0, Fraction(m1, op.n_s))
+    return (op.w * tau * n_shift * scale).require_sl2()
+
+
+def fraction_search_shift(tau: Mat2, op, sigma: Mat2, m1: int) -> Mat2:
+    """n = tau^-1 W^-1 sigma diag(M1, N_S/M1) as a product of Fraction
+    matrices, with W^-1 = adj(W) / N_S and tau^-1 = adj(tau)."""
+    w_inv = Mat2(*(Fraction(e, op.n_s) for e in op.w.adjugate().entries()))
+    return tau.adjugate() * w_inv * sigma * Mat2(m1, 0, 0, Fraction(op.n_s, m1))
 
 
 def lattice_floor_pairs(z: PointH, n: int, m: int, k: int):
@@ -264,11 +279,10 @@ def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
     """Factor an integer matrix of determinant l > 0 as u * h, u in SL2(Z),
     h the Hermite representative.  Row-reduces the first column by SL2(Z)
     operations on the left, then normalizes signs and the off-diagonal."""
-    g = gamma.to_int()
-    if g.det <= 0:
-        raise ValueError(f"hnf_decompose expects det > 0, got {g.det}")
+    if gamma.det <= 0:
+        raise ValueError(f"hnf_decompose expects det > 0, got {gamma.det}")
     left = Mat2.identity()  # accumulated SL2 row operations
-    a, b, c, d = g.entries()
+    a, b, c, d = gamma.entries()
     while c:
         # r1 <- r1 - q r2, then swap rows with a sign; |c| strictly drops
         quo = a // c
@@ -284,8 +298,8 @@ def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
     b -= quo * d
     left = Mat2(1, -quo, 0, 1) * left
     h = Mat2(a, b, c, d)
-    u = left.inverse().to_int()
-    assert u.det == 1 and (u * h).entries() == g.entries()
+    u = left.adjugate()  # left is in SL2(Z)
+    assert u.det == 1 and (u * h).entries() == gamma.entries()
     return u, h
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspnorm import conjugation
 from cuspnorm.arith import factor, valuation
 from cuspnorm.conjugation import (
     _first_column_candidates,
@@ -20,6 +21,8 @@ from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimod
 from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
 from oracles import (
+    fraction_search_shift,
+    fraction_sigma,
     gap_sweep_points,
     lattice_floor_pairs,
     lattice_floor_verdict,
@@ -56,15 +59,15 @@ def test_atkin_lehner_w_squared_all_levels():
 
 def test_width_one_examples():
     cert = width_one_conjugate(Mat2.identity(), 4)
-    assert cert.s_primes == () and cert.m == 1 and cert.sigma == Mat2.identity()
+    assert cert.w.s_primes == set() and cert.m == 1 and cert.sigma == Mat2.identity()
     assert cert.verification["c_sigma"] == 4
 
     cert = width_one_conjugate(Mat2(1, 0, 2, 1), 4)
-    assert cert.s_primes == () and cert.m == 2
+    assert cert.w.s_primes == set() and cert.m == 2
     assert gcd(int(cert.sigma.c), 4) == 2
 
     cert = width_one_conjugate(Mat2(0, -1, 1, 0), 9)
-    assert cert.s_primes == (3,) and cert.m1 == 1 and cert.m == 1
+    assert cert.w.s_primes == {3} and cert.m1 == 1 and cert.m == 1
     assert cusp_denominator(cert.sigma, 9) == 9
 
 
@@ -80,8 +83,7 @@ def test_width_one_random_sweep():
         assert v["m1_is_gcd_m_n_s"]
         assert v["m1_squared_divides_n_s"]
         # the defining factorization holds exactly over Q
-        scale = Mat2(Fraction(1, cert.m1), 0, 0, Fraction(cert.m1, cert.n_s))
-        assert cert.w.w * tau * cert.n_shift * scale == cert.sigma
+        assert fraction_sigma(cert.w, tau, cert.n_shift, cert.m1) == cert.sigma
 
 
 def test_sigma_stability_random():
@@ -152,12 +154,30 @@ def test_gap_reduce_random_soundness():
         if cert.method == "construction":
             assert v["scale_identity_ok"]
         # z' really is sigma^-1 W z, and sigma factors through (W, tau, n)
-        g = cert.sigma.inverse() * cert.w.w
+        g = cert.sigma.adjugate() * cert.w.w
         assert mobius_act(g, z) == cert.z_prime
-        scale = Mat2(Fraction(1, cert.m1), 0, 0, Fraction(cert.m1, cert.n_s))
-        assert cert.w.w * cert.tau * cert.n_shift * scale == cert.sigma
+        assert fraction_sigma(cert.w, cert.tau, cert.n_shift, cert.m1) == cert.sigma
     # the sweep must exercise both the construction and the fallback
     assert methods == {"construction", "search"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 48), st.integers(-64, 64), st.integers(1, 64), st.integers(1, 32))
+def test_certificates_match_fraction_products(n, x_num, y_num, den):
+    # sigma is formed on integers and the search shift through adjugates;
+    # both agree with the Fraction products they replace
+    z = PointH(Fraction(x_num, den), Fraction(y_num, den))
+    tau, _z0 = fd_reduce(z)
+    built = width_one_conjugate(tau, n)
+    assert (built.n_shift.a, built.n_shift.c, built.n_shift.d) == (1, 0, 1)
+    cert = gap_reduce(z, n)
+    for c in (built, cert):
+        assert all(type(e) is int for e in c.sigma.entries())
+        assert fraction_sigma(c.w, c.tau, c.n_shift, c.m1) == c.sigma
+    if cert.method == "search":
+        oracle = fraction_search_shift(cert.tau, cert.w, cert.sigma, cert.m1)
+        assert cert.n_shift == oracle
+        assert cert.n_shift.to_json() == oracle.to_json()
 
 
 def test_verify_gap_examples():
@@ -303,24 +323,26 @@ def test_search_certificates_recompute_postconditions():
             continue
         searched += 1
         assert "scale_identity_ok" not in v
-        sigma, m, m1, n_s = cert.sigma, cert.m, cert.m1, cert.n_s
+        sigma, m, m1, n_s = cert.sigma, cert.m, cert.m1, cert.w.n_s
         assert sigma.det == 1 and v["sigma_in_sl2"]
         assert v["c_sigma"] == gcd(int(sigma.c), n) == n // m
         assert v["c_sigma_equals_n_over_m"]
         assert n % (m * m) == 0 and v["m_squared_divides_n"]
         assert m1 == gcd(m, n_s) and v["m1_is_gcd_m_n_s"]
         assert n_s % (m1 * m1) == 0 and v["m1_squared_divides_n_s"]
-        assert n_s == prod(p ** valuation(n, p) for p in cert.s_primes)
+        assert n_s == prod(p ** valuation(n, p) for p in cert.w.s_primes)
     assert searched > 0
 
 
-def test_first_column_candidates_never_truncate():
+def test_first_column_candidates_never_truncate(monkeypatch):
     w = PointH(Fraction(1, 3), Fraction(1, 50))
     full = _first_column_candidates(w, 1, 1)
     assert len(full) == 3
-    assert _first_column_candidates(w, 1, 1, budget=3) == full
+    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 3)
+    assert _first_column_candidates(w, 1, 1) == full
+    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
-        _first_column_candidates(w, 1, 1, budget=2)
+        _first_column_candidates(w, 1, 1)
 
 
 def test_gap_provable_floor_random_sweep():
@@ -332,6 +354,6 @@ def test_gap_provable_floor_random_sweep():
         z = rand_point(rng, den_max=48)
         tau, _z0 = fd_reduce(z)
         cert = width_one_conjugate(tau, n)
-        zp = mobius_act(cert.sigma.inverse() * cert.w.w, z)
+        zp = mobius_act(cert.sigma.adjugate() * cert.w.w, z)
         assert verify_gap_provable(zp, n, cert.m).passed
         assert zp.y * zp.y * 4 * n * n >= 3 * cert.m**4

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cuspnorm import counting
 from cuspnorm.bounds import bound_rhs_ampl
 from cuspnorm.counting import (
     amplified_count_sum,
@@ -257,12 +258,13 @@ def test_bound_rhs_examples():
         bound_rhs_ampl(8, 3, 9, 1)
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(counting, "C_BUDGET", 1000)
     z = PointH(0, Fraction(1, 10**9))
     with pytest.raises(BudgetExceeded):
-        enumerate_delta_near(z, 1, 1, 1, 1, c_budget=1000)
+        enumerate_delta_near(z, 1, 1, 1, 1)
     with pytest.raises(BudgetExceeded):
-        count_delta_near(z, 1, 1, 1, 1, c_budget=1000)
+        count_delta_near(z, 1, 1, 1, 1)
 
 
 # -- the closed-form windows against the definitions ------------------------

@@ -1,9 +1,11 @@
+import traceback
+
 import mpmath
 import pytest
 from fractions import Fraction
 from math import isqrt
 
-from cuspnorm import counting, harness
+from cuspnorm import conjugation, counting, harness
 from cuspnorm.counting import classify_counts, is_in_G
 from cuspnorm.errors import BudgetExceeded, ConfigError
 from cuspnorm.harness import (
@@ -46,6 +48,23 @@ def test_sampler_lands_in_G():
         assert is_in_G(z, n, m)
         # the sampler respects the height floor by construction
         assert z.y * z.y * 4 * n * n >= 3 * m**4
+
+
+def test_region_g_scans_through_the_conjugation_namespace(monkeypatch):
+    # the benchmark tracer wraps conjugation.verify_gap_certificate, so
+    # is_in_G and the sampler must reach the lattice scan through that name
+    calls = []
+    real = conjugation.verify_gap_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conjugation, "verify_gap_certificate", counted)
+    assert is_in_G(PointH(0, 2), 4, 2)
+    assert calls == [(PointH(0, 2), 4, 2)]
+    z = sample_point_in_g(36, 3, random.Random(5), F(1))
+    assert z is not None and calls[-1] == (z, 36, 3)
 
 
 def test_sampler_infeasible_window():
@@ -185,13 +204,15 @@ def test_csv_shape():
     ("eq1", "classify_counts"), ("ampl", "amplified_count_sum")
 ])
 def test_budget_exceeded_names_the_cell(monkeypatch, lemma, probe):
-    real = getattr(counting, probe)
-    monkeypatch.setattr(harness, probe, lambda *a, **kw: real(*a, **kw, c_budget=0))
+    monkeypatch.setattr(counting, "C_BUDGET", 0)
     config = HarnessConfig(lemma=lemma, n_lo=1, n_hi=1)
     cell = harness_cells(config)[0]
     lemma_, n, m, lval, k = cell[:5]
     with pytest.raises(BudgetExceeded) as info:
         harness._run_cell(cell)
     assert f"lemma={lemma_} N={n} M={m} L={lval} k={k}: c-window" in str(info.value)
+    # the budget tripped inside the lemma's own counting entry point
+    frames = traceback.extract_tb(info.value.__cause__.__traceback__)
+    assert probe in [frame.name for frame in frames]
     with pytest.raises(BudgetExceeded, match=f"lemma={lemma} N=1 M=1"):
         lemma_harness(config)

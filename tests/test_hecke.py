@@ -178,7 +178,7 @@ def test_conjugated_reps_form_rep_system():
         table = coset_reps_delta(l, n, m)
         keys = {coset_key(g, n, m) for g in table.reps}
         conj_keys = {
-            coset_key((sigma * g * sigma.adjugate()).to_int(), n, m)
+            coset_key(sigma * g * sigma.adjugate(), n, m)
             for g in table.reps
         }
         assert keys == conj_keys
