@@ -4,8 +4,11 @@ points (construction, the honest failure, search) and the README `count`,
 `hecke` and `exponent` examples; recorded at commit 15e7f75, one
 digest of `gap_reduce(z, n).to_json()` over the C3 points with N <= 12
 (construction, search and one failed certificate, whose verdict strings
-are not trivial); and, recorded at commit 90a3a5f, the same digest over
-all 6,000 C3 points with N <= 60 (all seven failed certificates).
+are not trivial); recorded at commit 90a3a5f, the same digest over
+all 6,000 C3 points with N <= 60 (all seven failed certificates); and,
+recorded at commit 535ee51, digests of `coset_reps_delta(l, N, M).to_json()`
+over the C7 table grid and of `conjugation_invariance(...).to_json()` over
+the C7 conjugation grid.
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -14,11 +17,15 @@ output on purpose updates the digest here and says why in CHANGES.md.
 import hashlib
 
 import json
+from math import gcd
 
 import pytest
 
+from cuspnorm.arith import divisors, squarefree_split
 from cuspnorm.cli import run
 from cuspnorm.conjugation import gap_reduce
+from cuspnorm.hecke import conjugation_invariance, coset_reps_delta
+from cuspnorm.modgroup import Mat2
 from oracles import gap_sweep_points
 
 LEMMAS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "para", "ampl")
@@ -81,12 +88,16 @@ GAP_DIGEST = "089a164f78732da94d0ca1ce5555444142df67bf11eb205de874e2abe01fbfc8"
 GAP_SWEEP_DIGEST = "d5f0ea0d0c206c64052093c98f20c82fe9bfef0eb8a4bff9b4b9522978f07bc1"
 
 
-def _gap_digest(n_max: int) -> str:
+def _json_digest(docs) -> str:
     h = hashlib.sha256()
-    for n, z in gap_sweep_points(n_max):
-        h.update(json.dumps(gap_reduce(z, n).to_json(), sort_keys=True).encode())
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _gap_digest(n_max: int) -> str:
+    return _json_digest(gap_reduce(z, n).to_json() for n, z in gap_sweep_points(n_max))
 
 
 def test_gap_reduce_digest_unchanged():
@@ -95,3 +106,34 @@ def test_gap_reduce_digest_unchanged():
 
 def test_gap_sweep_digest_unchanged():
     assert _gap_digest(60) == GAP_SWEEP_DIGEST
+
+
+COSET_TABLES_DIGEST = "34048b2ea4f87a3b9e7ad252643d2c79d77faec028e5250dc8f5a65b8a506bd7"
+CONJUGATION_DIGEST = "370e8076319b9be223d79055456bda299bdb15ea5ca8d0f656341b3547c4e4db"
+
+
+def test_coset_tables_digest_unchanged():
+    """Every table of the C7 grid: N <= 60, M | N0, l <= 12, gcd(l, N) = 1."""
+    docs = (
+        coset_reps_delta(l, n, m).to_json()
+        for n in range(1, 61)
+        for m in divisors(squarefree_split(n)[1])
+        for l in range(1, 13)
+        if gcd(l, n) == 1
+    )
+    assert _json_digest(docs) == COSET_TABLES_DIGEST
+
+
+def test_conjugation_invariance_digest_unchanged():
+    """The C7 conjugation grid: sigma = (1, 0; N/M, 1), M^2 | N, l <= 13."""
+    docs = (
+        conjugation_invariance(
+            Mat2(1, 0, n // m, 1), l, n, m, budget=150, seed=7
+        ).to_json()
+        for n in (4, 8, 9, 16, 25, 27, 36)
+        for m in range(1, n + 1)
+        if n % (m * m) == 0
+        for l in range(1, 14)
+        if l % m == 1 % m
+    )
+    assert _json_digest(docs) == CONJUGATION_DIGEST
