@@ -41,11 +41,17 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for p, e in factor(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    """All positive divisors of n >= 1, ascending, by trial pairs
+    (d, n // d) with d <= isqrt(n)."""
+    if n < 1:
+        raise ValueError(f"divisors expects n >= 1, got {n}")
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
 
 
 def valuation(n: int, p: int) -> int:
@@ -92,17 +98,6 @@ def smooth_part(n: int, m: int) -> int:
         out *= g
         n //= g
         g = gcd(n, m)
-    return out
-
-
-def ceil_sqrt_div(f: int) -> int:
-    """prod p**ceil(e/2) over the factorization f = prod p**e.
-
-    The result squares to a multiple of f, and divides any a with f | a**2.
-    """
-    out = 1
-    for p, e in factor(f):
-        out *= p ** ((e + 1) // 2)
     return out
 
 

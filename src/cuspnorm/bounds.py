@@ -18,7 +18,7 @@ from itertools import combinations
 
 import mpmath
 
-from .arith import euler_phi, factor, n_over_m_squared, squarefree_split
+from .arith import factor, n_over_m_squared, squarefree_split
 from .errors import (
     ConfigError,
     InfeasibleConstraints,
@@ -93,11 +93,6 @@ class MonomialBound:
 
     def __str__(self) -> str:
         return "max(" + ", ".join(str(v) for v in self.monomials) + ")"
-
-
-def bound_product(b1: MonomialBound, b2: MonomialBound) -> MonomialBound:
-    """{v + w : v in b1, w in b2}, deduplicated."""
-    return MonomialBound.of(*(v + w for v in b1.monomials for w in b2.monomials))
 
 
 def substitute(b, param: str, replacement: ExponentVector):
@@ -330,13 +325,6 @@ def fourier_branch_exponents(mu: Fraction, h: Fraction) -> dict[str, Fraction]:
 # ---------------------------------------------------------------------------
 # miscellaneous closed forms
 # ---------------------------------------------------------------------------
-
-
-def norm_factor(m: int) -> Fraction:
-    """phi(M) / gcd(M, 2), the Petersson-normalization factor."""
-    from math import gcd
-
-    return Fraction(euler_phi(m), gcd(m, 2))
 
 
 def smooth_count(x: int, n: int) -> int:

@@ -14,11 +14,15 @@ as u * h with u in SL2(Z) and h an upper-triangular Hermite representative
 Delta(l, N; M) on the left, the right cosets correspond to pairs
 (B_M-coset of u, h) whose product lands in the family; B_M-cosets are
 bottom rows (c, d) mod N up to scaling by units that are 1 mod M.
+Neither membership condition reads b, so each row is tested once per
+divisor a of l, and a row is lifted to SL2(Z) only when some a passes
+c * a == 0 (mod N); when gcd(l, N) = 1 only the rows with c = 0 do.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import gcd
 
 from .arith import bezout, divisors
@@ -52,19 +56,31 @@ def _scalars(n: int, m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
     """Canonical bottom rows for B_M \\ SL2(Z/N): pairs (c, d) mod N with
-    gcd(c, d, N) = 1, minimized over scaling by _scalars(n, m)."""
+    gcd(c, d, N) = 1, minimized over scaling by _scalars(n, m), ascending.
+
+    One sweep in lex order: the first primitive row not yet marked is the
+    least member of its orbit, because every smaller member was visited
+    earlier and would have marked it.  It is recorded and its orbit marked.
+    The scalars are units, so orbits of primitive rows hold only primitive
+    rows, and the action on them is free (s c == c and s d == d mod N with
+    gcd(c, d, N) = 1 force s == 1): each primitive row is marked once.
+    """
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
     if n == 1:
         return ((0, 0),)
     scalars = _scalars(n, m)
-    reps = set()
+    seen = bytearray(n * n)
+    reps = []
     for c in range(n):
+        g = gcd(c, n)
         for d in range(n):
-            if gcd(gcd(c, d), n) != 1:
+            if seen[c * n + d] or gcd(g, d) != 1:
                 continue
-            reps.add(min(((s * c) % n, (s * d) % n) for s in scalars))
-    return tuple(sorted(reps))
+            reps.append((c, d))
+            for s in scalars:
+                seen[(s * c) % n * n + (s * d) % n] = 1
+    return tuple(reps)
 
 
 def sl2_lift_from_row(c: int, d: int, n: int) -> Mat2:
@@ -111,28 +127,29 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
 
     A pair (row (c, d), h = (a1, b1; 0, d1)) contributes iff
     c * a1 == 0 (mod N) and a_lift * a1 == 1 (mod M); both conditions are
-    invariant on the B_M-coset once the first holds.
+    invariant on the B_M-coset once the first holds, and neither reads b1,
+    so they are decided once per (row, a1).  Output order: rows, then a1,
+    then b1.
     """
     if l < 1:
         raise ValueError(f"coset_reps_delta expects l >= 1, got {l}")
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
     reps = []
-    hermite = hnf_reps(l)
+    by_a1 = [(a1, list(hs)) for a1, hs in groupby(hnf_reps(l), key=lambda h: h.a)]
     for c, d in _row_cosets(n, m):
+        passing = [(a1, hs) for a1, hs in by_a1 if (c * a1) % n == 0]
+        if not passing:
+            continue
         u = sl2_lift_from_row(c, d, n)
-        a_lift = int(u.a)
-        for h in hermite:
-            a1 = int(h.a)
-            if (c * a1) % n:
+        for a1, hs in passing:
+            if (u.a * a1) % m != 1 % m:
                 continue
-            if (a_lift * a1) % m != 1 % m:
-                continue
-            gamma = u * h
-            assert in_delta(gamma, l, n, m), (gamma, l, n, m)
-            reps.append(gamma)
-    table = CosetTable(l, n, m, reps)
-    return table
+            for h in hs:
+                gamma = u * h
+                assert in_delta(gamma, l, n, m), (gamma, l, n, m)
+                reps.append(gamma)
+    return CosetTable(l, n, m, reps)
 
 
 @dataclass

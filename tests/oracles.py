@@ -14,6 +14,7 @@ the code they check.
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, gcd
 
 import numpy as np
@@ -303,12 +304,33 @@ def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
     return u, h
 
 
+@lru_cache(maxsize=None)
+def _units_one_mod(n: int, m: int) -> tuple[int, ...]:
+    """The units s mod N with s == 1 (mod M)."""
+    return tuple(s for s in range(1, n) if gcd(s, n) == 1 and s % m == 1 % m)
+
+
 def _canonical_row(c: int, d: int, n: int, m: int) -> tuple[int, int]:
-    """The least (s c, s d) mod N over the units s mod N with s == 1 (mod M)."""
+    """The least (s c, s d) mod N over the units s mod N with s == 1 (mod M),
+    compared as s c * N + s d, which orders pairs of residues lexicographically."""
     if n == 1:
         return (0, 0)
-    units = [s for s in range(1, n) if gcd(s, n) == 1 and s % m == 1 % m]
-    return min(((s * c) % n, (s * d) % n) for s in units)
+    key = min((s * c % n) * n + s * d % n for s in _units_one_mod(n, m))
+    return divmod(key, n)
+
+
+def canonical_rows(n: int, m: int) -> list[tuple[int, int]]:
+    """The sorted set of _canonical_row(c, d, n, m) over all rows (c, d) mod N
+    with gcd(c, d, N) = 1, with the minimum over units taken for every row
+    at once in numpy."""
+    if n == 1:
+        return [(0, 0)]
+    c, d = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    prim = np.gcd(np.gcd(c, d), n) == 1
+    c, d = c[prim], d[prim]
+    units = np.array(_units_one_mod(n, m), dtype=np.int64)[:, None]
+    keys = np.unique(((units * c % n) * n + units * d % n).min(axis=0))
+    return [divmod(int(k), n) for k in keys]
 
 
 def coset_key(gamma: Mat2, n: int, m: int) -> tuple:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspnorm.arith import (
-    ceil_sqrt_div,
     crt_pair,
     crt_solve,
     divisors,
@@ -121,30 +120,14 @@ def test_smooth_part_decomposition(n, m):
     assert all(n0 % p for p, _ in factor(m))
 
 
-def test_ceil_sqrt_div_examples():
-    assert ceil_sqrt_div(12) == 6
-    assert ceil_sqrt_div(1) == 1
-    assert ceil_sqrt_div(18) == 6  # matches N2 * N0 for N = 18
-
-
-def test_ceil_sqrt_div_equals_n2_n0():
-    # the identity used in the parabolic count: prod p^ceil(e/2) = N2 * N0
-    for n in range(1, 5001):
-        n2, n0 = squarefree_split(n)
-        assert ceil_sqrt_div(n) == n2 * n0
-
-
-def test_ceil_sqrt_div_properties():
-    for f in range(1, 10001):
-        s = ceil_sqrt_div(f)
-        assert (s * s) % f == 0
-    # s divides any a with f | a^2, checked over all f | a^2 with f <= 10^4
-    for a in range(1, 1001):
-        sq = a * a
-        for f in divisors(sq):
-            if f > 10**4:
-                continue
-            assert a % ceil_sqrt_div(f) == 0, (f, a)
+def test_divisors_against_factor_product():
+    for n in range(1, 5000):
+        want = [1]
+        for p, e in factor(n):
+            want = [d * p**k for d in want for k in range(e + 1)]
+        assert divisors(n) == sorted(want), n
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_euler_phi_examples():

@@ -11,14 +11,12 @@ from cuspnorm.bounds import (
     ConstraintSet,
     ExponentVector,
     MonomialBound,
-    bound_product,
     dominated_by,
     evaluate_terms,
     fourier_branch_exponents,
     fourier_sup_bound,
     maximize,
     monomial,
-    norm_factor,
     smooth_count,
     substitute,
     theorem_pipeline,
@@ -34,21 +32,6 @@ from cuspnorm.errors import (
 from oracles import fourier_exponent
 
 F = Fraction
-
-
-def test_bound_product_examples():
-    assert bound_product(
-        MonomialBound.of(monomial(N=-1)), MonomialBound.of(monomial(Lam=2))
-    ) == MonomialBound.of(monomial(N=-1, Lam=2))
-    b = MonomialBound.of(monomial(M=2, y=1), monomial(L=F(3, 2)))
-    assert bound_product(MonomialBound.of(monomial()), b) == b
-    got = bound_product(
-        MonomialBound.of(monomial(Lam=1, M=-1), monomial(Lam=4, M=-1, N=-1)),
-        MonomialBound.of(monomial(M=2, Lam=-2)),
-    )
-    assert got == MonomialBound.of(
-        monomial(M=1, Lam=-1), monomial(M=1, Lam=2, N=-1)
-    )
 
 
 def test_substitute_examples():
@@ -78,18 +61,6 @@ vec_strategy = st.builds(
 bound_strategy = st.lists(vec_strategy, min_size=1, max_size=4).map(
     lambda vs: MonomialBound.of(*vs)
 )
-
-
-@given(bound_strategy, bound_strategy)
-def test_bound_product_commutative(b1, b2):
-    assert bound_product(b1, b2) == bound_product(b2, b1)
-
-
-@given(bound_strategy, bound_strategy, bound_strategy)
-def test_bound_product_associative(b1, b2, b3):
-    assert bound_product(bound_product(b1, b2), b3) == bound_product(
-        b1, bound_product(b2, b3)
-    )
 
 
 @given(bound_strategy, bound_strategy)
@@ -305,15 +276,6 @@ def test_evaluate_terms_examples():
     assert evaluate_terms((monomial(),)) == 1
     with pytest.raises(ConfigError):
         evaluate_terms((monomial(N=F(1, 3)),), N=8)
-
-
-def test_norm_factor_examples():
-    assert norm_factor(1) == 1
-    assert norm_factor(2) == F(1, 2)
-    assert norm_factor(5) == 4
-    # phi(M)/(M,2) <= M for all M (the bound used in the pipeline)
-    for m in range(1, 200):
-        assert norm_factor(m) <= m
 
 
 def test_smooth_count_examples():

@@ -10,12 +10,16 @@ from cuspnorm.hecke import (
     conjugation_invariance,
     coset_count_invariance,
     coset_reps_delta,
+    _row_cosets,
+    _scalars,
     hnf_reps,
     random_gamma0nm_element,
     sl2_lift_from_row,
 )
 from cuspnorm.modgroup import Mat2
 from oracles import (
+    _canonical_row,
+    canonical_rows,
     coset_key,
     hnf_decompose,
     rand_det_matrix,
@@ -35,6 +39,30 @@ def test_hnf_reps_examples():
     assert len(hnf_reps(4)) == 7
     for l in range(1, 16):
         assert len(hnf_reps(l)) == sigma1(l)
+
+
+def test_row_cosets_match_canonical_row_oracle():
+    """The orbit sweep against the orbit minimum of every primitive row, for
+    every N <= 120 and M | N; the scalars act freely on primitive rows."""
+    for n in range(1, 121):
+        n_primitive = sum(
+            gcd(gcd(c, d), n) == 1 for c in range(n) for d in range(n)
+        )
+        for m in divisors(n):
+            rows = _row_cosets(n, m)
+            assert list(rows) == canonical_rows(n, m), (n, m)
+            if n > 1:
+                assert len(rows) * len(_scalars(n, m)) == n_primitive, (n, m)
+
+
+def test_canonical_rows_oracle_is_canonical_row():
+    for n in range(1, 41):
+        primitive = [
+            (c, d) for c in range(n) for d in range(n) if gcd(gcd(c, d), n) == 1
+        ]
+        for m in divisors(n):
+            want = sorted({_canonical_row(c, d, n, m) for c, d in primitive})
+            assert canonical_rows(n, m) == want, (n, m)
 
 
 def test_hnf_decompose_roundtrip_and_uniqueness():
