@@ -311,18 +311,17 @@ def _units_one_mod(n: int, m: int) -> tuple[int, ...]:
 
 
 def _canonical_row(c: int, d: int, n: int, m: int) -> tuple[int, int]:
-    """The least (s c, s d) mod N over the units s mod N with s == 1 (mod M),
-    compared as s c * N + s d, which orders pairs of residues lexicographically."""
+    """The least (s c, s d) mod N over the units s mod N with s == 1 (mod M)."""
     if n == 1:
         return (0, 0)
-    key = min((s * c % n) * n + s * d % n for s in _units_one_mod(n, m))
-    return divmod(key, n)
+    return min(((s * c) % n, (s * d) % n) for s in _units_one_mod(n, m))
 
 
 def canonical_rows(n: int, m: int) -> list[tuple[int, int]]:
     """The sorted set of _canonical_row(c, d, n, m) over all rows (c, d) mod N
     with gcd(c, d, N) = 1, with the minimum over units taken for every row
-    at once in numpy."""
+    at once in numpy; a pair is compared as s c * N + s d, which orders
+    pairs of residues lexicographically."""
     if n == 1:
         return [(0, 0)]
     c, d = np.divmod(np.arange(n * n, dtype=np.int64), n)
