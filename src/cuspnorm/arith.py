@@ -101,14 +101,6 @@ def smooth_part(n: int, m: int) -> int:
     return out
 
 
-def euler_phi(n: int) -> int:
-    """Euler phi: the order of (Z/n)^x, with euler_phi(1) == 1."""
-    out = 1
-    for p, e in factor(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def primes_up_to(n: int) -> list[int]:
     """Sieve of Eratosthenes up to n inclusive."""
     if n < 2:

@@ -14,6 +14,7 @@ linear programs over the variables
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
@@ -37,13 +38,6 @@ class ExponentVector:
     """Exact rational exponents for one monomial in (N, M, Lam, y, N0, L)."""
 
     exps: tuple[Fraction, ...]
-
-    @classmethod
-    def make(cls, **kw) -> "ExponentVector":
-        unknown = set(kw) - set(PARAMS)
-        if unknown:
-            raise ConfigError(f"unknown parameters {sorted(unknown)}")
-        return cls(tuple(Fraction(kw.get(p, 0)) for p in PARAMS))
 
     def __getitem__(self, param: str) -> Fraction:
         return self.exps[PARAMS.index(param)]
@@ -77,7 +71,10 @@ class ExponentVector:
 
 
 def monomial(**kw) -> ExponentVector:
-    return ExponentVector.make(**kw)
+    unknown = set(kw) - set(PARAMS)
+    if unknown:
+        raise ConfigError(f"unknown parameters {sorted(unknown)}")
+    return ExponentVector(tuple(Fraction(kw.get(p, 0)) for p in PARAMS))
 
 
 @dataclass(frozen=True)
@@ -95,35 +92,18 @@ class MonomialBound:
         return "max(" + ", ".join(str(v) for v in self.monomials) + ")"
 
 
-def substitute(b, param: str, replacement: ExponentVector):
+def substitute(v: ExponentVector, param: str, replacement: ExponentVector):
     """Replace param by the monomial `replacement`: an exponent e of param
-    contributes e * replacement.  Accepts a bound or a single vector.
-
-    The identity substitution param := param is a no-op; any other
-    replacement involving param would be circular and is rejected.
-    """
+    contributes e * replacement.  A replacement involving param would be
+    circular and is rejected."""
     if replacement[param] != 0:
-        is_identity = replacement[param] == 1 and all(
-            e == 0 for p, e in zip(PARAMS, replacement.exps) if p != param
-        )
-        if is_identity:
-            return b
         raise ConfigError(f"replacement for {param} must not involve {param}")
     idx = PARAMS.index(param)
-
-    def sub_vec(v: ExponentVector) -> ExponentVector:
-        e = v.exps[idx]
-        if e == 0:
-            return v
-        stripped = ExponentVector(
-            tuple(0 if i == idx else x for i, x in enumerate(v.exps))
-        )
-        scaled = ExponentVector(tuple(e * x for x in replacement.exps))
-        return stripped + scaled
-
-    if isinstance(b, ExponentVector):
-        return sub_vec(b)
-    return MonomialBound.of(*(sub_vec(v) for v in b.monomials))
+    e = v.exps[idx]
+    return ExponentVector(
+        tuple((0 if i == idx else x) + e * r
+              for i, (x, r) in enumerate(zip(v.exps, replacement.exps)))
+    )
 
 
 @dataclass
@@ -186,10 +166,15 @@ def vertices(cs: ConstraintSet) -> list[tuple[Fraction, ...]]:
     """All vertices of the polytope, by solving the d x d boundary subsystems.
 
     Raises UnboundedPolytope when the recession cone {A v <= 0} is nonzero,
-    and InfeasibleConstraints when no feasible vertex exists.
+    and InfeasibleConstraints when no feasible vertex exists.  Each distinct
+    system is enumerated once per process.
     """
-    d = len(cs.variables)
-    rows = [r for r, _ in cs.rows]
+    return list(_vertices(len(cs.variables), tuple(cs.rows)))
+
+
+@lru_cache(maxsize=64)
+def _vertices(d: int, system) -> tuple[tuple[Fraction, ...], ...]:
+    rows = [r for r, _ in system]
     mat, pivots = _rref(rows, d)
     if len(pivots) < d:
         v = _null_direction(mat, pivots, d) if rows else tuple([Fraction(1)] * d)
@@ -207,17 +192,15 @@ def vertices(cs: ConstraintSet) -> list[tuple[Fraction, ...]]:
                 raise UnboundedPolytope(f"recession direction {cand}")
     verts = set()
     for subset in combinations(range(len(rows)), d):
-        mat, pivots = _rref([cs.rows[i][0] + (cs.rows[i][1],) for i in subset], d)
+        mat, pivots = _rref([system[i][0] + (system[i][1],) for i in subset], d)
         if len(pivots) < d:
             continue
         sol = tuple(row[d] for row in mat)
-        if all(
-            sum(c * x for c, x in zip(row, sol)) <= b for row, b in cs.rows
-        ):
+        if all(sum(c * x for c, x in zip(row, sol)) <= b for row, b in system):
             verts.add(sol)
     if not verts:
         raise InfeasibleConstraints("no feasible vertex")
-    return sorted(verts)
+    return tuple(sorted(verts))
 
 
 @dataclass
@@ -238,9 +221,6 @@ class DominationResult:
     @property
     def ok(self) -> bool:
         return all(mm.max_value <= 0 for mm in self.per_monomial)
-
-    def failures(self) -> list[MonomialMax]:
-        return [mm for mm in self.per_monomial if mm.max_value > 0]
 
 
 def maximize(vec: ExponentVector, cs: ConstraintSet) -> MonomialMax:
@@ -556,6 +536,17 @@ def _suffices_bound() -> list[ExponentVector]:
     return [v + prefactor for v in AMPL_RHS_TERMS]
 
 
+def _fourier_step(thr: Fraction) -> DerivationStep:
+    """For M >= N^thr, y' >= M^2/N = N^(2 thr - 1) at worst; each branch is
+    evaluated at its extreme point of that range."""
+    branches = fourier_branch_exponents(thr, 2 * thr - 1)
+    return DerivationStep(
+        "fourier_large_M",
+        {"M_threshold": thr, "y_floor": 2 * thr - 1},
+        {**branches, "exponent": max(branches.values())},
+    )
+
+
 def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
     """Replay the final optimization: a Fourier branch for large M and an
     amplification branch for small M, joined by an exact domination check.
@@ -564,21 +555,10 @@ def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
     1 < M < N^(1/6)): exponent max(-1/6, -1/4 + nu/4) over N0 = N^nu,
     nu <= 1/2; worst case -1/8.
     """
-    steps: list[DerivationStep] = []
     if case == "main":
         thr = Fraction(1, 12)
-        # for M >= N^thr, y' >= M^2/N = N^(2 thr - 1) at worst; each branch is
-        # evaluated at its extreme point of that range
-        branches = fourier_branch_exponents(thr, 2 * thr - 1)
-        fourier_exp = max(branches.values())
-        steps.append(
-            DerivationStep(
-                "fourier_large_M",
-                {"M_threshold": thr, "y_floor": 2 * thr - 1},
-                {"low": branches["low"], "high": branches["high"],
-                 "exponent": fourier_exp},
-            )
-        )
+        steps = [_fourier_step(thr)]
+        fourier_exp = steps[0].output["exponent"]
         terms = _suffices_bound()
         steps.append(
             DerivationStep(
@@ -621,29 +601,18 @@ def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
         return DerivationReport("main", steps, final, ok)
 
     if case == "case2":
-        thr = Fraction(1, 6)
-        branches = fourier_branch_exponents(thr, 2 * thr - 1)
-        steps.append(
-            DerivationStep(
-                "fourier_large_M",
-                {"M_threshold": thr, "y_floor": 2 * thr - 1},
-                {"low": branches["low"], "high": branches["high"],
-                 "exponent": max(branches.values())},
-            )
-        )
-        steps.append(
+        steps = [
+            _fourier_step(Fraction(1, 6)),
             DerivationStep(
                 "hypothesis", {"no_square_divisor_below": "N^(1/6)"}, "M = 1"
-            )
-        )
-        # Fourier finishes unless y' <= (N N0)^(-1/2); symbolic in nu
-        steps.append(
+            ),
+            # Fourier finishes unless y' <= (N N0)^(-1/2); symbolic in nu
             DerivationStep(
                 "fourier_y_large",
                 {"y_floor": "(N N0)^(-1/2)"},
                 "exponent -(1 - nu)/4 = -1/4 + nu/4 on the low branch",
-            )
-        )
+            ),
+        ]
         terms = [substitute(substitute(t, "M", monomial()), "Lam", LAMBDA_CHOICE)
                  for t in _suffices_bound()]
         steps.append(
@@ -659,13 +628,11 @@ def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
             monomial(N=-Fraction(1, 2), N0=Fraction(1, 2)),
         ]
         assignment = []
-        ok = True
         for t in terms:
             doms = [dominated_by(MonomialBound.of(t), tg, cs) for tg in targets]
             hit = next((i for i, d in enumerate(doms) if d.ok), None)
             assignment.append((t, hit, doms[hit] if hit is not None else doms[0]))
-            if hit is None:
-                ok = False
+        ok = all(hit is not None for _, hit, _ in assignment)
         steps.append(
             DerivationStep(
                 "domination_max_targets",

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .arith import crt_solve, factor, n_over_m_squared, valuation
+from .arith import (
+    crt_solve,
+    divisors,
+    factor,
+    n_over_m_squared,
+    squarefree_split,
+    valuation,
+)
 from .cusps import cusp_denominator, local_profile
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidPrimeSet
 from .modgroup import Mat2, PointH, complete_first_column, fd_reduce, mobius_act
@@ -383,12 +390,11 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     height_ok = _record_height(cert, z)
     if _record_lattice(cert) and height_ok:
         return cert
-    m_values = [m for m in range(1, n + 1) if n % (m * m) == 0]
     subsets = [set()]
     for p, _e in factor(n):
         subsets += [s | {p} for s in subsets]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
-    for m in m_values:
+    for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
         for s in subsets:
             op = atkin_lehner_matrix(n, s)
             w_point = mobius_act(op.w, z)

@@ -20,7 +20,7 @@ from math import isqrt
 
 import mpmath
 
-from .arith import primes_up_to, squarefree_split
+from .arith import divisors, primes_up_to, squarefree_split
 from .bounds import ENVELOPES, bound_rhs_ampl, evaluate_terms
 from .conjugation import is_in_G
 from .counting import amplified_count_sum, classify_counts
@@ -186,9 +186,7 @@ def harness_cells(config: HarnessConfig) -> list[tuple]:
     cells = []
     delta_s = str(config.delta)
     for n in range(config.n_lo, config.n_hi + 1):
-        n0 = squarefree_split(n)[1]
-        m_values = [m for m in range(1, n0 + 1) if n0 % m == 0]
-        for m in m_values:
+        for m in divisors(squarefree_split(n)[1]):
             for lval in default_l_values(n):
                 if config.lemma == "para":
                     # one cell per determinant l <= L, l == 1 (mod M)

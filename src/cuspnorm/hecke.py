@@ -27,6 +27,7 @@ from math import gcd
 
 from .arith import bezout, divisors
 from .counting import in_delta
+from .cusps import cusp_denominator
 from .errors import InvalidM, PrereqFailed
 from .modgroup import Mat2
 
@@ -64,11 +65,8 @@ def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
     The scalars are units, so orbits of primitive rows hold only primitive
     rows, and the action on them is free (s c == c and s d == d mod N with
     gcd(c, d, N) = 1 force s == 1): each primitive row is marked once.
+    M | N is checked by the caller, coset_reps_delta.
     """
-    if m < 1 or n % m:
-        raise InvalidM(f"M = {m} does not divide N = {n}")
-    if n == 1:
-        return ((0, 0),)
     scalars = _scalars(n, m)
     seen = bytearray(n * n)
     reps = []
@@ -203,7 +201,7 @@ def random_gamma0nm_element(n: int, m: int, rng: random.Random) -> Mat2:
         elif kind == 1:
             g = g * Mat2(1, 0, n * rng.randint(-3, 3), 1)
         else:
-            u = units[rng.randrange(len(units))] or 1
+            u = units[rng.randrange(len(units))]
             d0 = pow(u, -1, n) if n > 1 else 1
             k = (u * d0 - 1) // n
             g = g * Mat2(u, k, n, d0)
@@ -225,8 +223,6 @@ def conjugation_invariance(
     Requires C(sigma) = N/M and M^2 | N; when l != 1 (mod M) nothing is
     asserted by the theory, which the result's note records.
     """
-    from .cusps import cusp_denominator
-
     sigma.require_sl2()
     if n % (m * m):
         raise PrereqFailed(f"M^2 = {m * m} does not divide N = {n}")

@@ -135,24 +135,18 @@ class PointH:
 
 
 def mobius_act(g: Mat2, z: PointH) -> PointH:
-    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0, on integers.
+    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0.
 
-    g is scaled by the lcm s of its entry denominators, which leaves the
-    action unchanged, and z is cleared to (px + i py)/q.  With
-    e = c px + d q and D = e^2 + (c py)^2 = q^2 |cz + d|^2 > 0, the image
-    is x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so
-    exactly two Fractions are built.  The sign of det(g) is that of the
-    scaled determinant s^2 det(g).
+    z is cleared to (px + i py)/q.  With e = c px + d q and
+    D = e^2 + (c py)^2 = q^2 |cz + d|^2 > 0, the image is
+    x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so for an
+    integer g exactly two Fractions are built; Fraction entries stay exact
+    through the same formulas.  The error names det(g) as str(det).
     """
     a, b, c, d = g.a, g.b, g.c, g.d
-    s = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    a = a.numerator * (s // a.denominator)
-    b = b.numerator * (s // b.denominator)
-    c = c.numerator * (s // c.denominator)
-    d = d.numerator * (s // d.denominator)
     det = a * d - b * c
     if det <= 0:
-        raise ValueError(f"mobius_act needs det > 0, got {Fraction(det, s * s)}")
+        raise ValueError(f"mobius_act needs det > 0, got {det}")
     px, py, q = z.cleared()
     e = c * px + d * q
     den = e * e + (c * py) ** 2

