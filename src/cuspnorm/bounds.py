@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 import mpmath
 
@@ -26,7 +27,7 @@ from .errors import (
     OutOfRange,
     UnboundedPolytope,
 )
-from .precision import default_dps
+from .precision import working_precision
 
 PARAMS = ("N", "M", "Lam", "y", "N0", "L")
 _VAR_OF_PARAM = {"M": "mu", "y": "eta", "N0": "nu", "Lam": "alpha", "L": "ell"}
@@ -256,50 +257,47 @@ def dominated_by(
 # ---------------------------------------------------------------------------
 
 
+# The two branches in order, low then high: (N y)^(-1/2) and
+# M^(1/2) N^(-1/2) y^(-1/4).  Their ratio low/high is (M^2 y)^(-1/4), so the
+# bound is the larger branch, low for 1/N <= y <= 1/M^2 and high above.
+FOURIER_BRANCHES = {
+    "low": monomial(N=Fraction(-1, 2), y=Fraction(-1, 2)),
+    "high": monomial(M=Fraction(1, 2), N=Fraction(-1, 2), y=Fraction(-1, 4)),
+}
+
+
 @dataclass
 class FourierBound:
-    """Value of the two-branch bound at concrete (N, M, y): (Ny)^(-1/2) for
-    1/N <= y <= 1/M^2 and M^(1/2) N^(-1/2) y^(-1/4) for y >= 1/M^2.
-
-    fourth_power is the exact rational fourth power of the value, so branch
-    agreement at the crossover can be asserted with no rounding.
-    """
+    """The two-branch bound at concrete (N, M, y): the larger branch of
+    FOURIER_BRANCHES, low on the tie y = 1/M^2, and the exact rational fourth
+    power of its value, so branch agreement can be asserted with no rounding."""
 
     branch: str
-    value: mpmath.mpf
     fourth_power: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "branch": self.branch,
-            "value": mpmath.nstr(self.value, default_dps()),
-            "fourth_power": str(self.fourth_power),
-        }
 
 
 def fourier_sup_bound(n: int, m: int, y) -> FourierBound:
-    """The two-branch bound at (N, M, y); precision from CUSPNORM_PRECISION."""
+    """The two-branch bound at (N, M, y), for y >= 1/N."""
     n_over_m_squared(n, m)
     y = Fraction(y)
     if y * n < 1:
         raise OutOfRange(f"y = {y} below 1/N = 1/{n}")
-    low = y * m * m <= 1
-    with mpmath.workdps(default_dps() + 10):
-        if low:
-            fourth = Fraction(1) / (n * y) ** 2
-            value = 1 / mpmath.sqrt(mpmath.mpf(n) * y.numerator / y.denominator)
-            return FourierBound("low", value, fourth)
-        fourth = Fraction(m * m, n * n) / y
-        yf = mpmath.mpf(y.numerator) / y.denominator
-        value = mpmath.sqrt(m) / (mpmath.sqrt(n) * yf ** mpmath.mpf("0.25"))
-        return FourierBound("high", value, fourth)
+    point = {"N": Fraction(n), "M": Fraction(m), "y": y}
+    fourth = {
+        branch: prod(v ** (4 * vec[p]) for p, v in point.items())
+        for branch, vec in FOURIER_BRANCHES.items()
+    }
+    branch = max(fourth, key=fourth.get)  # the first maximal branch on a tie
+    return FourierBound(branch, fourth[branch])
 
 
 def fourier_branch_exponents(mu: Fraction, h: Fraction) -> dict[str, Fraction]:
-    """Both branch exponents at M = N^mu, y = N^h: low is -(1 + h)/2 and
-    high is mu/2 - 1/2 - h/4."""
+    """Both branch exponents at M = N^mu, y = N^h, in FOURIER_BRANCHES order."""
     mu, h = Fraction(mu), Fraction(h)
-    return {"low": -(1 + h) / 2, "high": mu / 2 - Fraction(1, 2) - h / 4}
+    return {
+        branch: vec["N"] + vec["M"] * mu + vec["y"] * h
+        for branch, vec in FOURIER_BRANCHES.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +332,13 @@ def smooth_count(x: int, n: int) -> int:
 
 def evaluate_terms(terms, **values) -> mpmath.mpf:
     """Sum of the monomials `terms` at positive rational parameter values
-    (keywords named as in PARAMS), at default_dps() + 10 working digits
-    (CUSPNORM_PRECISION).
+    (keywords named as in PARAMS), at working_precision() (CUSPNORM_PRECISION).
 
     Every exponent must be a multiple of 1/2, so each monomial is exactly
     (r_num / r_den) * sqrt(s) with integers r_num, r_den, s: it costs one
     rounded division and, for s > 1, one rounded square root and product.
     """
-    with mpmath.workdps(default_dps() + 10):
+    with working_precision():
         total = mpmath.mpf(0)
         for vec in terms:
             r_num = r_den = s = 1
@@ -490,10 +487,13 @@ class DerivationReport:
     ok: bool
 
     def exponent_at(self, nu) -> Fraction:
-        """Concrete exponent when the result is a max over N0 = N^nu."""
+        """Concrete exponent at N0 = N^nu; both derivations hold only for
+        0 <= nu <= 1/2, that is N0^2 | N."""
+        nu = Fraction(nu)
+        if not 0 <= nu <= Fraction(1, 2):
+            raise OutOfRange(f"nu = {nu} outside 0 <= nu <= 1/2")
         if isinstance(self.sup_norm_exponent, Fraction):
             return self.sup_norm_exponent
-        nu = Fraction(nu)
         vals = [
             vec["N"] + vec["N0"] * nu for vec in self.sup_norm_exponent
         ]

@@ -171,6 +171,8 @@ def _dispatch(args) -> tuple[object, dict, str]:
             "samples": args.samples,
             "seed": args.seed,
         }
+        if args.l1 != 1:  # echoed only off its default, so default output is unchanged
+            inputs["l1"] = args.l1
         if args.format == "csv":
             return result.to_csv(), inputs, "raw"
         return result.to_json(), inputs, "json"

@@ -17,7 +17,7 @@ than trusted.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt
 
 from .arith import (
     crt_solve,
@@ -330,34 +330,32 @@ CANDIDATE_BUDGET = 4000  # most sigma-columns one (M, S) of the search may scan
 
 
 def _first_column_candidates(w: PointH, n: int, m: int):
-    """Coprime first columns (a, c) of sigma with gcd(c, N) = N/M and
-    Im(sigma^-1 w) >= sqrt(3) M^2 / (2N), i.e.
-    (a - c x_w)^2 + c^2 y_w^2 <= 2 N y_w / (sqrt(3) M^2).
+    """(1, 0) when M = 1, then the coprime first columns (a, c), c != 0, of
+    sigma with gcd(c, N) = N/M and Im(sigma^-1 w) >= sqrt(3) M^2 / (2N), by
+    |c| ascending, c before -c, then a ascending.
 
-    Uses the rational over-cover 6 N y_w / (5 M^2) >= the true threshold;
-    every emitted candidate is re-verified exactly downstream.  Raises
-    BudgetExceeded rather than return a cut list when there are more than
-    CANDIDATE_BUDGET candidates.
+    Decided on cleared integers: with w = (px + i py)/q and
+    L = (a q - c px)^2 + (c py)^2, Im(sigma^-1 w) = py q / L, so the floor
+    is 3 M^4 L^2 <= 4 N^2 py^2 q^2, i.e. L <= l_max, which bounds (c py)^2
+    and then gives an exact range of a.  Raises BudgetExceeded rather than
+    return a cut list when there are more than CANDIDATE_BUDGET candidates.
     """
-    cap = Fraction(6 * n * w.y, 5 * m * m)
+    px, py, q = w.cleared()
+    l_max = isqrt((2 * n * py * q) ** 2 // (3 * m**4))
     step = n // m
     out = [(1, 0)] if m == 1 else []  # sigma with first column (1, 0)
-    cc = step
-    while cc * cc * w.y * w.y <= cap:
+    for cc in range(step, isqrt(l_max) // py + 1, step):
         for c in (cc, -cc):
-            if gcd(c, n) != n // m:
+            if gcd(c, n) != step:
                 continue
-            rem = cap - c * c * w.y * w.y
-            center = c * w.x
-            half = isqrt(rem.numerator // rem.denominator) + 1
-            for a in range(ceil(center - half), floor(center + half) + 1):
-                if (a - center) ** 2 <= rem and gcd(a, c) == 1:
-                    out.append((a, c))
+            s = isqrt(l_max - (c * py) ** 2)  # |a q - c px| <= s
+            t = c * px
+            out += [(a, c) for a in range(-((s - t) // q), (t + s) // q + 1)
+                    if gcd(a, c) == 1]
         if len(out) > CANDIDATE_BUDGET:
             raise BudgetExceeded(
                 f"more than {CANDIDATE_BUDGET} first-column candidates at N={n}, M={m}"
             )
-        cc += step
     return out
 
 

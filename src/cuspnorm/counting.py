@@ -47,7 +47,7 @@ from .arith import (
 from .conjugation import is_in_G
 from .errors import BudgetExceeded
 from .modgroup import Mat2, PointH, complete_first_column, mobius_act, point_pair_u
-from .precision import default_dps
+from .precision import working_precision
 
 
 def in_delta(gamma: Mat2, l: int, n: int, m: int) -> bool:
@@ -304,21 +304,6 @@ class ParabolicCertificate:
     scalar: bool
     checks: dict
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma.to_json(),
-            "m": self.m_root,
-            "sign": self.sign,
-            "tau": self.tau.to_json(),
-            "t": self.t,
-            "t0": self.t0,
-            "t1": self.t1,
-            "c_tau": self.c_tau,
-            "d_tau": self.d_tau,
-            "scalar": self.scalar,
-            "checks": dict(self.checks),
-        }
-
 
 def _fixed_point_conjugator(gamma: Mat2) -> Mat2:
     """tau in SL2(Z) with tau(inf) = the fixed point of a parabolic gamma.
@@ -434,7 +419,7 @@ def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
         warnings.warn(f"point {z!r} lies outside G({n};{m}); bounds may not apply")
     w = amplifier_weights(lam, m)
     pairs = []
-    with mpmath.workdps(default_dps() + 10):
+    with working_precision():
         total = mpmath.mpf(0)
         for l in w.support():
             cnt = count_delta_near(z, l, delta, n, m)

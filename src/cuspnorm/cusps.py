@@ -32,18 +32,6 @@ class LocalProfile:
 
     entries: tuple[tuple[int, int, int, int], ...]
 
-    def denominator(self) -> int:
-        out = 1
-        for p, _np, cp, _wp in self.entries:
-            out *= p**cp
-        return out
-
-    def width(self) -> int:
-        out = 1
-        for p, _np, _cp, wp in self.entries:
-            out *= p**wp
-        return out
-
 
 def cusp_denominator(tau: Mat2, n: int) -> int:
     """C(tau) = gcd(c, N) for tau in SL2(Z), with gcd(0, N) = N."""

@@ -26,12 +26,14 @@ from .conjugation import is_in_G
 from .counting import amplified_count_sum, classify_counts
 from .errors import BudgetExceeded, ConfigError
 from .modgroup import PointH
-from .precision import default_dps
+from .precision import default_dps, working_precision
 
 LEMMAS = tuple(ENVELOPES)  # eq1..eq7, para, ampl
 
 CSV_VERSION = "cuspnorm-harness-csv v1"
-CSV_HEADER = "lemma,N,M,L_or_Lambda,delta,x,y,lhs,rhs,ratio"
+CSV_COLUMNS = ("lemma", "N", "M", "L_or_Lambda", "delta", "x", "y", "lhs", "rhs",
+               "ratio")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass
@@ -146,7 +148,7 @@ def _run_cell(args: tuple) -> dict | None:
         return None
     x, y = z.x, z.y
     try:
-        with mpmath.workdps(dps + 10):
+        with working_precision():
             if lemma == "ampl":
                 lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m)
                 rhs = bound_rhs_ampl(n, m, lval, y)
@@ -211,16 +213,11 @@ class HarnessResult:
     skipped: int
 
     def max_ratio(self) -> tuple[str, dict | None]:
-        """Largest ratio over the rows, compared exactly on the mpf values."""
-        best = None
-        best_row = None
-        with mpmath.workdps(default_dps() + 10):
-            for row in self.rows:
-                r = mpmath.mpf(row["ratio"])
-                if best is None or r > best:
-                    best = r
-                    best_row = row
-        return (best_row["ratio"] if best_row else "0.0", best_row)
+        """Largest ratio over the rows, compared exactly on the mpf values;
+        the first of several maximal rows."""
+        with working_precision():
+            best = max(self.rows, key=lambda r: mpmath.mpf(r["ratio"]), default=None)
+        return (best["ratio"] if best else "0.0", best)
 
     def to_json(self) -> dict:
         ratio, argmax = self.max_ratio()
@@ -238,16 +235,7 @@ class HarnessResult:
 
     def to_csv(self) -> str:
         lines = [f"# {CSV_VERSION}", CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    str(row[k])
-                    for k in (
-                        "lemma", "N", "M", "L_or_Lambda", "delta",
-                        "x", "y", "lhs", "rhs", "ratio",
-                    )
-                )
-            )
+        lines += [",".join(str(row[k]) for k in CSV_COLUMNS) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -129,8 +129,8 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
     so they are decided once per (row, a1).  Output order: rows, then a1,
     then b1.
     """
-    if l < 1:
-        raise ValueError(f"coset_reps_delta expects l >= 1, got {l}")
+    if l < 1 or n < 1:
+        raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
     reps = []

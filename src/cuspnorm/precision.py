@@ -2,6 +2,8 @@
 
 import os
 
+import mpmath
+
 _ENV = "CUSPNORM_PRECISION"
 
 
@@ -17,3 +19,8 @@ def default_dps() -> int:
     if dps < 1:
         raise ValueError(f"{_ENV} must be a positive integer, got {raw!r}")
     return dps
+
+
+def working_precision():
+    """mpmath context for rounded sums: default_dps() plus 10 guard digits."""
+    return mpmath.workdps(default_dps() + 10)

@@ -3,9 +3,9 @@
 These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
 random matrix generators build group elements from words in S and T, the
-lattice-floor scan, the Moebius action and the width-one sigma and shift
-compute in Fractions where the package clears denominators to integers,
-and the number-theoretic oracles
+lattice-floor scan, the gap search's first columns, the Moebius action and
+the width-one sigma and shift compute in Fractions where the package clears
+denominators to integers, and the number-theoretic oracles
 (cusp orbits, Hermite decomposition, coset labels, primality, Euler phi,
 W^2, the Fourier exponent) work from definitions and import no private helper of
 the code they check.
@@ -144,6 +144,30 @@ def lattice_floor_verdict(z: PointH, n: int, m: int, k: int) -> GapVerdict:
             worst = (pair, lhs, bound)
     pair, lhs, bound = worst
     return GapVerdict(lhs >= bound, pair, lhs - bound, lhs, bound)
+
+
+def first_column_columns(w: PointH, n: int, m: int) -> list[tuple[int, int]]:
+    """The search's sigma-columns at w from the definitions: (1, 0) when
+    M = 1, then every coprime (a, c) with c != 0, gcd(c, N) = N/M and
+    Im(sigma^-1 w) = y / |a - c w|^2 at least sqrt(3) M^2 / (2N), decided in
+    Fractions as 4 N^2 Im^2 >= 3 M^4; ordered by |c|, c before -c, then a.
+
+    An admissible column has c^2 y^2 <= |a - c w|^2 <= 2 N y / M^2, which
+    bounds the scanned box."""
+    x, y = w.x, w.y
+    bound = Fraction(2 * n * y, m * m)
+    c_max = floor((bound / (y * y)) ** 0.5) + 1
+    r = floor(bound ** 0.5) + 1
+    cols = []
+    for c in range(-c_max, c_max + 1):
+        if c == 0 or gcd(c, n) != n // m:
+            continue
+        for a in range(floor(c * x) - r, floor(c * x) + r + 2):
+            height = y / ((a - c * x) ** 2 + c * c * y * y)
+            if gcd(a, c) == 1 and 4 * n * n * height * height >= 3 * m**4:
+                cols.append((a, c))
+    cols.sort(key=lambda ac: (abs(ac[1]), ac[1] < 0, ac[0]))
+    return ([(1, 0)] if m == 1 else []) + cols
 
 
 def box_oracle_delta(z: PointH, l: int, delta, n: int, m: int, box: int):

@@ -52,8 +52,20 @@ def test_count_command():
 def test_exponent_command():
     doc = payload(["exponent", "--case", "main"])
     assert doc["sup_norm_exponent"] == "-1/12"
-    doc = payload(["exponent", "--case", "case2", "--nu", "1/2"])
-    assert doc["exponent_at_nu"] == "-1/8"
+    # the derivations hold for 0 <= nu <= 1/2 only (N0^2 | N)
+    for case, nu, expected in (
+        ("case2", "1/2", "-1/8"), ("case2", "0", "-1/6"), ("main", "1/4", "-1/12"),
+    ):
+        doc = payload(["exponent", "--case", case, "--nu", nu])
+        assert doc["exponent_at_nu"] == expected, (case, nu)
+    for argv in (
+        ["exponent", "--case", "case2", "--nu", "3"],
+        ["exponent", "--case", "case2", "--nu", "3", "--format", "text"],
+        ["exponent", "--case", "main", "--nu=-1/4"],
+    ):
+        res = run(argv)
+        assert res.exit_code == 1, argv
+        assert res.payload["error"]["type"] == "OutOfRange"
 
 
 def test_smooth_command():
@@ -70,6 +82,15 @@ def test_hecke_command():
         "--check-conjugation", "1,0,3,1",
     ])
     assert doc["conjugation"]["passed"] is True
+    # l = 2 is not 1 (mod M = 2): the check runs but asserts nothing
+    doc = payload([
+        "hecke", "--level", "4", "--m", "2", "--l", "2",
+        "--check-conjugation", "1,0,2,1",
+    ])
+    conj = doc["conjugation"]
+    assert conj["passed"] is False and conj["checked"] == 1
+    assert conj["witness"] == [[1, 0], [4, 2]]
+    assert "not asserted" in conj["note"]
 
 
 def test_harness_command_json_and_csv():
@@ -88,6 +109,18 @@ def test_harness_command_json_and_csv():
     assert len(lines) == 2 + len(doc["rows"])
 
 
+def test_harness_echoes_l1_off_its_default():
+    argv = ["harness", "--lemma", "eq3", "--levels", "1..6"]
+    one, two = run(argv + ["--l1", "1"]), run(argv + ["--l1", "2"])
+    assert one.exit_code == two.exit_code == 0
+    assert "l1" not in one.inputs and two.inputs["l1"] == 2
+    assert one.rendered() == run(argv).rendered()
+    assert one.payload["rows"] != two.payload["rows"]
+    csv_one = run(argv + ["--l1", "1", "--format", "csv"]).payload
+    csv_two = run(argv + ["--l1", "2", "--format", "csv"]).payload
+    assert csv_one != csv_two
+
+
 def test_harness_determinism_across_jobs():
     argv = ["harness", "--lemma", "para", "--levels", "1..10", "--seed", "9"]
     one = run(argv + ["--jobs", "1"]).rendered()
@@ -103,6 +136,10 @@ def test_domain_error_exit_code():
     assert "error" in res.payload
     res = run(["reduce", "--level", "0", "--point", "0/1,1/1"])
     assert res.exit_code == 1
+    for level in ("0", "-4"):
+        res = run(["hecke", "--level", level, "--l", "1"])
+        assert res.exit_code == 1, level
+        assert res.payload["error"]["type"] == "ValueError"
 
 
 def test_negative_point_as_separate_argument():

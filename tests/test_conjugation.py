@@ -21,13 +21,16 @@ from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimod
 from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
 from oracles import (
+    first_column_columns,
     fraction_search_shift,
     fraction_sigma,
     gap_sweep_points,
     lattice_floor_pairs,
     lattice_floor_verdict,
+    rand_fraction,
     rand_point,
     rand_sl2,
+    seeded_rng,
     w_squared_in_center_gamma0,
 )
 
@@ -357,3 +360,22 @@ def test_gap_provable_floor_random_sweep():
         zp = mobius_act(cert.sigma.adjugate() * cert.w.w, z)
         assert verify_gap_provable(zp, n, cert.m).passed
         assert zp.y * zp.y * 4 * n * n >= 3 * cert.m**4
+
+
+def test_first_column_candidates_are_exactly_the_admissible_columns():
+    # the counterexample to the old 6/5 over-cover: (-3, 2) gives height
+    # 1083/1292 < sqrt(3)/2 at N = M = 1 and must not be listed
+    w = PointH(Fraction(-31, 19), Fraction(3, 38))
+    assert _first_column_candidates(w, 1, 1) == first_column_columns(w, 1, 1)
+    assert (-3, 2) not in _first_column_candidates(w, 1, 1)
+    # heights down to 1/(64 N^2), where columns with c != 0 exist: about
+    # half of these points have one
+    rng = seeded_rng("first-columns")
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        m = rng.choice([m for m in range(1, 8) if n % (m * m) == 0])
+        y = Fraction(rng.randint(1, 64), rng.randint(1, 64 * n * n))
+        w = PointH(rand_fraction(rng, -2, 2), y)
+        assert _first_column_candidates(w, n, m) == first_column_columns(w, n, m), (
+            w, n, m
+        )

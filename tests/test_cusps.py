@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -116,8 +116,11 @@ def test_local_profile_consistency():
         n = rng.randint(1, 120)
         tau = rand_sl2(rng)
         prof = local_profile(tau, n)
-        assert prof.denominator() == cusp_denominator(tau, n)
-        assert prof.width() == cusp_width(tau, n)
+        # C(tau) and W(tau) are the products of p^c_p and of p^w_p
+        assert prod(p**cp for p, _np, cp, _wp in prof.entries) == (
+            cusp_denominator(tau, n)
+        )
+        assert prod(p**wp for p, _np, _cp, wp in prof.entries) == cusp_width(tau, n)
         for p, np_, cp, wp in prof.entries:
             assert 0 <= cp <= np_
             assert wp == max(np_ - 2 * cp, 0)
