@@ -330,9 +330,10 @@ CANDIDATE_BUDGET = 4000  # most sigma-columns one (M, S) of the search may scan
 
 
 def _first_column_candidates(w: PointH, n: int, m: int):
-    """(1, 0) when M = 1, then the coprime first columns (a, c), c != 0, of
-    sigma with gcd(c, N) = N/M and Im(sigma^-1 w) >= sqrt(3) M^2 / (2N), by
-    |c| ascending, c before -c, then a ascending.
+    """The first columns (a, c) of sigma with Im(sigma^-1 w) >=
+    sqrt(3) M^2 / (2N): (1, 0) when M = 1 and w itself meets that floor,
+    then the coprime (a, c), c != 0, with gcd(c, N) = N/M, by |c|
+    ascending, c before -c, then a ascending.
 
     Decided on cleared integers: with w = (px + i py)/q and
     L = (a q - c px)^2 + (c py)^2, Im(sigma^-1 w) = py q / L, so the floor
@@ -343,7 +344,7 @@ def _first_column_candidates(w: PointH, n: int, m: int):
     px, py, q = w.cleared()
     l_max = isqrt((2 * n * py * q) ** 2 // (3 * m**4))
     step = n // m
-    out = [(1, 0)] if m == 1 else []  # sigma with first column (1, 0)
+    out = [(1, 0)] if m == 1 and q * q <= l_max else []  # L = q^2 at (1, 0)
     for cc in range(step, isqrt(l_max) // py + 1, step):
         for c in (cc, -cc):
             if gcd(c, n) != step:

@@ -50,14 +50,15 @@ from .modgroup import Mat2, PointH, complete_first_column, mobius_act, point_pai
 from .precision import working_precision
 
 
+def in_delta_entries(a: int, b: int, c: int, d: int, l: int, n: int, m: int) -> bool:
+    """Membership of the integer matrix (a, b; c, d) in Delta(l, N; M)."""
+    return a * d - b * c == l and c % n == 0 and a % m == 1 % m
+
+
 def in_delta(gamma: Mat2, l: int, n: int, m: int) -> bool:
-    """Membership of an integer matrix in Delta(l, N; M)."""
-    return (
-        gamma.is_integral()
-        and gamma.det == l
-        and int(gamma.c) % n == 0
-        and int(gamma.a) % m == 1 % m
-    )
+    """Membership of a matrix in Delta(l, N; M): integral entries, then
+    in_delta_entries."""
+    return gamma.is_integral() and in_delta_entries(*map(int, gamma.entries()), l, n, m)
 
 
 C_BUDGET = 400_000  # most multiples of N one c-window may hold

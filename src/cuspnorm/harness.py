@@ -57,6 +57,8 @@ class HarnessConfig:
             raise ConfigError("delta must be >= 0")
         if self.samples < 1 or self.jobs < 1:
             raise ConfigError("samples and jobs must be >= 1")
+        if self.l1 < 1:
+            raise ConfigError(f"--l1 must be >= 1, got {self.l1}")
 
 
 def _cell_seed(seed: int, lemma: str, n: int, m: int, lval: int, k: int) -> int:

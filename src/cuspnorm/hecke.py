@@ -17,6 +17,15 @@ bottom rows (c, d) mod N up to scaling by units that are 1 mod M.
 Neither membership condition reads b, so each row is tested once per
 divisor a of l, and a row is lifted to SL2(Z) only when some a passes
 c * a == 0 (mod N); when gcd(l, N) = 1 only the rows with c = 0 do.
+The coset table and the coset count both read that one (row, a) walk; the
+count adds l/a per passing pair and builds no matrix.
+
+Conjugation invariance is sampled on integer 4-tuples: random
+Gamma0(N; M)-words are multiplied in four local ints, with the unit letters
+read from a per-(N, M) table, and the translates and both conjugates are
+formed from the entries and tested by counting.in_delta_entries.  The
+random draws are the same calls in the same order as when the words were
+Mat2 products, so samples, verdicts and witnesses do not change.
 """
 
 import random
@@ -26,7 +35,7 @@ from itertools import groupby
 from math import gcd
 
 from .arith import bezout, divisors
-from .counting import in_delta
+from .counting import in_delta, in_delta_entries
 from .cusps import cusp_denominator
 from .errors import InvalidM, PrereqFailed
 from .modgroup import Mat2
@@ -48,10 +57,21 @@ def hnf_reps(l: int) -> list[Mat2]:
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _scalars(n: int, m: int) -> tuple[int, ...]:
-    """Units mod N that are 1 mod M (the row-scaling stabilizer of B_M)."""
-    if n == 1:
-        return (0,)
-    return tuple(u for u in range(1, n) if gcd(u, n) == 1 and u % m == 1 % m)
+    """Units mod N that are 1 mod M (the row-scaling stabilizer of B_M),
+    as residues in [1, N]: (1,) at N = 1."""
+    return tuple(u for u in range(1, n + 1) if gcd(u, n) == 1 and u % m == 1 % m)
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _unit_steps(n: int, m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entries of the lifts (u, (u d0 - 1)/N; N, d0) of the units u in
+    _scalars(n, m), with d0 = u^-1 mod N (d0 = 1 at N = 1): the diagonal-type
+    letters of random Gamma0(N; M)-words, in the same order."""
+    steps = []
+    for u in _scalars(n, m):
+        d0 = pow(u, -1, n) if n > 1 else 1
+        steps.append((u, (u * d0 - 1) // n, n, d0))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -65,7 +85,7 @@ def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
     The scalars are units, so orbits of primitive rows hold only primitive
     rows, and the action on them is free (s c == c and s d == d mod N with
     gcd(c, d, N) = 1 force s == 1): each primitive row is marked once.
-    M | N is checked by the caller, coset_reps_delta.
+    M | N is checked by the caller, _coset_walk.
     """
     scalars = _scalars(n, m)
     seen = bytearray(n * n)
@@ -120,33 +140,42 @@ class CosetTable:
         }
 
 
-def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
-    """One representative per right coset of Gamma0(N; M) in Delta(l, N; M).
+def _coset_walk(l: int, n: int, m: int) -> list[tuple[Mat2, int]]:
+    """The passing pairs (u, a1) of the pair method, in output order: rows,
+    then a1 ascending.
 
     A pair (row (c, d), h = (a1, b1; 0, d1)) contributes iff
     c * a1 == 0 (mod N) and a_lift * a1 == 1 (mod M); both conditions are
     invariant on the B_M-coset once the first holds, and neither reads b1,
-    so they are decided once per (row, a1).  Output order: rows, then a1,
-    then b1.
+    so they are decided once per (row, a1), and each passing pair gives the
+    l/a1 cosets u * (a1, b1; 0, l/a1), 0 <= b1 < l/a1.
     """
     if l < 1 or n < 1:
         raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
-    reps = []
-    by_a1 = [(a1, list(hs)) for a1, hs in groupby(hnf_reps(l), key=lambda h: h.a)]
+    a1s = divisors(l)
+    walk = []
     for c, d in _row_cosets(n, m):
-        passing = [(a1, hs) for a1, hs in by_a1 if (c * a1) % n == 0]
+        passing = [a1 for a1 in a1s if (c * a1) % n == 0]
         if not passing:
             continue
         u = sl2_lift_from_row(c, d, n)
-        for a1, hs in passing:
-            if (u.a * a1) % m != 1 % m:
-                continue
-            for h in hs:
-                gamma = u * h
-                assert in_delta(gamma, l, n, m), (gamma, l, n, m)
-                reps.append(gamma)
+        walk += [(u, a1) for a1 in passing if (u.a * a1) % m == 1 % m]
+    return walk
+
+
+def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
+    """One representative per right coset of Gamma0(N; M) in Delta(l, N; M),
+    from _coset_walk.  Output order: rows, then a1, then b1."""
+    walk = _coset_walk(l, n, m)
+    by_a1 = {a1: list(hs) for a1, hs in groupby(hnf_reps(l), key=lambda h: h.a)}
+    reps = []
+    for u, a1 in walk:
+        for h in by_a1[a1]:
+            gamma = u * h
+            assert in_delta(gamma, l, n, m), (gamma, l, n, m)
+            reps.append(gamma)
     return CosetTable(l, n, m, reps)
 
 
@@ -169,9 +198,12 @@ class CountInvariance:
 
 def coset_count_invariance(l: int, n: int, m: int) -> CountInvariance:
     """Compare |Gamma0(N;M) \\ Delta(l,N;M)| with |Gamma0(N) \\ Delta(l,N;1)|,
-    the coset-level shadow of the Hecke algebra isomorphism."""
+    the coset-level shadow of the Hecke algebra isomorphism.  Counted from
+    _coset_walk without building the tables: each passing (u, a1) gives
+    l/a1 cosets."""
     return CountInvariance(
-        coset_reps_delta(l, n, m).count, coset_reps_delta(l, n, 1).count
+        sum(l // a1 for _u, a1 in _coset_walk(l, n, m)),
+        sum(l // a1 for _u, a1 in _coset_walk(l, n, 1)),
     )
 
 
@@ -189,23 +221,33 @@ class ConjugationResult:
         return out
 
 
+def _random_word(n: int, m: int, rng: random.Random) -> tuple[int, int, int, int]:
+    """Entries of a pseudo-random word in T^t, the lower N-shear and the
+    _unit_steps letters, multiplied on the right in four local ints.
+
+    Draws, in order: rng.randint(2, 5) letters, then per letter
+    rng.randrange(3) for its kind and rng.randint(-3, 3) for a shear or
+    rng.randrange(len(steps)) for a unit."""
+    steps = _unit_steps(n, m)
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:  # * (1, t; 0, 1)
+            t = rng.randint(-3, 3)
+            b, d = a * t + b, c * t + d
+        elif kind == 1:  # * (1, 0; N t, 1)
+            t = n * rng.randint(-3, 3)
+            a, c = a + b * t, c + d * t
+        else:  # * (u, k; N, d0)
+            u, k, nn, d0 = steps[rng.randrange(len(steps))]
+            a, b, c, d = a * u + b * nn, a * k + b * d0, c * u + d * nn, c * k + d * d0
+    return a, b, c, d
+
+
 def random_gamma0nm_element(n: int, m: int, rng: random.Random) -> Mat2:
     """A pseudo-random element of Gamma0(N; M), built from T, the lower
     N-shear, and lifted diagonal-type units that are 1 mod M."""
-    g = Mat2.identity()
-    units = _scalars(n, m) if n > 1 else (1,)
-    for _ in range(rng.randint(2, 5)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            g = g * Mat2(1, rng.randint(-3, 3), 0, 1)
-        elif kind == 1:
-            g = g * Mat2(1, 0, n * rng.randint(-3, 3), 1)
-        else:
-            u = units[rng.randrange(len(units))]
-            d0 = pow(u, -1, n) if n > 1 else 1
-            k = (u * d0 - 1) // n
-            g = g * Mat2(u, k, n, d0)
-    return g
+    return Mat2(*_random_word(n, m, rng))
 
 
 def conjugation_invariance(
@@ -222,6 +264,10 @@ def conjugation_invariance(
 
     Requires C(sigma) = N/M and M^2 | N; when l != 1 (mod M) nothing is
     asserted by the theory, which the result's note records.
+
+    Samples are integer 4-tuples.  A translate draws its word, then
+    rng.randrange(count) for its representative, as when they were Mat2
+    products; the witness is the first failing sample, as a Mat2.
     """
     sigma.require_sl2()
     if n % (m * m):
@@ -231,17 +277,26 @@ def conjugation_invariance(
             f"C(sigma) = {cusp_denominator(sigma, n)} != N/M = {n // m}"
         )
     note = "" if l % m == 1 % m else "l != 1 (mod M): invariance is not asserted"
-    sig_inv = sigma.adjugate()
+    sa, sb, sc, sd = map(int, sigma.entries())
+    sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)
     table = coset_reps_delta(l, n, m)
     rng = random.Random(seed)
-    samples = list(table.reps)
+    reps = [g.entries() for g in table.reps]
+    samples = reps[:]
     for _ in range(budget):
-        g = random_gamma0nm_element(n, m, rng)
-        samples.append(g * samples[rng.randrange(table.count)])
+        a, b, c, d = _random_word(n, m, rng)
+        ra, rb, rc, rd = reps[rng.randrange(len(reps))]
+        samples.append((a * ra + b * rc, a * rb + b * rd, c * ra + d * rc, c * rb + d * rd))
     checked = 0
     for gamma in samples:
-        for cand in (sigma * gamma * sig_inv, sig_inv * gamma * sigma):
+        a, b, c, d = gamma
+        # x gamma = (p, q; r, s), then (x gamma) y, for (x, y) = (sigma, sigma^-1)
+        # and (sigma^-1, sigma)
+        for (xa, xb, xc, xd), (ya, yb, yc, yd) in ((sig, inv), (inv, sig)):
+            p, q, r, s = xa * a + xb * c, xa * b + xb * d, xc * a + xd * c, xc * b + xd * d
             checked += 1
-            if not in_delta(cand, l, n, m):
-                return ConjugationResult(False, gamma, checked, note)
+            if not in_delta_entries(
+                p * ya + q * yc, p * yb + q * yd, r * ya + s * yc, r * yb + s * yd, l, n, m
+            ):
+                return ConjugationResult(False, Mat2(*gamma), checked, note)
     return ConjugationResult(True, None, checked, note)

@@ -5,10 +5,11 @@ oracle scans raw entry boxes against the defining conditions only, the
 random matrix generators build group elements from words in S and T, the
 lattice-floor scan, the gap search's first columns, the Moebius action and
 the width-one sigma and shift compute in Fractions where the package clears
-denominators to integers, and the number-theoretic oracles
-(cusp orbits, Hermite decomposition, coset labels, primality, Euler phi,
-W^2, the Fourier exponent) work from definitions and import no private helper of
-the code they check.
+denominators to integers, the sampled Hecke conjugation check multiplies
+Mat2 objects where the package keeps integer 4-tuples, and the
+number-theoretic oracles (cusp orbits, Hermite decomposition, coset labels,
+Delta membership, primality, Euler phi, W^2, the Fourier exponent) work
+from definitions and import no private helper of the code they check.
 """
 
 import hashlib
@@ -147,10 +148,11 @@ def lattice_floor_verdict(z: PointH, n: int, m: int, k: int) -> GapVerdict:
 
 
 def first_column_columns(w: PointH, n: int, m: int) -> list[tuple[int, int]]:
-    """The search's sigma-columns at w from the definitions: (1, 0) when
-    M = 1, then every coprime (a, c) with c != 0, gcd(c, N) = N/M and
-    Im(sigma^-1 w) = y / |a - c w|^2 at least sqrt(3) M^2 / (2N), decided in
-    Fractions as 4 N^2 Im^2 >= 3 M^4; ordered by |c|, c before -c, then a.
+    """The search's sigma-columns at w from the definitions: every column
+    with Im(sigma^-1 w) = y / |a - c w|^2 at least sqrt(3) M^2 / (2N),
+    decided in Fractions as 4 N^2 Im^2 >= 3 M^4.  That is (1, 0) when M = 1
+    and y itself meets the floor, then every coprime (a, c) with c != 0 and
+    gcd(c, N) = N/M, ordered by |c|, c before -c, then a.
 
     An admissible column has c^2 y^2 <= |a - c w|^2 <= 2 N y / M^2, which
     bounds the scanned box."""
@@ -167,7 +169,8 @@ def first_column_columns(w: PointH, n: int, m: int) -> list[tuple[int, int]]:
             if gcd(a, c) == 1 and 4 * n * n * height * height >= 3 * m**4:
                 cols.append((a, c))
     cols.sort(key=lambda ac: (abs(ac[1]), ac[1] < 0, ac[0]))
-    return ([(1, 0)] if m == 1 else []) + cols
+    identity = m == 1 and 4 * n * n * y * y >= 3 * m**4
+    return ([(1, 0)] if identity else []) + cols
 
 
 def box_oracle_delta(z: PointH, l: int, delta, n: int, m: int, box: int):
@@ -371,6 +374,60 @@ def same_coset(g1: Mat2, g2: Mat2, n: int, m: int) -> bool:
         return False
     q = Mat2(*(int(e) // l for e in prod.entries()))
     return q.det == 1 and q.c % n == 0 and q.a % m == 1 % m and q.d % m == 1 % m
+
+
+def delta_member(g: Mat2, l: int, n: int, m: int) -> bool:
+    """g in Delta(l, N; M) from the definition: integer entries,
+    determinant l, N divides the lower-left entry and the upper-left entry
+    is 1 mod M."""
+    if any(Fraction(e).denominator != 1 for e in g.entries()):
+        return False
+    a, b, c, d = (int(e) for e in g.entries())
+    return a * d - b * c == l and c % n == 0 and (a - 1) % m == 0
+
+
+def mat2_gamma0nm_word(n: int, m: int, rng: random.Random) -> Mat2:
+    """A random Gamma0(N; M)-word as a product of Mat2 letters: T^t, the
+    lower N-shear and (u, (u d0 - 1)/N; N, d0) for a unit u == 1 (mod M)
+    with d0 = u^-1 mod N, drawn in the package's order (the letter count,
+    then per letter its kind and its shift or unit)."""
+    units = _units_one_mod(n, m) if n > 1 else (1,)
+    g = Mat2.identity()
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = g * Mat2(1, rng.randint(-3, 3), 0, 1)
+        elif kind == 1:
+            g = g * Mat2(1, 0, n * rng.randint(-3, 3), 1)
+        else:
+            u = units[rng.randrange(len(units))]
+            d0 = pow(u, -1, n) if n > 1 else 1
+            g = g * Mat2(u, (u * d0 - 1) // n, n, d0)
+    return g
+
+
+def mat2_conjugation_invariance(
+    sigma: Mat2, reps: list[Mat2], l: int, n: int, m: int, budget: int, seed: int
+) -> dict:
+    """The JSON of the sampled conjugation check, formed with Mat2 products
+    and delta_member: the representatives, then `budget` translates
+    word * reps[rng.randrange(len(reps))]; for each, sigma g sigma^-1 and
+    then sigma^-1 g sigma, stopping at the first non-member."""
+    note = "" if (l - 1) % m == 0 else "l != 1 (mod M): invariance is not asserted"
+    sig_inv = sigma.adjugate()
+    rng = random.Random(seed)
+    samples = list(reps)
+    for _ in range(budget):
+        g = mat2_gamma0nm_word(n, m, rng)
+        samples.append(g * samples[rng.randrange(len(reps))])
+    checked = 0
+    for gamma in samples:
+        for cand in (sigma * gamma * sig_inv, sig_inv * gamma * sigma):
+            checked += 1
+            if not delta_member(cand, l, n, m):
+                return {"passed": False, "checked": checked, "note": note,
+                        "witness": gamma.to_json()}
+    return {"passed": True, "checked": checked, "note": note}
 
 
 def w_squared_in_center_gamma0(op) -> bool:

@@ -121,6 +121,14 @@ def test_harness_echoes_l1_off_its_default():
     assert csv_one != csv_two
 
 
+def test_harness_rejects_l1_below_one():
+    for lemma in ("eq1", "eq3"):
+        res = run(["harness", "--lemma", lemma, "--levels", "1..3", "--l1", "0"])
+        assert res.exit_code == 1, lemma
+        assert res.payload["error"]["type"] == "ConfigError"
+        assert "--l1" in res.payload["error"]["message"]
+
+
 def test_harness_determinism_across_jobs():
     argv = ["harness", "--lemma", "para", "--levels", "1..10", "--seed", "9"]
     one = run(argv + ["--jobs", "1"]).rendered()

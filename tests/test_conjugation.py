@@ -338,12 +338,13 @@ def test_search_certificates_recompute_postconditions():
 
 
 def test_first_column_candidates_never_truncate(monkeypatch):
+    # y = 1/50 is below the floor sqrt(3)/2, so (1, 0) is not listed
     w = PointH(Fraction(1, 3), Fraction(1, 50))
     full = _first_column_candidates(w, 1, 1)
-    assert len(full) == 3
-    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 3)
-    assert _first_column_candidates(w, 1, 1) == full
+    assert len(full) == 2 and (1, 0) not in full
     monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 2)
+    assert _first_column_candidates(w, 1, 1) == full
+    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
         _first_column_candidates(w, 1, 1)
 
@@ -368,6 +369,10 @@ def test_first_column_candidates_are_exactly_the_admissible_columns():
     w = PointH(Fraction(-31, 19), Fraction(3, 38))
     assert _first_column_candidates(w, 1, 1) == first_column_columns(w, 1, 1)
     assert (-3, 2) not in _first_column_candidates(w, 1, 1)
+    # y = 3/38 is below sqrt(3)/2 too, so sigma = 1 is not a candidate; at
+    # y = 1 it is, and it comes first
+    assert (1, 0) not in _first_column_candidates(w, 1, 1)
+    assert _first_column_candidates(PointH(0, 1), 1, 1)[0] == (1, 0)
     # heights down to 1/(64 N^2), where columns with c != 0 exist: about
     # half of these points have one
     rng = seeded_rng("first-columns")

@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuspnorm import hecke
 from cuspnorm.arith import divisors, squarefree_split
-from cuspnorm.counting import in_delta
+from cuspnorm.counting import in_delta, in_delta_entries
+from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import InvalidM, PrereqFailed
 from cuspnorm.hecke import (
     conjugation_invariance,
@@ -16,12 +21,15 @@ from cuspnorm.hecke import (
     random_gamma0nm_element,
     sl2_lift_from_row,
 )
-from cuspnorm.modgroup import Mat2
+from cuspnorm.modgroup import Mat2, complete_first_column
 from oracles import (
     _canonical_row,
     canonical_rows,
     coset_key,
+    delta_member,
     hnf_decompose,
+    mat2_conjugation_invariance,
+    mat2_gamma0nm_word,
     rand_det_matrix,
     rand_sl2,
     same_coset,
@@ -221,3 +229,108 @@ def test_coset_key_constant_on_cosets():
             for _ in range(20):
                 g = random_gamma0nm_element(n, m, rng)
                 assert coset_key(g * rep, n, m) == coset_key(rep, n, m)
+
+
+# (N, M) with M^2 | N and N <= 60: the levels where the conjugation check runs
+POWERFUL_PAIRS = [(n, m) for n in range(1, 61) for m in range(1, 8) if n % (m * m) == 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(POWERFUL_PAIRS), st.integers(0, 2**32), st.integers(1, 6))
+def test_random_words_match_the_mat2_oracle(pair, seed, words):
+    # equal words from equal draws, and the generators end in the same state
+    n, m = pair
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(words):
+        assert random_gamma0nm_element(n, m, rng) == mat2_gamma0nm_word(n, m, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(sigma, l, N, M, budget, seed): sigma = (1, 0; N/M, 1) or a
+    non-standard sigma with lower-left entry (N/M) k, gcd(k, M) = 1, so
+    C(sigma) = N/M either way."""
+    n, m = draw(st.sampled_from(POWERFUL_PAIRS))
+    if draw(st.booleans()):
+        sigma = Mat2(1, 0, n // m, 1)
+    else:
+        k = draw(st.integers(-6, 6).filter(lambda k: k and gcd(k, m) == 1))
+        c = n // m * k
+        a = draw(st.integers(-30, 30).filter(lambda a: gcd(a, c) == 1))
+        sigma = complete_first_column(a, c) * Mat2(1, draw(st.integers(-3, 3)), 0, 1)
+    assert cusp_denominator(sigma, n) == n // m
+    l = draw(st.integers(1, 13))
+    return sigma, l, n, m, draw(st.integers(0, 60)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=120, deadline=None)
+@given(conjugation_cases())
+def test_conjugation_invariance_matches_the_mat2_oracle(case):
+    sigma, l, n, m, budget, seed = case
+    got = conjugation_invariance(sigma, l, n, m, budget=budget, seed=seed)
+    reps = coset_reps_delta(l, n, m).reps
+    assert got.to_json() == mat2_conjugation_invariance(sigma, reps, l, n, m, budget, seed)
+
+
+def test_conjugation_invariance_matches_the_mat2_oracle_where_it_fails():
+    # l != 1 (mod M), for the standard sigma and a non-standard one.  Under
+    # the prerequisites sigma normalises Gamma0(N; M), so a failure shows on
+    # a representative first
+    failures = 0
+    for n in (4, 8, 9, 16, 25, 27, 36):
+        for m in range(2, 7):
+            if n % (m * m):
+                continue
+            for sigma in (Mat2(1, 0, n // m, 1), complete_first_column(7, -(n // m))):
+                for l in range(2, 14):
+                    if l % m == 1:
+                        continue
+                    got = conjugation_invariance(sigma, l, n, m, budget=30, seed=l)
+                    reps = coset_reps_delta(l, n, m).reps
+                    want = mat2_conjugation_invariance(sigma, reps, l, n, m, 30, l)
+                    assert got.to_json() == want, (sigma, l, n, m)
+                    failures += not got.passed
+    assert failures
+
+
+def test_conjugation_witnesses_off_the_prerequisites_match_the_mat2_oracle(monkeypatch):
+    # with C(sigma) = N/M waived, sigma need not normalise Gamma0(N; M).
+    # (1, 0; 1, 1) keeps the one representative of Delta(1, 4; 1) but moves
+    # translates out, so the witness is a random translate.  At N = 4,
+    # M = 2, l = 2 the first conjugate by (-8, 1; -33, 4) to fail has N | c
+    # and fails on a == 1 (mod M) alone
+    cases = [(Mat2(1, 0, 1, 1), 1, 4, 1, False), (Mat2(-8, 1, -33, 4), 2, 4, 2, True)]
+    for sigma, l, n, m, on_a_rep in cases:
+        monkeypatch.setattr(hecke, "cusp_denominator", lambda tau, n, m=m: n // m)
+        reps = coset_reps_delta(l, n, m).reps
+        for seed in range(20):
+            got = conjugation_invariance(sigma, l, n, m, budget=10, seed=seed)
+            want = mat2_conjugation_invariance(sigma, reps, l, n, m, 10, seed)
+            assert got.to_json() == want, (sigma, seed)
+            assert not got.passed and (got.witness in reps) == on_a_rep
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(-40, 40)] * 4),
+    st.sampled_from(POWERFUL_PAIRS),
+    st.integers(-13, 13),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_in_delta_entries_agrees_with_in_delta(entries, pair, l, forced):
+    # forced: det == l, N | c and a == 1 (mod M), each made to hold or left
+    # to chance
+    n, m = pair
+    a, b, c, d = entries
+    if forced[1]:
+        c *= n
+    if forced[2]:
+        a = 1 + m * a
+    if forced[0]:
+        l = a * d - b * c
+    g = Mat2(a, b, c, d)
+    assert in_delta_entries(a, b, c, d, l, n, m) == in_delta(g, l, n, m)
+    assert in_delta(g, l, n, m) == delta_member(g, l, n, m)
+    half = Mat2(Fraction(a, 2), b, c, d)
+    assert in_delta(half, l, n, m) == delta_member(half, l, n, m)
