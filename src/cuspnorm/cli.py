@@ -233,24 +233,34 @@ def _attach_point_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def run(argv: list[str]) -> CommandResult:
-    """Parse and execute one invocation; domain errors become exit code 1."""
+    """Parse and execute one invocation; domain errors become exit code 1,
+    and so does an --out file that cannot be opened for writing, which is
+    found before the command runs and reported on stdout."""
     parser = build_parser()
     args = parser.parse_args(_attach_point_values(argv))
+    out = getattr(args, "out", None)
     started = time.monotonic()
+    if out:
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            return CommandResult(args.command, {}, _error(exc), 1, time.monotonic() - started)
     try:
         default_dps()  # a malformed CUSPNORM_PRECISION fails every command alike
         payload, inputs, fmt = _dispatch(args)
         code = 0
     except (CuspnormError, ValueError, ZeroDivisionError) as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = _error(exc)
         inputs = {}
         fmt = "json"
         code = 1
     elapsed = time.monotonic() - started
-    return CommandResult(
-        args.command, inputs, payload, code, elapsed, fmt, getattr(args, "out", None)
-    )
+    return CommandResult(args.command, inputs, payload, code, elapsed, fmt, out)
 
 
 def main(argv: list[str] | None = None) -> int:

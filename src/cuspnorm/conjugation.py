@@ -100,12 +100,13 @@ class ReductionCertificate:
     postconditions, each recomputed from sigma for either method (and, in
     gap mode, the point z' with its height and lattice verdicts).
 
+    The shift is n = n_shift / n_den for the integer matrix n_shift.
     method is "construction" for the local-profile algorithm, whose n is
-    upper-unitriangular, or "search" for a certificate found by the
-    verified fallback scan (its n is the exact rational solving matrix,
-    not necessarily unipotent).  Only a construction certificate records
-    scale_identity_ok: the identity Im z' = (M1^2/N_S) Im z0 rests on n
-    being unipotent.
+    upper-unitriangular with n_den = M1, or "search" for a certificate
+    found by the verified fallback scan (n is the exact rational solving
+    matrix, not necessarily unipotent, with n_den = N_S).  Only a
+    construction certificate records scale_identity_ok: the identity
+    Im z' = (M1^2/N_S) Im z0 rests on n being unipotent.
     """
 
     tau: Mat2
@@ -113,6 +114,7 @@ class ReductionCertificate:
     m1: int
     m: int
     n_shift: Mat2
+    n_den: int
     sigma: Mat2
     verification: dict
     method: str
@@ -120,6 +122,11 @@ class ReductionCertificate:
     z0: PointH | None = None
 
     def to_json(self):
+        def ratio(e):  # e / n_den in lowest terms, "p/q" unless integral
+            g = gcd(e, self.n_den)
+            return e // g if g == self.n_den else f"{e // g}/{self.n_den // g}"
+
+        a, b, c, d = self.n_shift.entries()
         out = {
             "level": self.w.level,
             "method": self.method,
@@ -129,7 +136,7 @@ class ReductionCertificate:
             "N_S": self.w.n_s,
             "M1": self.m1,
             "M": self.m,
-            "n": self.n_shift.to_json(),
+            "n": [[ratio(a), ratio(b)], [ratio(c), ratio(d)]],
             "sigma": self.sigma.to_json(),
             "verification": {
                 k: (v.to_json() if isinstance(v, GapVerdict) else v)
@@ -144,8 +151,8 @@ class ReductionCertificate:
 
 
 def _certificate(
-    tau: Mat2, op: AtkinLehnerOp, m: int, m1: int, n_shift: Mat2, sigma: Mat2,
-    method: str,
+    tau: Mat2, op: AtkinLehnerOp, m: int, m1: int, n_shift: Mat2, n_den: int,
+    sigma: Mat2, method: str,
 ) -> ReductionCertificate:
     """The one constructor of a certificate.  Its postconditions, the claims
     C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S, are decided
@@ -160,7 +167,7 @@ def _certificate(
         "m1_is_gcd_m_n_s": m1 == gcd(m, n_s),
         "m1_squared_divides_n_s": n_s % (m1 * m1) == 0,
     }
-    return ReductionCertificate(tau, op, m1, m, n_shift, sigma, verification, method)
+    return ReductionCertificate(tau, op, m1, m, n_shift, n_den, sigma, verification, method)
 
 
 def _all_hold(verification: dict) -> bool:
@@ -173,7 +180,8 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     Chooses S = {p : w_p(tau) > 0}, M1 = prod_{p in S} p^{c_p}, and
     M = M1 * prod_{p | N, p not in S} p^{n_p - c_p}; solves
     A*u == -B*M1, C*u == -D*M1 (mod N_S) for the shift n = (1, u/M1; 0, 1),
-    prime-by-prime with a brute scan then CRT, where (A, B; C, D) = W tau.
+    prime-by-prime with a brute scan then CRT, where (A, B; C, D) = W tau;
+    n is kept as (M1, u; 0, M1) over n_den = M1.
     sigma is then (A/M1, (A u + B M1)/N_S; C/M1, (C u + D M1)/N_S), each
     entry one exact division.  All claims about sigma are verified before
     returning.
@@ -181,16 +189,16 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     tau.require_sl2()
     prof = local_profile(tau, n)
     m1 = m = 1
-    for p, np_, cp, wp in prof.entries:
+    for p, np_, cp, wp in prof:
         if wp > 0:
             m1 *= p**cp
             m *= p**cp
         else:
             m *= p ** (np_ - cp)
-    op = atkin_lehner_matrix(n, {p for p, _np, _cp, wp in prof.entries if wp > 0})
+    op = atkin_lehner_matrix(n, {p for p, _np, _cp, wp in prof if wp > 0})
     a_, b_, c_, d_ = (op.w * tau).entries()
     congruences = []
-    for p, np_, _cp, wp in prof.entries:
+    for p, np_, _cp, wp in prof:
         if wp == 0:
             continue
         q = p**np_
@@ -216,7 +224,7 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
             )
         entries.append(quo)
     cert = _certificate(
-        tau, op, m, m1, Mat2(1, Fraction(u, m1), 0, 1), Mat2(*entries), "construction"
+        tau, op, m, m1, Mat2(m1, u, 0, m1), m1, Mat2(*entries), "construction"
     )
     if not _all_hold(cert.verification):
         raise InternalSolveFailure(f"postcondition failed: {cert.verification}")
@@ -378,7 +386,7 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     many sigma-columns compatible with the height bound; the first
     certificate passing every check is returned.  Its shift is
     n = tau^-1 W^-1 sigma diag(M1, N_S/M1), formed on integers as
-    adj(tau) adj(W) sigma diag(M1, N_S/M1) and divided by N_S.  If nothing
+    adj(tau) adj(W) sigma diag(M1, N_S/M1) and kept over N_S.  If nothing
     passes, the construction certificate is returned with its failing
     verdicts intact.  A search with more sigma-columns than its budget
     raises BudgetExceeded instead of reporting failure.
@@ -402,8 +410,7 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
             for a, c in _first_column_candidates(w_point, n, m):
                 sigma = complete_first_column(a, c)
                 shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
-                n_shift = Mat2(*(Fraction(e, op.n_s) for e in shift.entries()))
-                cand = _certificate(tau, op, m, m1, n_shift, sigma, "search")
+                cand = _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
                 cand.z0 = z0
                 if (
                     _all_hold(cand.verification)

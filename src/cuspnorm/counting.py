@@ -55,12 +55,6 @@ def in_delta_entries(a: int, b: int, c: int, d: int, l: int, n: int, m: int) -> 
     return a * d - b * c == l and c % n == 0 and a % m == 1 % m
 
 
-def in_delta(gamma: Mat2, l: int, n: int, m: int) -> bool:
-    """Membership of a matrix in Delta(l, N; M): integral entries, then
-    in_delta_entries."""
-    return gamma.is_integral() and in_delta_entries(*map(int, gamma.entries()), l, n, m)
-
-
 C_BUDGET = 400_000  # most multiples of N one c-window may hold
 
 
@@ -355,7 +349,7 @@ def parabolic_certify(
             t0 = t // t1
         else:
             t1, t0 = 1, 0
-        c_tau, d_tau = int(tinv.c), int(tinv.d)
+        c_tau, d_tau = tinv.c, tinv.d
         checks = {
             "n_divides_c_tau_sq_t": (c_tau * c_tau * t) % n == 0,
             "scalar_case": t == 0,

@@ -1,5 +1,5 @@
-"""Cusp combinatorics of Gamma0(N): denominators, widths, enumeration,
-per-prime local profiles, and a p-local double-coset normal form.
+"""Cusp combinatorics of Gamma0(N): denominators, enumeration with widths,
+and per-prime local profiles.
 
 Conventions: a cusp is a Gamma0(N)-orbit on P^1(Q); representatives are
 coprime pairs (a, c) with c >= 0, infinity encoded as (1, 0).  The
@@ -9,7 +9,6 @@ formula C = gcd(c, N) total.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, factor, valuation
@@ -26,35 +25,23 @@ class CuspClass:
     width: int
 
 
-@dataclass(frozen=True)
-class LocalProfile:
-    """Per-prime data (p, n_p, c_p, w_p) for the primes dividing the level."""
-
-    entries: tuple[tuple[int, int, int, int], ...]
-
-
 def cusp_denominator(tau: Mat2, n: int) -> int:
     """C(tau) = gcd(c, N) for tau in SL2(Z), with gcd(0, N) = N."""
     tau.require_sl2()
-    return gcd(int(tau.c), n)
+    return gcd(tau.c, n)
 
 
-def cusp_width(tau: Mat2, n: int) -> int:
-    """W(tau) = N / gcd(C(tau)^2, N); equals 1 iff N | C(tau)^2."""
-    c = cusp_denominator(tau, n)
-    return n // gcd(c * c, n)
-
-
-def local_profile(tau: Mat2, n: int) -> LocalProfile:
-    """c_p = min(v_p(c), n_p) and w_p = max(n_p - 2*c_p, 0) for each p | N."""
+def local_profile(tau: Mat2, n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, n_p, c_p, w_p) for each p | N, with c_p = min(v_p(c), n_p) and
+    w_p = max(n_p - 2*c_p, 0)."""
     tau.require_sl2()
-    c = int(tau.c)
+    c = tau.c
     entries = []
     for p, np_ in factor(n):
         cp = np_ if c == 0 else min(valuation(c, p), np_)
         wp = max(np_ - 2 * cp, 0)
         entries.append((p, np_, cp, wp))
-    return LocalProfile(tuple(entries))
+    return tuple(entries)
 
 
 def enumerate_cusps(n: int) -> list[CuspClass]:
@@ -91,29 +78,3 @@ def cusp_table_json(n: int) -> dict:
         ],
     }
 
-
-def doublecoset_normal_form(tau: Mat2, p: int, np_: int) -> tuple[Mat2, Mat2, Fraction]:
-    """Return (k, nu, v) with k * tau * nu == (1, 0; p**c_p, v), v a p-adic unit.
-
-    k is p-integral with p-unit determinant and lower-left entry divisible
-    by p**np_; nu is upper-unitriangular and p-integral.  Three cases by
-    v_p(c): c a unit, 0 < v_p(c) < np_, and v_p(c) >= np_.
-    """
-    tau.require_sl2()
-    a, b, c, d = tau.entries()
-    vpc = np_ if c == 0 else valuation(c, p)
-    if vpc == 0:
-        k = Mat2(1, Fraction(1 - a, c), 0, Fraction(1, c))
-        nu = Mat2(1, Fraction(a * d - b * c - d, c), 0, 1)
-    elif vpc < np_:
-        c1 = c // p**vpc
-        k = Mat2(Fraction(1, a), 0, 0, Fraction(1, c1))
-        nu = Mat2(1, Fraction(-b, a), 0, 1)
-    else:
-        k = Mat2(Fraction(1, a), 0, Fraction(p**np_ - c, a), 1)
-        nu = Mat2(1, Fraction(-b, a), 0, 1)
-    prod = k * tau * nu
-    cp = min(vpc, np_)
-    v = Fraction(prod.d)
-    assert prod.a == 1 and prod.b == 0 and prod.c == p**cp, prod
-    return k, nu, v

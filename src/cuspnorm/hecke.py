@@ -35,7 +35,7 @@ from itertools import groupby
 from math import gcd
 
 from .arith import bezout, divisors
-from .counting import in_delta, in_delta_entries
+from .counting import in_delta_entries
 from .cusps import cusp_denominator
 from .errors import InvalidM, PrereqFailed
 from .modgroup import Mat2
@@ -174,7 +174,7 @@ def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
     for u, a1 in walk:
         for h in by_a1[a1]:
             gamma = u * h
-            assert in_delta(gamma, l, n, m), (gamma, l, n, m)
+            assert in_delta_entries(*gamma.entries(), l, n, m), (gamma, l, n, m)
             reps.append(gamma)
     return CosetTable(l, n, m, reps)
 
@@ -277,7 +277,7 @@ def conjugation_invariance(
             f"C(sigma) = {cusp_denominator(sigma, n)} != N/M = {n // m}"
         )
     note = "" if l % m == 1 % m else "l != 1 (mod M): invariance is not asserted"
-    sa, sb, sc, sd = map(int, sigma.entries())
+    sa, sb, sc, sd = sigma.entries()
     sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)
     table = coset_reps_delta(l, n, m)
     rng = random.Random(seed)

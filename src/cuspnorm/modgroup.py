@@ -1,4 +1,4 @@
-"""Exact 2x2 matrix algebra, the Moebius action on rational points of the
+"""Exact 2x2 integer matrices, the Moebius action on rational points of the
 upper half-plane, completion of a primitive column to SL2(Z), the point-pair
 invariant u, and fundamental-domain reduction.
 
@@ -14,7 +14,7 @@ from .errors import NotUnimodular
 
 
 class Mat2:
-    """2x2 matrix with exact integer or Fraction entries."""
+    """2x2 matrix with Python int entries."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -64,14 +64,10 @@ class Mat2:
     def adjugate(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-            for e in self.entries()
-        )
-
     def is_sl2(self) -> bool:
-        return self.is_integral() and self.det == 1
+        """int entries and determinant one; a Fraction or float entry fails
+        even when its value is an integer."""
+        return all(type(e) is int for e in self.entries()) and self.det == 1
 
     def require_sl2(self) -> "Mat2":
         if not self.is_sl2():
@@ -79,11 +75,7 @@ class Mat2:
         return self
 
     def to_json(self):
-        def enc(e):
-            e = Fraction(e)
-            return int(e) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-
-        return [[enc(self.a), enc(self.b)], [enc(self.c), enc(self.d)]]
+        return [[self.a, self.b], [self.c, self.d]]
 
 
 def complete_first_column(a: int, c: int) -> Mat2:
@@ -139,9 +131,8 @@ def mobius_act(g: Mat2, z: PointH) -> PointH:
 
     z is cleared to (px + i py)/q.  With e = c px + d q and
     D = e^2 + (c py)^2 = q^2 |cz + d|^2 > 0, the image is
-    x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so for an
-    integer g exactly two Fractions are built; Fraction entries stay exact
-    through the same formulas.  The error names det(g) as str(det).
+    x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so exactly
+    two Fractions are built.  The error names det(g) as str(det).
     """
     a, b, c, d = g.a, g.b, g.c, g.d
     det = a * d - b * c

@@ -4,12 +4,13 @@ These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
 random matrix generators build group elements from words in S and T, the
 lattice-floor scan, the gap search's first columns, the Moebius action and
-the width-one sigma and shift compute in Fractions where the package clears
-denominators to integers, the sampled Hecke conjugation check multiplies
-Mat2 objects where the package keeps integer 4-tuples, and the
-number-theoretic oracles (cusp orbits, Hermite decomposition, coset labels,
-Delta membership, primality, Euler phi, W^2, the Fourier exponent) work
-from definitions and import no private helper of the code they check.
+the width-one sigma and shift compute with their own product of Fraction
+matrices where the package clears denominators to integers, the sampled
+Hecke conjugation check multiplies Mat2 objects where the package keeps
+integer 4-tuples, and the number-theoretic oracles (cusp orbits and widths,
+Hermite decomposition, coset labels, Delta membership, primality, Euler
+phi, W^2, the Fourier exponent) work from definitions and import no private
+helper of the code they check.
 """
 
 import hashlib
@@ -76,7 +77,7 @@ def rand_sl2_bounded(rng: random.Random, bound: int = 50) -> Mat2:
     """Random SL2(Z) element with all entries bounded by `bound`."""
     while True:
         g = rand_sl2(rng)
-        if all(abs(int(e)) <= bound for e in g.entries()):
+        if all(abs(e) <= bound for e in g.entries()):
             return g
 
 
@@ -100,18 +101,44 @@ def fraction_mobius_act(g: Mat2, z: PointH) -> PointH:
     return PointH(new_x, new_y)
 
 
-def fraction_sigma(op, tau: Mat2, n_shift: Mat2, m1: int) -> Mat2:
-    """sigma = W tau n diag(1/M1, M1/N_S) for an Atkin-Lehner operator op,
-    as a product of Fraction matrices, checked to lie in SL2(Z)."""
-    scale = Mat2(Fraction(1, m1), 0, 0, Fraction(m1, op.n_s))
-    return (op.w * tau * n_shift * scale).require_sl2()
+def fraction_product(*mats) -> tuple[Fraction, ...]:
+    """The product of 2x2 matrices, each given as a 4-tuple (a, b, c, d) of
+    rationals, as a 4-tuple of Fractions."""
+    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for e, f, g, h in mats:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
 
 
-def fraction_search_shift(tau: Mat2, op, sigma: Mat2, m1: int) -> Mat2:
+def fraction_sigma(op, tau: Mat2, n: tuple, m1: int) -> tuple[int, ...]:
+    """The entries of sigma = W tau n diag(1/M1, M1/N_S) for an Atkin-Lehner
+    operator op and a shift n given as four rationals, as a product of
+    Fraction matrices, checked to lie in SL2(Z)."""
+    scale = (Fraction(1, m1), 0, 0, Fraction(m1, op.n_s))
+    a, b, c, d = fraction_product(op.w.entries(), tau.entries(), n, scale)
+    assert all(e.denominator == 1 for e in (a, b, c, d)) and a * d - b * c == 1
+    return int(a), int(b), int(c), int(d)
+
+
+def fraction_shift(tau: Mat2, op, sigma: Mat2, m1: int) -> tuple[Fraction, ...]:
     """n = tau^-1 W^-1 sigma diag(M1, N_S/M1) as a product of Fraction
     matrices, with W^-1 = adj(W) / N_S and tau^-1 = adj(tau)."""
-    w_inv = Mat2(*(Fraction(e, op.n_s) for e in op.w.adjugate().entries()))
-    return tau.adjugate() * w_inv * sigma * Mat2(m1, 0, 0, Fraction(op.n_s, m1))
+    a, b, c, d = op.w.entries()
+    w_inv = tuple(Fraction(e, op.n_s) for e in (d, -b, -c, a))
+    a, b, c, d = tau.entries()
+    return fraction_product(
+        (d, -b, -c, a), w_inv, sigma.entries(), (m1, 0, 0, Fraction(op.n_s, m1))
+    )
+
+
+def fraction_json(entries) -> list:
+    """[[a, b], [c, d]] with each rational an int when integral, else the
+    string "p/q" in lowest terms."""
+    enc = [
+        e.numerator if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        for e in map(Fraction, entries)
+    ]
+    return [enc[:2], enc[2:]]
 
 
 def lattice_floor_pairs(z: PointH, n: int, m: int, k: int):
@@ -362,7 +389,7 @@ def canonical_rows(n: int, m: int) -> list[tuple[int, int]]:
 def coset_key(gamma: Mat2, n: int, m: int) -> tuple:
     """Canonical label of the right coset Gamma0(N; M) * gamma."""
     u, h = hnf_decompose(gamma)
-    row = _canonical_row(int(u.c) % n, int(u.d) % n, n, m)
+    row = _canonical_row(u.c % n, u.d % n, n, m)
     return (row, h.entries())
 
 
@@ -370,9 +397,9 @@ def same_coset(g1: Mat2, g2: Mat2, n: int, m: int) -> bool:
     """Exact test g1 * g2^-1 in Gamma0(N; M) (integer arithmetic only)."""
     l = g2.det
     prod = g1 * g2.adjugate()  # l * (g1 g2^-1)
-    if any(int(e) % l for e in prod.entries()):
+    if any(e % l for e in prod.entries()):
         return False
-    q = Mat2(*(int(e) // l for e in prod.entries()))
+    q = Mat2(*(e // l for e in prod.entries()))
     return q.det == 1 and q.c % n == 0 and q.a % m == 1 % m and q.d % m == 1 % m
 
 
@@ -433,17 +460,20 @@ def mat2_conjugation_invariance(
 def w_squared_in_center_gamma0(op) -> bool:
     """Check W^2 = lambda * gamma with lambda rational and gamma in Gamma0(N)
     for an Atkin-Lehner operator op."""
-    w2 = op.w * op.w
+    w2 = fraction_product(op.w.entries(), op.w.entries())
     for lam in (op.n_s, -op.n_s):
-        g = Mat2(
-            Fraction(w2.a, lam),
-            Fraction(w2.b, lam),
-            Fraction(w2.c, lam),
-            Fraction(w2.d, lam),
-        )
-        if g.is_integral() and g.det == 1 and int(g.c) % op.level == 0:
+        a, b, c, d = (e / lam for e in w2)
+        integral = all(e.denominator == 1 for e in (a, b, c, d))
+        if integral and a * d - b * c == 1 and c % op.level == 0:
             return True
     return False
+
+
+def cusp_width(tau: Mat2, n: int) -> int:
+    """The width N / gcd(C^2, N) of the cusp of tau in SL2(Z), from the
+    definition C = gcd(c, N) of its denominator (gcd(0, N) = N)."""
+    c = gcd(tau.c, n)
+    return n // gcd(c * c, n)
 
 
 def euler_phi(n: int) -> int:

@@ -2,12 +2,24 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cuspnorm.cli import run
 from cuspnorm.harness import CSV_HEADER, CSV_VERSION
 from cuspnorm.modgroup import Mat2, PointH
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra) -> dict:
+    """os.environ with the repo's src first on PYTHONPATH, so a child
+    `python -m cuspnorm.cli` imports this checkout without an install."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def payload(argv):
@@ -189,7 +201,7 @@ def test_usage_error_exit_code():
 
 
 def test_cli_subprocess_byte_identical(tmp_path):
-    env = dict(os.environ)
+    env = child_env()
     cmd = [sys.executable, "-m", "cuspnorm.cli", "exponent", "--case", "main"]
     runs = [
         subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
@@ -207,16 +219,27 @@ def test_out_file(tmp_path):
             sys.executable, "-m", "cuspnorm.cli", "harness", "--lemma", "eq7",
             "--levels", "1..6", "--seed", "1", "--format", "csv", *out_args,
         ]
-        proc = subprocess.run(cmd, capture_output=True, check=True)
+        proc = subprocess.run(cmd, capture_output=True, env=child_env(), check=True)
         assert proc.stdout == b""
         text = out.read_text()
         assert text.startswith(f"# {CSV_VERSION}")
         out.unlink()
+    # an --out that cannot be opened is a structured error on stdout, found
+    # before the sweep runs
+    missing = tmp_path / "missing" / "x.csv"
+    cmd = [
+        sys.executable, "-m", "cuspnorm.cli", "harness", "--lemma", "eq1",
+        "--levels", "1..2", "--format", "csv", "--out", str(missing),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, env=child_env())
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["result"]["error"]["type"] == "FileNotFoundError"
+    assert b"Traceback" not in proc.stderr
+    assert not missing.parent.exists()
 
 
 def test_precision_env(tmp_path):
-    env = dict(os.environ)
-    env["CUSPNORM_PRECISION"] = "12"
+    env = child_env(CUSPNORM_PRECISION="12")
     cmd = [sys.executable, "-m", "cuspnorm.cli", "harness", "--lemma", "eq7",
            "--levels", "4..4", "--seed", "1"]
     short = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout

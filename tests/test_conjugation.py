@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm import conjugation
@@ -22,7 +22,8 @@ from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
 from oracles import (
     first_column_columns,
-    fraction_search_shift,
+    fraction_json,
+    fraction_shift,
     fraction_sigma,
     gap_sweep_points,
     lattice_floor_pairs,
@@ -33,6 +34,11 @@ from oracles import (
     seeded_rng,
     w_squared_in_center_gamma0,
 )
+
+
+def shift_of(cert):
+    """The certificate shift n = n_shift / n_den as four Fractions."""
+    return tuple(Fraction(e, cert.n_den) for e in cert.n_shift.entries())
 
 
 def all_prime_subsets(n):
@@ -67,7 +73,7 @@ def test_width_one_examples():
 
     cert = width_one_conjugate(Mat2(1, 0, 2, 1), 4)
     assert cert.w.s_primes == set() and cert.m == 2
-    assert gcd(int(cert.sigma.c), 4) == 2
+    assert gcd(cert.sigma.c, 4) == 2
 
     cert = width_one_conjugate(Mat2(0, -1, 1, 0), 9)
     assert cert.w.s_primes == {3} and cert.m1 == 1 and cert.m == 1
@@ -86,7 +92,8 @@ def test_width_one_random_sweep():
         assert v["m1_is_gcd_m_n_s"]
         assert v["m1_squared_divides_n_s"]
         # the defining factorization holds exactly over Q
-        assert fraction_sigma(cert.w, tau, cert.n_shift, cert.m1) == cert.sigma
+        sigma = fraction_sigma(cert.w, tau, shift_of(cert), cert.m1)
+        assert sigma == cert.sigma.entries()
 
 
 def test_sigma_stability_random():
@@ -100,8 +107,8 @@ def test_sigma_stability_random():
             g = random_gamma0nm_element(n, m, rng)
             h = sigma * g * sigma.adjugate()
             assert h.det == 1
-            assert int(h.c) % n == 0
-            assert int(h.a) % m == 1 % m and int(h.d) % m == 1 % m
+            assert h.c % n == 0
+            assert h.a % m == 1 % m and h.d % m == 1 % m
 
 
 def test_conjugation_congruence_pattern():
@@ -115,9 +122,8 @@ def test_conjugation_congruence_pattern():
         for _ in range(3):
             sigma = sigma * Mat2(1, rng.randint(-4, 4), 0, 1)
             sigma = sigma * Mat2(1, 0, (n // m) * rng.randint(-4, 4), 1)
-        a, b = int(sigma.a), int(sigma.b)
-        c = int(sigma.c) * m // n
-        d = int(sigma.d)
+        a, b, c, d = sigma.entries()
+        c = c * m // n
         p, q, r, s = (rng.randint(-6, 6) for _ in range(4))
         gamma = Mat2(1 + m * p, q, n * r, 1 + m * s)
         lhs = sigma * gamma * sigma.adjugate()
@@ -159,28 +165,35 @@ def test_gap_reduce_random_soundness():
         # z' really is sigma^-1 W z, and sigma factors through (W, tau, n)
         g = cert.sigma.adjugate() * cert.w.w
         assert mobius_act(g, z) == cert.z_prime
-        assert fraction_sigma(cert.w, cert.tau, cert.n_shift, cert.m1) == cert.sigma
+        sigma = fraction_sigma(cert.w, cert.tau, shift_of(cert), cert.m1)
+        assert sigma == cert.sigma.entries()
     # the sweep must exercise both the construction and the fallback
     assert methods == {"construction", "search"}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 48), st.integers(-64, 64), st.integers(1, 64), st.integers(1, 32))
+@example(8, -50, 1, 4)  # construction with M1 = 2: n = (1, 1/2; 0, 1)
+@example(8, -64, 2, 19)  # search over N_S = 8 with n = (0, 1; -1, -3/2)
 def test_certificates_match_fraction_products(n, x_num, y_num, den):
     # sigma is formed on integers and the search shift through adjugates;
-    # both agree with the Fraction products they replace
+    # both agree with the Fraction products they replace, and every matrix
+    # of a certificate holds ints
     z = PointH(Fraction(x_num, den), Fraction(y_num, den))
     tau, _z0 = fd_reduce(z)
     built = width_one_conjugate(tau, n)
-    assert (built.n_shift.a, built.n_shift.c, built.n_shift.d) == (1, 0, 1)
+    assert built.n_den == built.m1
+    assert built.n_shift.c == 0 and built.n_shift.a == built.n_shift.d == built.m1
     cert = gap_reduce(z, n)
-    for c in (built, cert):
-        assert all(type(e) is int for e in c.sigma.entries())
-        assert fraction_sigma(c.w, c.tau, c.n_shift, c.m1) == c.sigma
     if cert.method == "search":
-        oracle = fraction_search_shift(cert.tau, cert.w, cert.sigma, cert.m1)
-        assert cert.n_shift == oracle
-        assert cert.n_shift.to_json() == oracle.to_json()
+        assert cert.n_den == cert.w.n_s
+    for c in (built, cert):
+        for g in (c.tau, c.w.w, c.sigma, c.n_shift):
+            assert all(type(e) is int for e in g.entries())
+        assert fraction_sigma(c.w, c.tau, shift_of(c), c.m1) == c.sigma.entries()
+        oracle = fraction_shift(c.tau, c.w, c.sigma, c.m1)
+        assert shift_of(c) == oracle
+        assert c.to_json()["n"] == fraction_json(oracle)
 
 
 def test_verify_gap_examples():

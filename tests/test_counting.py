@@ -15,22 +15,26 @@ from cuspnorm.counting import (
     classify_counts,
     count_delta_near,
     enumerate_delta_near,
-    in_delta,
+    in_delta_entries,
     is_in_G,
     parabolic_certify,
 )
 from cuspnorm.errors import BudgetExceeded, InvalidM
 from cuspnorm.harness import sample_point_in_g
 from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
-from oracles import box_oracle_delta, rand_point
+from oracles import box_oracle_delta, delta_member, rand_point
 
 I = PointH(0, 1)
 
 
 def test_in_delta_examples():
-    assert in_delta(Mat2.identity(), 1, 7, 3)
-    assert in_delta(Mat2(1, 1, 0, 2), 2, 4, 2)
-    assert not in_delta(Mat2(2, 1, 4, 3), 2, 4, 2)  # a != 1 mod 2
+    for entries, l, n, m, member in [
+        ((1, 0, 0, 1), 1, 7, 3, True),
+        ((1, 1, 0, 2), 2, 4, 2, True),
+        ((2, 1, 4, 3), 2, 4, 2, False),  # a != 1 mod 2
+    ]:
+        assert in_delta_entries(*entries, l, n, m) == member
+        assert delta_member(Mat2(*entries), l, n, m) == member
 
 
 def test_is_in_G_examples():
@@ -62,7 +66,7 @@ def test_enumerate_sorted_and_exact():
         keys = [(g.c, g.a, g.d, g.b) for g in mats]
         assert keys == sorted(keys)
         for g in mats:
-            assert in_delta(g, l, n, m)
+            assert delta_member(g, l, n, m)
             assert point_pair_u(mobius_act(g, z), z) <= delta
 
 
@@ -301,8 +305,8 @@ def test_count_equals_len_enumerate_and_matrices_are_exact(case):
     keys = [(g.c, g.a, g.d, g.b) for g in mats]
     assert keys == sorted(set(keys))
     for g in mats:
-        # decided by modgroup alone, sharing no code with the windows
-        assert in_delta(g, l, n, m)
+        # decided from the definitions, sharing no code with the windows
+        assert delta_member(g, l, n, m)
         assert point_pair_u(mobius_act(g, z), z) <= delta
 
 

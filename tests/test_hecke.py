@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from cuspnorm import hecke
 from cuspnorm.arith import divisors, squarefree_split
-from cuspnorm.counting import in_delta, in_delta_entries
+from cuspnorm.counting import in_delta_entries
 from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import InvalidM, PrereqFailed
 from cuspnorm.hecke import (
@@ -91,8 +90,8 @@ def test_hnf_decompose_roundtrip_and_uniqueness():
                 # h1 h2^-1 in SL2(Z) would mean equivalence
                 prod = h1 * h2.adjugate()
                 d = h2.det
-                if all(int(e) % d == 0 for e in prod.entries()):
-                    q = Mat2(*(int(e) // d for e in prod.entries()))
+                if all(e % d == 0 for e in prod.entries()):
+                    q = Mat2(*(e // d for e in prod.entries()))
                     assert q.det != 1
 
 
@@ -121,7 +120,7 @@ def test_coset_reps_valid_and_inequivalent():
     for l, n, m in cases:
         table = coset_reps_delta(l, n, m)
         for g in table.reps:
-            assert in_delta(g, l, n, m)
+            assert delta_member(g, l, n, m)
         # pairwise inequivalent under the direct group test
         for i, g1 in enumerate(table.reps):
             for g2 in table.reps[i + 1 :]:
@@ -140,7 +139,7 @@ def test_coset_reps_complete_on_bounded_box():
             cand = None
             for h in hnf_reps(l):
                 trial = g * h
-                if in_delta(trial, l, n, m):
+                if delta_member(trial, l, n, m):
                     cand = trial
                     break
             if cand is None:
@@ -157,7 +156,7 @@ def test_absorption():
         for _ in range(100):
             g = random_gamma0nm_element(n, m, rng)
             rep = table.reps[rng.randrange(table.count)]
-            assert in_delta(g * rep, l, n, m)
+            assert delta_member(g * rep, l, n, m)
 
 
 def test_coset_count_sigma1_when_coprime():
@@ -318,7 +317,7 @@ def test_conjugation_witnesses_off_the_prerequisites_match_the_mat2_oracle(monke
     st.integers(-13, 13),
     st.tuples(st.booleans(), st.booleans(), st.booleans()),
 )
-def test_in_delta_entries_agrees_with_in_delta(entries, pair, l, forced):
+def test_in_delta_entries_agrees_with_delta_member(entries, pair, l, forced):
     # forced: det == l, N | c and a == 1 (mod M), each made to hold or left
     # to chance
     n, m = pair
@@ -329,8 +328,5 @@ def test_in_delta_entries_agrees_with_in_delta(entries, pair, l, forced):
         a = 1 + m * a
     if forced[0]:
         l = a * d - b * c
-    g = Mat2(a, b, c, d)
-    assert in_delta_entries(a, b, c, d, l, n, m) == in_delta(g, l, n, m)
-    assert in_delta(g, l, n, m) == delta_member(g, l, n, m)
-    half = Mat2(Fraction(a, 2), b, c, d)
-    assert in_delta(half, l, n, m) == delta_member(half, l, n, m)
+    member = delta_member(Mat2(a, b, c, d), l, n, m)
+    assert in_delta_entries(a, b, c, d, l, n, m) == member

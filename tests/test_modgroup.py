@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspnorm.errors import NotUnimodular
 from cuspnorm.modgroup import (
     Mat2,
     PointH,
@@ -172,6 +173,15 @@ def test_mat2_basics():
     assert not h.is_sl2()
     with pytest.raises(Exception):
         Mat2(1, 2, 3, 4).require_sl2()
+
+
+def test_require_sl2_rejects_entries_that_are_not_int():
+    # det 1 is not enough: a Fraction or a float entry is not an integer
+    # matrix, even when its value is integral
+    for g in (Mat2(Fraction(1), 0, 0, 1), Mat2(1.0, 0, 0, 1)):
+        assert g.det == 1 and not g.is_sl2()
+        with pytest.raises(NotUnimodular):
+            g.require_sl2()
 
 
 def test_point_serialization_roundtrip():
