@@ -12,6 +12,7 @@ linear programs over the variables
     ell = log_N L.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -76,21 +77,6 @@ def monomial(**kw) -> ExponentVector:
     if unknown:
         raise ConfigError(f"unknown parameters {sorted(unknown)}")
     return ExponentVector(tuple(Fraction(kw.get(p, 0)) for p in PARAMS))
-
-
-@dataclass(frozen=True)
-class MonomialBound:
-    """Finite set of exponent vectors: an upper bound by the max of the
-    monomials, up to N^epsilon factors."""
-
-    monomials: tuple[ExponentVector, ...]
-
-    @classmethod
-    def of(cls, *vecs: ExponentVector) -> "MonomialBound":
-        return cls(tuple(sorted(set(vecs), key=lambda v: v.exps)))
-
-    def __str__(self) -> str:
-        return "max(" + ", ".join(str(v) for v in self.monomials) + ")"
 
 
 def substitute(v: ExponentVector, param: str, replacement: ExponentVector):
@@ -237,15 +223,16 @@ def maximize(vec: ExponentVector, cs: ConstraintSet) -> MonomialMax:
 
 
 def dominated_by(
-    b: MonomialBound, target: ExponentVector, cs: ConstraintSet
+    monomials: Sequence[ExponentVector], target: ExponentVector, cs: ConstraintSet
 ) -> DominationResult:
-    """Decide max-of-monomials <= target over the polytope, exactly.
+    """Decide max-of-monomials <= target over the polytope, exactly, for the
+    exponent vectors in the order given (duplicates are checked again).
 
     The certificate lists, per monomial, the maximizing vertex and the
     margin; a positive margin is a failure witness.
     """
     per = []
-    for vec in b.monomials:
+    for vec in monomials:
         diff = vec + ExponentVector(tuple(-e for e in target.exps))
         mm = maximize(diff, cs)
         per.append(MonomialMax(vec, mm.max_value, mm.argmax))
@@ -437,7 +424,10 @@ def bound_rhs_ampl(n: int, m: int, lam: int, y):
 # exponent pipelines
 # ---------------------------------------------------------------------------
 
-AMPL_RHS = MonomialBound.of(*AMPL_RHS_TERMS)
+# the amplifier envelope as displayed: the max of its distinct monomials
+AMPL_RHS = "max(" + ", ".join(
+    str(v) for v in sorted(set(AMPL_RHS_TERMS), key=lambda v: v.exps)
+) + ")"
 
 LAMBDA_CHOICE = monomial(N=Fraction(1, 3))
 
@@ -451,7 +441,7 @@ class DerivationStep:
 
     def to_json(self) -> dict:
         def enc(v):
-            if isinstance(v, (ExponentVector, MonomialBound)):
+            if isinstance(v, ExponentVector):
                 return str(v)
             if isinstance(v, Fraction):
                 return str(v)
@@ -577,7 +567,7 @@ def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
         cs.le({"eta": 1, "mu": 2}, 1)  # y >= M^2/N
         cs.box("nu", 0, Fraction(1, 2))
         target = monomial(N=-Fraction(1, 6))
-        dom = dominated_by(MonomialBound(tuple(terms_sub)), target, cs)
+        dom = dominated_by(terms_sub, target, cs)
         per_term = [maximize(t, cs) for t in terms_sub]
         steps.append(
             DerivationStep(
@@ -629,7 +619,7 @@ def theorem_pipeline(case: str = "main", nu=None) -> DerivationReport:
         ]
         assignment = []
         for t in terms:
-            doms = [dominated_by(MonomialBound.of(t), tg, cs) for tg in targets]
+            doms = [dominated_by([t], tg, cs) for tg in targets]
             hit = next((i for i, d in enumerate(doms) if d.ok), None)
             assignment.append((t, hit, doms[hit] if hit is not None else doms[0]))
         ok = all(hit is not None for _, hit, _ in assignment)

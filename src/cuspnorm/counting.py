@@ -40,6 +40,7 @@ import mpmath
 from .arith import (
     crt_pair,
     divisors,
+    n_over_m_squared,
     primes_in_progression,
     smooth_part,
     squarefree_split,
@@ -324,17 +325,18 @@ def parabolic_certify(
 ) -> list[ParabolicCertificate]:
     """Certificates for every parabolic matrix counted at (z, l, delta, N, M).
 
-    Empty for non-square l (consistent with the parabolic count being 0).
-    Each certificate records exact verdicts: N | c_tau^2 * t, the
-    divisibility inequality t0^2 M^2 / N0^2 <= t^2 M^4 gcd(c_tau, N/M^2)^2
-    / N^2 for t != 0, and u(gamma z, z) * 4 l y^2 = t^2 |c_tau z + d_tau|^4.
+    Raises InvalidM unless M^2 | N.  Empty for non-square l (consistent with
+    the parabolic count being 0).  Each certificate records exact verdicts:
+    N | c_tau^2 * t, the divisibility inequality t0^2 M^2 / N0^2 <= t^2 M^4
+    gcd(c_tau, N/M^2)^2 / N^2 for t != 0, and
+    u(gamma z, z) * 4 l y^2 = t^2 |c_tau z + d_tau|^4.
     """
+    n_over_m2 = n_over_m_squared(n, m)
     delta = Fraction(delta)
     ml = isqrt(l)
     if ml * ml != l:
         return []
     _n2, n0 = squarefree_split(n)
-    n_over_m2 = n // (m * m) if n % (m * m) == 0 else None
     report = classify_counts(z, l, delta, n, m)
     certs = []
     for gamma in report.parabolic:
@@ -350,11 +352,8 @@ def parabolic_certify(
         else:
             t1, t0 = 1, 0
         c_tau, d_tau = tinv.c, tinv.d
-        checks = {
-            "n_divides_c_tau_sq_t": (c_tau * c_tau * t) % n == 0,
-            "scalar_case": t == 0,
-        }
-        if t and n_over_m2 is not None:
+        checks = {"n_divides_c_tau_sq_t": (c_tau * c_tau * t) % n == 0}
+        if t:
             g = gcd(abs(c_tau), n_over_m2) if c_tau else n_over_m2
             checks["t0_divisibility"] = (
                 t0 * t0 * m * m * n * n <= t * t * m**4 * g * g * n0 * n0
@@ -370,23 +369,11 @@ def parabolic_certify(
     return certs
 
 
-@dataclass(frozen=True)
-class AmplifierWeights:
-    """Nonnegative weights y_l supported on 1 and products of primes
-    p == 1 (mod M) in (Lambda, 2*Lambda): y_1 = Lambda/M and y_l = 1 for
-    l in {l1, l1*l2, l1*l2^2, l1^2*l2^2}."""
-
-    lam: int
-    m: int
-    primes: tuple[int, ...]
-    weights: dict[int, Fraction]
-
-    def support(self) -> list[int]:
-        return sorted(self.weights)
-
-
-def amplifier_weights(lam: int, m: int) -> AmplifierWeights:
-    primes = tuple(primes_in_progression(lam, m))
+def amplifier_weights(lam: int, m: int) -> dict[int, Fraction]:
+    """Nonnegative weights {l: y_l}, in ascending l, supported on 1 and
+    products of primes p == 1 (mod M) in (Lambda, 2*Lambda): y_1 = Lambda/M
+    and y_l = 1 for l in {l1, l1*l2, l1*l2^2, l1^2*l2^2}."""
+    primes = primes_in_progression(lam, m)
     weights = {1: Fraction(lam, m)}
     one = Fraction(1)
     for p in primes:
@@ -395,13 +382,13 @@ def amplifier_weights(lam: int, m: int) -> AmplifierWeights:
             weights[p * p2] = one
             weights[p * p2 * p2] = one
             weights[p * p * p2 * p2] = one
-    return AmplifierWeights(lam, m, primes, weights)
+    return dict(sorted(weights.items()))
 
 
 def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
     """Weighted count sum_l y_l / sqrt(l) * N(z, l, delta, N; M).
 
-    Returns (value, pairs, weights) with value an mpmath float at no fewer
+    Returns (value, pairs) with value an mpmath float at no fewer
     significant digits than default_dps() (CUSPNORM_PRECISION) and pairs
     the exact list of (l, y_l, count).
 
@@ -412,15 +399,13 @@ def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
         warnings.warn(f"amplifier envelope assumes M^2 <= Lambda, got M={m}, Lambda={lam}")
     if not is_in_G(z, n, m):
         warnings.warn(f"point {z!r} lies outside G({n};{m}); bounds may not apply")
-    w = amplifier_weights(lam, m)
     pairs = []
     with working_precision():
         total = mpmath.mpf(0)
-        for l in w.support():
+        for l, yl in amplifier_weights(lam, m).items():
             cnt = count_delta_near(z, l, delta, n, m)
-            yl = w.weights[l]
             pairs.append((l, yl, cnt))
             if cnt:
                 term = mpmath.mpf(yl.numerator) / yl.denominator * cnt
                 total += term / mpmath.sqrt(l)
-    return total, pairs, w
+    return total, pairs

@@ -152,7 +152,7 @@ def _run_cell(args: tuple) -> dict | None:
     try:
         with working_precision():
             if lemma == "ampl":
-                lhs, _pairs, _w = amplified_count_sum(z, lval, delta, n, m)
+                lhs, _pairs = amplified_count_sum(z, lval, delta, n, m)
                 rhs = bound_rhs_ampl(n, m, lval, y)
             else:
                 determinants, stratum = _LEMMA_COUNTS[lemma]

@@ -18,20 +18,22 @@ Neither membership condition reads b, so each row is tested once per
 divisor a of l, and a row is lifted to SL2(Z) only when some a passes
 c * a == 0 (mod N); when gcd(l, N) = 1 only the rows with c = 0 do.
 The coset table and the coset count both read that one (row, a) walk; the
-count adds l/a per passing pair and builds no matrix.
+count adds l/a per passing pair and builds no matrix, and _coset_entries,
+the one place representatives are formed, multiplies each passing lift by
+its Hermite matrices on ints.
 
 Conjugation invariance is sampled on integer 4-tuples: random
 Gamma0(N; M)-words are multiplied in four local ints, with the unit letters
 read from a per-(N, M) table, and the translates and both conjugates are
-formed from the entries and tested by counting.in_delta_entries.  The
-random draws are the same calls in the same order as when the words were
-Mat2 products, so samples, verdicts and witnesses do not change.
+formed from the entries of _coset_entries and tested by
+counting.in_delta_entries.  The random draws are the same calls in the same
+order as when the words were Mat2 products, so samples, verdicts and
+witnesses do not change.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from math import gcd
 
 from .arith import bezout, divisors
@@ -42,17 +44,7 @@ from .modgroup import Mat2
 
 _ROW_CACHE_SIZE = 256
 
-
-def hnf_reps(l: int) -> list[Mat2]:
-    """All (a, b; 0, d) with a*d = l, a, d > 0, 0 <= b < d; sigma_1(l) of them."""
-    if l < 1:
-        raise ValueError(f"hnf_reps expects l >= 1, got {l}")
-    out = []
-    for a in divisors(l):
-        d = l // a
-        for b in range(d):
-            out.append(Mat2(a, b, 0, d))
-    return out
+Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -63,7 +55,7 @@ def _scalars(n: int, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _unit_steps(n: int, m: int) -> tuple[tuple[int, int, int, int], ...]:
+def _unit_steps(n: int, m: int) -> tuple[Entries, ...]:
     """Entries of the lifts (u, (u d0 - 1)/N; N, d0) of the units u in
     _scalars(n, m), with d0 = u^-1 mod N (d0 = 1 at N = 1): the diagonal-type
     letters of random Gamma0(N; M)-words, in the same order."""
@@ -101,10 +93,10 @@ def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
     return tuple(reps)
 
 
-def sl2_lift_from_row(c: int, d: int, n: int) -> Mat2:
-    """Some u in SL2(Z) whose bottom row is (c, d) mod N."""
+def sl2_lift_from_row(c: int, d: int, n: int) -> Entries:
+    """Entries of some u in SL2(Z) whose bottom row is (c, d) mod N."""
     if n == 1:
-        return Mat2.identity()
+        return 1, 0, 0, 1
     c0 = c % n
     d0 = d % n
     if c0 == 0:
@@ -113,7 +105,7 @@ def sl2_lift_from_row(c: int, d: int, n: int) -> Mat2:
         d0 += n
     # a*d0 - b*c0 = 1 via extended Euclid
     a, b = bezout(d0, c0)
-    return Mat2(a, -b, c0, d0)
+    return a, -b, c0, d0
 
 
 @dataclass
@@ -140,9 +132,9 @@ class CosetTable:
         }
 
 
-def _coset_walk(l: int, n: int, m: int) -> list[tuple[Mat2, int]]:
-    """The passing pairs (u, a1) of the pair method, in output order: rows,
-    then a1 ascending.
+def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
+    """The passing pairs (entries of u, a1) of the pair method, in output
+    order: rows, then a1 ascending.
 
     A pair (row (c, d), h = (a1, b1; 0, d1)) contributes iff
     c * a1 == 0 (mod N) and a_lift * a1 == 1 (mod M); both conditions are
@@ -161,22 +153,29 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Mat2, int]]:
         if not passing:
             continue
         u = sl2_lift_from_row(c, d, n)
-        walk += [(u, a1) for a1 in passing if (u.a * a1) % m == 1 % m]
+        walk += [(u, a1) for a1 in passing if (u[0] * a1) % m == 1 % m]
     return walk
+
+
+def _coset_entries(l: int, n: int, m: int) -> list[Entries]:
+    """Entries of one representative per right coset of Gamma0(N; M) in
+    Delta(l, N; M): u * (a1, b1; 0, l/a1) for each passing (u, a1) of
+    _coset_walk and 0 <= b1 < l/a1, each checked to lie in Delta(l, N; M).
+    Output order: rows, then a1, then b1."""
+    reps = []
+    for (ua, ub, uc, ud), a1 in _coset_walk(l, n, m):
+        d1 = l // a1
+        for b1 in range(d1):
+            gamma = (ua * a1, ua * b1 + ub * d1, uc * a1, uc * b1 + ud * d1)
+            assert in_delta_entries(*gamma, l, n, m), (gamma, l, n, m)
+            reps.append(gamma)
+    return reps
 
 
 def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
     """One representative per right coset of Gamma0(N; M) in Delta(l, N; M),
-    from _coset_walk.  Output order: rows, then a1, then b1."""
-    walk = _coset_walk(l, n, m)
-    by_a1 = {a1: list(hs) for a1, hs in groupby(hnf_reps(l), key=lambda h: h.a)}
-    reps = []
-    for u, a1 in walk:
-        for h in by_a1[a1]:
-            gamma = u * h
-            assert in_delta_entries(*gamma.entries(), l, n, m), (gamma, l, n, m)
-            reps.append(gamma)
-    return CosetTable(l, n, m, reps)
+    from _coset_entries."""
+    return CosetTable(l, n, m, [Mat2(*g) for g in _coset_entries(l, n, m)])
 
 
 @dataclass
@@ -221,7 +220,7 @@ class ConjugationResult:
         return out
 
 
-def _random_word(n: int, m: int, rng: random.Random) -> tuple[int, int, int, int]:
+def _random_word(n: int, m: int, rng: random.Random) -> Entries:
     """Entries of a pseudo-random word in T^t, the lower N-shear and the
     _unit_steps letters, multiplied on the right in four local ints.
 
@@ -244,12 +243,6 @@ def _random_word(n: int, m: int, rng: random.Random) -> tuple[int, int, int, int
     return a, b, c, d
 
 
-def random_gamma0nm_element(n: int, m: int, rng: random.Random) -> Mat2:
-    """A pseudo-random element of Gamma0(N; M), built from T, the lower
-    N-shear, and lifted diagonal-type units that are 1 mod M."""
-    return Mat2(*_random_word(n, m, rng))
-
-
 def conjugation_invariance(
     sigma: Mat2,
     l: int,
@@ -265,9 +258,10 @@ def conjugation_invariance(
     Requires C(sigma) = N/M and M^2 | N; when l != 1 (mod M) nothing is
     asserted by the theory, which the result's note records.
 
-    Samples are integer 4-tuples.  A translate draws its word, then
-    rng.randrange(count) for its representative, as when they were Mat2
-    products; the witness is the first failing sample, as a Mat2.
+    Samples are integer 4-tuples: the _coset_entries representatives, then
+    translates that each draw their word and then rng.randrange(count) for
+    their representative, as when they were Mat2 products; the witness is
+    the first failing sample, as a Mat2.
     """
     sigma.require_sl2()
     if n % (m * m):
@@ -279,9 +273,8 @@ def conjugation_invariance(
     note = "" if l % m == 1 % m else "l != 1 (mod M): invariance is not asserted"
     sa, sb, sc, sd = sigma.entries()
     sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)
-    table = coset_reps_delta(l, n, m)
+    reps = _coset_entries(l, n, m)
     rng = random.Random(seed)
-    reps = [g.entries() for g in table.reps]
     samples = reps[:]
     for _ in range(budget):
         a, b, c, d = _random_word(n, m, rng)

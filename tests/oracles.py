@@ -330,6 +330,15 @@ def brute_force_cusp_count(n: int) -> int:
     return len(set(orbits.values()))
 
 
+def hermite_matrices(l: int) -> list[Mat2]:
+    """Every (a, b; 0, d) with a d = l, a, d > 0 and 0 <= b < d, in
+    ascending (a, b): the Hermite representatives of determinant l, read
+    off the definition; there are sigma_1(l) of them."""
+    return [
+        Mat2(a, b, 0, l // a) for a in range(1, l + 1) if l % a == 0 for b in range(l // a)
+    ]
+
+
 def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:
     """Factor an integer matrix of determinant l > 0 as u * h, u in SL2(Z),
     h the Hermite representative.  Row-reduces the first column by SL2(Z)

@@ -8,7 +8,6 @@ from cuspnorm.bounds import (
     AMPL_RHS_TERMS,
     ConstraintSet,
     ExponentVector,
-    MonomialBound,
     dominated_by,
     evaluate_terms,
     fourier_branch_exponents,
@@ -67,21 +66,20 @@ def test_dominated_by_main_case():
     terms = [substitute(t + monomial(M=3, Lam=-2), "Lam", monomial(N=F(1, 3)))
              for t in AMPL_RHS_TERMS]
     cs = _main_constraints()
-    res = dominated_by(MonomialBound(tuple(terms)), monomial(N=F(-1, 6)), cs)
+    res = dominated_by(terms, monomial(N=F(-1, 6)), cs)
     assert res.ok
+    # one verdict per vector, in the order given, the repeated one included
+    assert terms[0] == terms[3]
+    assert [mm.monomial for mm in res.per_monomial] == terms
     maxima = [maximize(t, cs).max_value for t in terms]
     assert maxima == [F(-1, 6), F(-1, 3), F(-1, 4), F(-1, 6)]
 
 
 def test_dominated_by_trivial_and_failure():
     cs = ConstraintSet(("mu",)).box("mu", 0, 1)
-    ok = dominated_by(
-        MonomialBound.of(monomial(N=-1)), monomial(N=F(-1, 6)), cs
-    )
+    ok = dominated_by([monomial(N=-1)], monomial(N=F(-1, 6)), cs)
     assert ok.ok
-    bad = dominated_by(
-        MonomialBound.of(monomial(N=F(-1, 6))), monomial(N=F(-1, 4)), cs
-    )
+    bad = dominated_by([monomial(N=F(-1, 6))], monomial(N=F(-1, 4)), cs)
     assert not bad.ok
     fail = [mm for mm in bad.per_monomial if mm.max_value > 0][0]
     assert fail.max_value == F(-1, 6) + F(1, 4)
@@ -150,7 +148,7 @@ def test_dominated_by_agrees_with_grid_sampler():
             y=F(rng.randint(-6, 6), 6),
         )
         target = monomial(N=F(rng.randint(-6, 6), 6))
-        res = dominated_by(MonomialBound.of(vec), target, cs)
+        res = dominated_by([vec], target, cs)
         diff_const, diff_coeffs = (
             vec + ExponentVector(tuple(-e for e in target.exps))
         ).as_functional(cs.variables)

@@ -18,7 +18,6 @@ from cuspnorm.conjugation import (
 )
 from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimodular
-from cuspnorm.hecke import random_gamma0nm_element
 from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
 from oracles import (
     first_column_columns,
@@ -28,6 +27,7 @@ from oracles import (
     gap_sweep_points,
     lattice_floor_pairs,
     lattice_floor_verdict,
+    mat2_gamma0nm_word,
     rand_fraction,
     rand_point,
     rand_sl2,
@@ -104,7 +104,7 @@ def test_sigma_stability_random():
     for n, m in cases:
         sigma = Mat2(1, 0, n // m, 1)
         for _ in range(500):
-            g = random_gamma0nm_element(n, m, rng)
+            g = mat2_gamma0nm_word(n, m, rng)
             h = sigma * g * sigma.adjugate()
             assert h.det == 1
             assert h.c % n == 0

@@ -16,8 +16,6 @@ from cuspnorm.hecke import (
     coset_reps_delta,
     _row_cosets,
     _scalars,
-    hnf_reps,
-    random_gamma0nm_element,
     sl2_lift_from_row,
 )
 from cuspnorm.modgroup import Mat2, complete_first_column
@@ -26,6 +24,7 @@ from oracles import (
     canonical_rows,
     coset_key,
     delta_member,
+    hermite_matrices,
     hnf_decompose,
     mat2_conjugation_invariance,
     mat2_gamma0nm_word,
@@ -36,16 +35,19 @@ from oracles import (
 
 
 def sigma1(l):
-    return sum(divisors(l))
+    return sum(a for a in range(1, l + 1) if l % a == 0)
 
 
-def test_hnf_reps_examples():
-    assert [g.entries() for g in hnf_reps(1)] == [(1, 0, 0, 1)]
-    two = {g.entries() for g in hnf_reps(2)}
-    assert two == {(1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1)}
-    assert len(hnf_reps(4)) == 7
-    for l in range(1, 16):
-        assert len(hnf_reps(l)) == sigma1(l)
+def test_coset_reps_at_level_one_are_the_hermite_matrices():
+    # Gamma0(1; 1) = SL2(Z), whose right cosets in the determinant-l
+    # matrices are the Hermite matrices, in the table's order
+    assert [g.entries() for g in hermite_matrices(2)] == [
+        (1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1)
+    ]
+    for l in range(1, 31):
+        reps = coset_reps_delta(l, 1, 1).reps
+        assert reps == hermite_matrices(l), l
+        assert len(reps) == sigma1(l), l
 
 
 def test_row_cosets_match_canonical_row_oracle():
@@ -84,7 +86,7 @@ def test_hnf_decompose_roundtrip_and_uniqueness():
         assert h.a * h.d == l
     # no two HNF representatives are SL2-left-equivalent
     for l in (2, 4, 6):
-        reps = hnf_reps(l)
+        reps = hermite_matrices(l)
         for i, h1 in enumerate(reps):
             for h2 in reps[i + 1 :]:
                 # h1 h2^-1 in SL2(Z) would mean equivalence
@@ -102,9 +104,9 @@ def test_sl2_lift_from_row():
         c, d = rng.randrange(n), rng.randrange(n)
         if gcd(gcd(c, d), n) != 1:
             continue
-        u = sl2_lift_from_row(c, d, n)
-        assert u.is_sl2()
-        assert int(u.c) % n == c % n and int(u.d) % n == d % n
+        ua, ub, uc, ud = sl2_lift_from_row(c, d, n)
+        assert ua * ud - ub * uc == 1
+        assert uc % n == c % n and ud % n == d % n
 
 
 def test_coset_examples():
@@ -137,7 +139,7 @@ def test_coset_reps_complete_on_bounded_box():
             g = rand_sl2(rng, 4)
             # force membership: gamma = u * h with suitable congruences
             cand = None
-            for h in hnf_reps(l):
+            for h in hermite_matrices(l):
                 trial = g * h
                 if delta_member(trial, l, n, m):
                     cand = trial
@@ -154,7 +156,7 @@ def test_absorption():
     for l, n, m in [(3, 4, 2), (4, 9, 3), (6, 6, 1)]:
         table = coset_reps_delta(l, n, m)
         for _ in range(100):
-            g = random_gamma0nm_element(n, m, rng)
+            g = mat2_gamma0nm_word(n, m, rng)
             rep = table.reps[rng.randrange(table.count)]
             assert delta_member(g * rep, l, n, m)
 
@@ -226,7 +228,7 @@ def test_coset_key_constant_on_cosets():
         table = coset_reps_delta(l, n, m)
         for rep in table.reps:
             for _ in range(20):
-                g = random_gamma0nm_element(n, m, rng)
+                g = mat2_gamma0nm_word(n, m, rng)
                 assert coset_key(g * rep, n, m) == coset_key(rep, n, m)
 
 
@@ -241,7 +243,7 @@ def test_random_words_match_the_mat2_oracle(pair, seed, words):
     n, m = pair
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(words):
-        assert random_gamma0nm_element(n, m, rng) == mat2_gamma0nm_word(n, m, ref)
+        assert hecke._random_word(n, m, rng) == mat2_gamma0nm_word(n, m, ref).entries()
     assert rng.getstate() == ref.getstate()
 
 
