@@ -25,8 +25,10 @@ when M | 2 the windows of c < 0 are those of c > 0 negated.  For
 c = 0 the pairs (a, d) are the divisor factorizations of l and b runs over
 an interval solved the same way.  Both strata come from one pair of window
 generators: `enumerate_delta_near` walks the windows, `count_delta_near`
-only measures them.  No candidate is tested after the fact; every window
-is exact, so the output is both sound and complete.
+only measures them, and `count_star` and `count_upper` measure one stratum
+each with the parabolic hits (tr^2 = 4l, at most one per sign of the trace
+in a c != 0 window) taken off.  No candidate is tested after the fact;
+every window is exact, so the output is both sound and complete.
 """
 
 import warnings
@@ -217,6 +219,38 @@ def count_delta_near(z: PointH, l: int, delta, n: int, m: int) -> int:
     for _c, _d, a_first, a_last, a_step in _lower_windows(cl):
         total += (a_last - a_first) // a_step + 1
     return total
+
+
+def count_star(z: PointH, l: int, delta, n: int, m: int) -> int:
+    """classify_counts(z, l, delta, n, m).n_star, computed from the c != 0
+    windows alone without building a matrix.
+
+    With (c, d) fixed, tr^2 = 4l holds only for l = r^2 and a = +-2r - d,
+    so a window holds at most one parabolic hit of each sign; those are
+    taken off its length.
+
+    Raises BudgetExceeded on the same inputs as enumerate_delta_near.
+    """
+    r = isqrt(l)
+    traces = (2 * r, -2 * r) if r * r == l else ()
+    total = 0
+    for _c, d, a_first, a_last, a_step in _lower_windows(_cleared(z, l, delta, n, m)):
+        total += (a_last - a_first) // a_step + 1
+        for t in traces:
+            a = t - d
+            if a_first <= a <= a_last and (a - a_first) % a_step == 0:
+                total -= 1
+    return total
+
+
+def count_upper(z: PointH, l: int, delta, n: int, m: int) -> int:
+    """classify_counts(z, l, delta, n, m).n_u, computed from the c = 0
+    windows alone: no c-window is scanned, so C_BUDGET never applies."""
+    return sum(
+        b_hi - b_lo + 1
+        for a, d, b_lo, b_hi in _upper_windows(_cleared(z, l, delta, n, m))
+        if (a + d) ** 2 != 4 * l
+    )
 
 
 @dataclass

@@ -14,6 +14,8 @@ from cuspnorm.counting import (
     amplifier_weights,
     classify_counts,
     count_delta_near,
+    count_star,
+    count_upper,
     enumerate_delta_near,
     in_delta_entries,
     is_in_G,
@@ -326,6 +328,40 @@ def test_count_equals_len_enumerate_and_matrices_are_exact(case):
         assert point_pair_u(mobius_act(g, z), z) <= delta
 
 
+@st.composite
+def stratum_cases(draw):
+    """kernel_cases, with l replaced by a square k^2 <= l half of the time so
+    that parabolic matrices (tr^2 = 4l) occur in both strata."""
+    z, l, delta, n, m = draw(kernel_cases())
+    if draw(st.booleans()):
+        l = draw(st.integers(1, isqrt(l))) ** 2
+    return z, l, delta, n, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(stratum_cases())
+def test_stratum_counts_split_the_enumeration(case):
+    # the split is read off the matrices' entries, not through classify_counts
+    z, l, delta, n, m = case
+    mats = enumerate_delta_near(z, l, delta, n, m)
+    rest = [g for g in mats if (g.a + g.d) ** 2 != 4 * l]
+    assert count_star(z, l, delta, n, m) == sum(g.c != 0 for g in rest)
+    assert count_upper(z, l, delta, n, m) == sum(g.c == 0 for g in rest)
+
+
+def test_parabolic_hit_in_a_c_window_is_not_in_n_star():
+    # (1, 0; 1, 1) maps i to (1 + i)/2, so u = 1/4; it shares the window
+    # (c, d) = (1, 1), a in [0, 1] with the generic (0, -1; 1, 1)
+    gamma = Mat2(1, 0, 1, 1)
+    assert point_pair_u(mobius_act(gamma, I), I) == Fraction(1, 4)
+    mats = enumerate_delta_near(I, 1, 1, 1, 1)
+    assert gamma in mats and Mat2(0, -1, 1, 1) in mats
+    assert sum(g.c != 0 and g.trace**2 != 4 for g in mats) == 10
+    assert count_star(I, 1, 1, 1, 1) == 10
+    assert count_upper(I, 1, 1, 1, 1) == 0
+    assert count_delta_near(I, 1, 1, 1, 1) == 36  # 26 of them parabolic
+
+
 # the points z = x/7 + 3i/yd of the boundary test, |x| <= 20 and 1 <= yd <= 12
 BOUNDARY_POINTS = [
     PointH(Fraction(x, 7), Fraction(3, yd)) for x in range(-20, 21) for yd in range(1, 13)
@@ -371,6 +407,11 @@ def test_matrix_on_the_boundary_is_counted(case):
     mats = enumerate_delta_near(z, l, delta, n, m)
     assert gamma in mats
     assert count_delta_near(z, l, delta, n, m) == len(mats)
+    n_p = sum((g.a + g.d) ** 2 == 4 * l for g in mats)
+    assert (
+        count_star(z, l, delta, n, m) + count_upper(z, l, delta, n, m) + n_p
+        == count_delta_near(z, l, delta, n, m)
+    )
 
 
 def _gamma0_element(n: int, m: int, word: list[tuple[int, int]], unit: int) -> Mat2:

@@ -201,7 +201,7 @@ def test_csv_shape():
 
 
 @pytest.mark.parametrize("lemma, probe", [
-    ("eq1", "classify_counts"), ("ampl", "amplified_count_sum")
+    ("eq1", "count_star"), ("para", "classify_counts"), ("ampl", "amplified_count_sum")
 ])
 def test_budget_exceeded_names_the_cell(monkeypatch, lemma, probe):
     monkeypatch.setattr(counting, "C_BUDGET", 0)
@@ -216,3 +216,12 @@ def test_budget_exceeded_names_the_cell(monkeypatch, lemma, probe):
     assert probe in [frame.name for frame in frames]
     with pytest.raises(BudgetExceeded, match=f"lemma={lemma} N=1 M=1"):
         lemma_harness(config)
+
+
+def test_upper_stratum_ignores_the_c_budget(monkeypatch):
+    # n_u is read off the c = 0 windows alone, so no c-window is scanned
+    cell = ("eq4", 1, 1, 2, 0, 0, "1", 1)
+    row = harness._run_cell(cell)
+    assert row["lhs"] != "0.0"
+    monkeypatch.setattr(counting, "C_BUDGET", 0)
+    assert harness._run_cell(cell) == row

@@ -6,6 +6,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from cuspnorm import counting, harness
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -16,3 +18,28 @@ def test_every_probe_resolves_to_a_callable(monkeypatch):
     assert tracing.PROBES
     for module, attr, _span, _work in tracing.PROBES:
         assert callable(getattr(module, attr, None)), (module.__name__, attr)
+
+
+def test_only_para_cells_enumerate_matrices(monkeypatch):
+    # the tracer's counting.found_per_ms divides by the time strata-sweep
+    # spends in counting.enumerate_delta_near, which only para cells reach,
+    # through the harness.classify_counts name that the tracer also wraps
+    calls = []
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args):
+            calls.append(attr)
+            return real(*args)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(counting, "enumerate_delta_near")
+    counted(harness, "classify_counts")
+    for lemma, lval, reaches in (("para", 1, True), ("eq1", 2, False), ("eq6", 2, False)):
+        calls.clear()
+        row = harness._run_cell((lemma, 1, 1, lval, 0, 0, "1", 1))
+        assert row["lhs"] != "0.0"
+        expected = ["classify_counts", "enumerate_delta_near"] if reaches else []
+        assert calls == expected, lemma
