@@ -202,17 +202,14 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
         if wp == 0:
             continue
         q = p**np_
-        sols = [
-            u
-            for u in range(q)
-            if (a_ * u + b_ * m1) % q == 0 and (c_ * u + d_ * m1) % q == 0
-        ]
-        if not sols:
+        u = next((u for u in range(q) if (a_ * u + b_ * m1) % q == 0
+                  and (c_ * u + d_ * m1) % q == 0), None)
+        if u is None:
             raise InternalSolveFailure(
                 f"no unipotent shift solves the congruences at p={p} for tau={tau!r}, N={n}"
             )
-        congruences.append((sols[0], q))
-    u = crt_solve(congruences)[0] if congruences else 0
+        congruences.append((u, q))
+    u = crt_solve(congruences)[0]
     n_s = op.n_s
     entries = []
     ratios = ((a_, m1), (a_ * u + b_ * m1, n_s), (c_, m1), (c_ * u + d_ * m1, n_s))
@@ -334,14 +331,16 @@ def _record_lattice(cert: ReductionCertificate) -> bool:
     return verdict.passed
 
 
-CANDIDATE_BUDGET = 4000  # most sigma-columns one (M, S) of the search may scan
+CANDIDATE_BUDGET = 4000  # most sigma-columns up to sign one (M, S) may scan; C3 needs 2
 
 
 def _first_column_candidates(w: PointH, n: int, m: int):
     """The first columns (a, c) of sigma with Im(sigma^-1 w) >=
-    sqrt(3) M^2 / (2N): (1, 0) when M = 1 and w itself meets that floor,
-    then the coprime (a, c), c != 0, with gcd(c, N) = N/M, by |c|
-    ascending, c before -c, then a ascending.
+    sqrt(3) M^2 / (2N), up to sign: (1, 0) when M = 1 and w itself meets
+    that floor, then the coprime (a, c), c > 0, with gcd(c, N) = N/M, by c
+    ascending, then a ascending.  The column (-a, -c) is left out: it gives
+    -sigma T^k, whose z' is an integer translate of the z' of sigma, so it
+    passes or fails every check of gap_reduce together with sigma.
 
     Decided on cleared integers: with w = (px + i py)/q and
     L = (a q - c px)^2 + (c py)^2, Im(sigma^-1 w) = py q / L, so the floor
@@ -353,14 +352,13 @@ def _first_column_candidates(w: PointH, n: int, m: int):
     l_max = isqrt((2 * n * py * q) ** 2 // (3 * m**4))
     step = n // m
     out = [(1, 0)] if m == 1 and q * q <= l_max else []  # L = q^2 at (1, 0)
-    for cc in range(step, isqrt(l_max) // py + 1, step):
-        for c in (cc, -cc):
-            if gcd(c, n) != step:
-                continue
-            s = isqrt(l_max - (c * py) ** 2)  # |a q - c px| <= s
-            t = c * px
-            out += [(a, c) for a in range(-((s - t) // q), (t + s) // q + 1)
-                    if gcd(a, c) == 1]
+    for c in range(step, isqrt(l_max) // py + 1, step):
+        if gcd(c, n) != step:
+            continue
+        s = isqrt(l_max - (c * py) ** 2)  # |a q - c px| <= s
+        t = c * px
+        out += [(a, c) for a in range(-((s - t) // q), (t + s) // q + 1)
+                if gcd(a, c) == 1]
         if len(out) > CANDIDATE_BUDGET:
             raise BudgetExceeded(
                 f"more than {CANDIDATE_BUDGET} first-column candidates at N={n}, M={m}"
@@ -383,13 +381,14 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     genuinely fail (the constant in the target inequality is stronger than
     what the construction guarantees), so on failure a deterministic
     verified search runs over M^2 | N, prime subsets S, and the finitely
-    many sigma-columns compatible with the height bound; the first
-    certificate passing every check is returned.  Its shift is
-    n = tau^-1 W^-1 sigma diag(M1, N_S/M1), formed on integers as
-    adj(tau) adj(W) sigma diag(M1, N_S/M1) and kept over N_S.  If nothing
-    passes, the construction certificate is returned with its failing
-    verdicts intact.  A search with more sigma-columns than its budget
-    raises BudgetExceeded instead of reporting failure.
+    many sigma-columns compatible with the height bound, taken up to sign
+    as sigma and -sigma pass or fail together; the first certificate
+    passing every check is returned.  Its shift is n = tau^-1 W^-1 sigma
+    diag(M1, N_S/M1), formed on integers as adj(tau) adj(W) sigma
+    diag(M1, N_S/M1) and kept over N_S.  If nothing passes, the
+    construction certificate is returned with its failing verdicts intact.
+    A search with more sigma-columns than its budget raises BudgetExceeded
+    instead of reporting failure.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)

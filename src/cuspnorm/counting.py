@@ -20,15 +20,17 @@ it holds exactly when T >= 0 and
 interval [ceil((N0 - Hf)/D), floor((N0 + Hf)/D)] (the left side is an
 integer, and floor(sqrt(P/dd)) = isqrt(P // dd)).  The hits are the terms
 of the progression a*d == l (mod |c|), a == 1 (mod M) inside it; the
-progression depends only on d mod |c| and is solved once per residue, and
-when M | 2 the windows of c < 0 are those of c > 0 negated.  For
+progression depends only on d mod |c| and is solved once per residue.  For
 c = 0 the pairs (a, d) are the divisor factorizations of l and b runs over
-an interval solved the same way.  Both strata come from one pair of window
-generators: `enumerate_delta_near` walks the windows, `count_delta_near`
-only measures them, and `count_star` and `count_upper` measure one stratum
-each with the parabolic hits (tr^2 = 4l, at most one per sign of the trace
-in a c != 0 window) taken off.  No candidate is tested after the fact;
-every window is exact, so the output is both sound and complete.
+an interval solved the same way.  gamma and -gamma act alike on the
+half-plane, so only c > 0 (a > 0 when c = 0) is scanned: the hits of the
+negated pair are the negated terms a == -1 (mod M) of the same window.
+Both strata come from one pair of window generators: `enumerate_delta_near`
+walks the windows, `count_delta_near` only measures them, and `count_star`
+and `count_upper` measure one stratum each with the parabolic hits
+(tr^2 = 4l, at most one per sign of the trace in a c != 0 window) taken
+off.  No candidate is tested after the fact; every window is exact, so the
+output is both sound and complete.
 """
 
 import warnings
@@ -65,25 +67,19 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _a_progression(d: int, cc: int, l: int, m: int) -> tuple:
-    """(r, step) with a == r (mod step) exactly when a*d == l (mod cc) and
-    a == 1 (mod M); () when no a fits."""
-    g = gcd(d, cc)
+def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
+    """(plus, minus): plus = (r, step) with a == r (mod step) exactly when
+    a*d == l (mod c) and a == 1 (mod M), the hits of (c, d); minus likewise
+    for a == -1 (mod M), whose negations are the hits of (-c, -d).  Either
+    is None when no a fits, minus is plus when M | 2; () when neither fits."""
+    g = gcd(d, c)
     if l % g:
         return ()
-    c1 = cc // g
-    if c1 == 1:
-        return 1 % m, m
-    a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1
-    return crt_pair(a0, c1, 1 % m, m) or ()
-
-
-def _divisor_sign_pairs(l: int):
-    """All (a, d) in Z^2 with a*d = l > 0, both sign patterns."""
-    for a in divisors(l):
-        d = l // a
-        yield a, d
-        yield -a, -d
+    c1 = c // g
+    a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1  # pow(_, -1, 1) is 0
+    plus = crt_pair(a0, c1, 1 % m, m)
+    minus = plus if 2 % m == 0 else crt_pair(a0, c1, -1 % m, m)
+    return (plus, minus) if plus or minus else ()
 
 
 class _Cleared(NamedTuple):
@@ -111,28 +107,33 @@ def _cleared(z: PointH, l: int, delta, n: int, m: int) -> _Cleared:
 def _upper_windows(cl: _Cleared):
     """The c = 0 stratum: yield (a, d, b_lo, b_hi) for each divisor pair
     a*d = l with a == 1 (mod M); the hits are exactly b in [b_lo, b_hi].
+    Only a > 0 is scanned: the window of (-a, -d) is [-b_hi, -b_lo].
 
     With s = a - d the u-condition reads (s*px + b*q)^2 <= py^2 (4 l delta
     - s^2), and the integer left side may be compared with the floor of the
     square root of the right side."""
     l, _n, m, px, py, q, dn, dd = cl
-    for a, d in _divisor_sign_pairs(l):
-        if (a - 1) % m:
-            continue
+    for a in divisors(l):
+        d = l // a
+        pos, neg = (a - 1) % m == 0, (a + 1) % m == 0
         s = a - d
         rhs2 = py * py * (4 * l * dn - s * s * dd)
-        if rhs2 < 0:
+        if rhs2 < 0 or not (pos or neg):
             continue
         rb = isqrt(rhs2 // dd)
         b_lo, b_hi = _ceildiv(-s * px - rb, q), (rb - s * px) // q
         if b_lo <= b_hi:
-            yield a, d, b_lo, b_hi
+            if pos:
+                yield a, d, b_lo, b_hi
+            if neg:
+                yield -a, -d, -b_hi, -b_lo
 
 
 def _lower_windows(cl: _Cleared):
     """The c != 0 strata: yield (c, d, a_first, a_last, a_step) for each
     (c, d) holding a hit; the hits are exactly a in range(a_first, a_last
-    + 1, a_step) with b = (a*d - l)/c.
+    + 1, a_step) with b = (a*d - l)/c.  Only c > 0 is scanned: the hits of
+    (-c, -d) are the negated terms a == -1 (mod M) of the window of (c, d).
 
     Raises BudgetExceeded when the c-window holds more than C_BUDGET
     multiples of N, before the first window is yielded.
@@ -149,43 +150,44 @@ def _lower_windows(cl: _Cleared):
         )
     lq2 = l * q * q
     tn = 4 * dn * lq2
-    # gamma -> -gamma acts like gamma on the half-plane and maps the hits of
-    # (c, d) onto those of (-c, -d) when -1 == 1 (mod M), i.e. when M | 2;
-    # then only c > 0 is scanned and each window is also yielded mirrored
-    mirror = 2 % m == 0
-    for cc in range(n, cmax + 1, n):
-        cpy2 = (cc * py) ** 2
+    for c in range(n, cmax + 1, n):
+        cpy2 = (c * py) ** 2
         rd = isqrt((wn * q * q - cpy2 * dd) // dd)
-        progs = {}  # d mod |c| -> (r_a, m_a), or () when no a fits
-        for c in (cc,) if mirror else (cc, -cc):
-            cpx = c * px
-            for d in range(_ceildiv(-cpx - rd, q), (rd - cpx) // q + 1):
-                key = d % cc
-                prog = progs.get(key)
-                if prog is None:
-                    prog = progs[key] = _a_progression(key, cc, l, m)
-                if not prog:
-                    continue
-                # With A + i c py = q (cz + d) and S = |A + i c py|^2, the
-                # condition |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2
-                # is (a D - N0)^2 <= c^2 py^2 T / dd.
-                A = cpx + d * q
-                S = A * A + cpy2
-                T = tn * S - dd * (S - lq2) ** 2
-                if T < 0:
-                    continue
-                D = q * S
-                N0 = cpx * S + lq2 * A
-                hf = isqrt(cpy2 * T // dd)
-                a_hi = (N0 + hf) // D
-                a_lo = -((hf - N0) // D)
-                r_a, m_a = prog
+        progs = {}  # d mod c -> _a_progressions(d mod c, c, l, m)
+        cpx = c * px
+        for d in range(_ceildiv(-cpx - rd, q), (rd - cpx) // q + 1):
+            key = d % c
+            prog = progs.get(key)
+            if prog is None:
+                prog = progs[key] = _a_progressions(key, c, l, m)
+            if not prog:
+                continue
+            # With A + i c py = q (cz + d) and S = |A + i c py|^2, the
+            # condition |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2
+            # is (a D - N0)^2 <= c^2 py^2 T / dd.
+            A = cpx + d * q
+            S = A * A + cpy2
+            T = tn * S - dd * (S - lq2) ** 2
+            if T < 0:
+                continue
+            D = q * S
+            N0 = cpx * S + lq2 * A
+            hf = isqrt(cpy2 * T // dd)
+            a_hi = (N0 + hf) // D
+            a_lo = -((hf - N0) // D)
+            plus, minus = prog
+            if plus:
+                r_a, m_a = plus
                 a_first = a_lo + (r_a - a_lo) % m_a
                 if a_first <= a_hi:
                     yield c, d, a_first, a_hi, m_a
-                    if mirror:
-                        a_top = a_hi - (a_hi - a_first) % m_a
-                        yield -c, -d, -a_top, -a_first, m_a
+            if minus:
+                if minus is not plus:  # M | 2 shares plus's residue and step
+                    r_a, m_a = minus
+                    a_first = a_lo + (r_a - a_lo) % m_a
+                if a_first <= a_hi:
+                    a_top = a_hi - (a_hi - a_first) % m_a
+                    yield -c, -d, -a_top, -a_first, m_a
 
 
 def enumerate_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[Mat2]:

@@ -26,9 +26,9 @@ Conjugation invariance is sampled on integer 4-tuples: random
 Gamma0(N; M)-words are multiplied in four local ints, with the unit letters
 read from a per-(N, M) table, and the translates and both conjugates are
 formed from the entries of _coset_entries and tested by
-counting.in_delta_entries.  The random draws are the same calls in the same
-order as when the words were Mat2 products, so samples, verdicts and
-witnesses do not change.
+counting.in_delta_entries.  The random draws are fixed calls in a fixed
+order (see _random_word and conjugation_invariance), so a seed fixes the
+samples, verdicts and witnesses.
 """
 
 import random
@@ -260,16 +260,14 @@ def conjugation_invariance(
 
     Samples are integer 4-tuples: the _coset_entries representatives, then
     translates that each draw their word and then rng.randrange(count) for
-    their representative, as when they were Mat2 products; the witness is
-    the first failing sample, as a Mat2.
+    their representative; the witness is the first failing sample, as a
+    Mat2.
     """
-    sigma.require_sl2()
+    c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
     if n % (m * m):
         raise PrereqFailed(f"M^2 = {m * m} does not divide N = {n}")
-    if cusp_denominator(sigma, n) != n // m:
-        raise PrereqFailed(
-            f"C(sigma) = {cusp_denominator(sigma, n)} != N/M = {n // m}"
-        )
+    if c_sigma != n // m:
+        raise PrereqFailed(f"C(sigma) = {c_sigma} != N/M = {n // m}")
     note = "" if l % m == 1 % m else "l != 1 (mod M): invariance is not asserted"
     sa, sb, sc, sd = sigma.entries()
     sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)

@@ -351,13 +351,15 @@ def test_search_certificates_recompute_postconditions():
 
 
 def test_first_column_candidates_never_truncate(monkeypatch):
-    # y = 1/50 is below the floor sqrt(3)/2, so (1, 0) is not listed
+    # y = 1/50 is below the floor sqrt(3)/2, so (1, 0) is not listed; the
+    # oracle's two columns are one pair +-(a, c), listed once
     w = PointH(Fraction(1, 3), Fraction(1, 50))
     full = _first_column_candidates(w, 1, 1)
-    assert len(full) == 2 and (1, 0) not in full
-    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 2)
-    assert _first_column_candidates(w, 1, 1) == full
+    assert len(first_column_columns(w, 1, 1)) == 2
+    assert len(full) == 1 and (1, 0) not in full
     monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 1)
+    assert _first_column_candidates(w, 1, 1) == full
+    monkeypatch.setattr(conjugation, "CANDIDATE_BUDGET", 0)
     with pytest.raises(BudgetExceeded):
         _first_column_candidates(w, 1, 1)
 
@@ -376,11 +378,20 @@ def test_gap_provable_floor_random_sweep():
         assert zp.y * zp.y * 4 * n * n >= 3 * cert.m**4
 
 
+def _assert_candidates_match_oracle(w, n, m):
+    # the list is the oracle's (1, 0), if any, then its columns with c > 0,
+    # and every oracle column with c < 0 is the negation of a listed one
+    cols = first_column_columns(w, n, m)
+    listed = _first_column_candidates(w, n, m)
+    assert listed == [(a, c) for a, c in cols if c >= 0], (w, n, m)
+    assert all((-a, -c) in listed for a, c in cols if c < 0), (w, n, m)
+
+
 def test_first_column_candidates_are_exactly_the_admissible_columns():
     # the counterexample to the old 6/5 over-cover: (-3, 2) gives height
     # 1083/1292 < sqrt(3)/2 at N = M = 1 and must not be listed
     w = PointH(Fraction(-31, 19), Fraction(3, 38))
-    assert _first_column_candidates(w, 1, 1) == first_column_columns(w, 1, 1)
+    _assert_candidates_match_oracle(w, 1, 1)
     assert (-3, 2) not in _first_column_candidates(w, 1, 1)
     # y = 3/38 is below sqrt(3)/2 too, so sigma = 1 is not a candidate; at
     # y = 1 it is, and it comes first
@@ -394,6 +405,4 @@ def test_first_column_candidates_are_exactly_the_admissible_columns():
         m = rng.choice([m for m in range(1, 8) if n % (m * m) == 0])
         y = Fraction(rng.randint(1, 64), rng.randint(1, 64 * n * n))
         w = PointH(rand_fraction(rng, -2, 2), y)
-        assert _first_column_candidates(w, n, m) == first_column_columns(w, n, m), (
-            w, n, m
-        )
+        _assert_candidates_match_oracle(w, n, m)

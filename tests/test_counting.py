@@ -102,7 +102,7 @@ def test_completeness_against_box_oracle():
     box = 25
     for _ in range(40):
         n = rng.choice([1, 2, 3, 4, 6])
-        m = rng.choice([1, 2])
+        m = rng.randint(1, 6)
         l = rng.randint(1, 9)
         delta = Fraction(rng.randint(0, 4), rng.randint(1, 3))
         z = rand_point(rng, den_max=8)
