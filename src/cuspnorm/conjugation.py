@@ -29,7 +29,14 @@ from .arith import (
 )
 from .cusps import cusp_denominator, local_profile
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidPrimeSet
-from .modgroup import Mat2, PointH, complete_first_column, fd_reduce, mobius_act
+from .modgroup import (
+    Mat2,
+    PointH,
+    complete_first_column,
+    fd_reduce,
+    lattice_rows,
+    mobius_act,
+)
 
 
 @dataclass(frozen=True)
@@ -158,9 +165,10 @@ def _certificate(
     C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S, are decided
     on sigma and (N, M, M1, N_S)."""
     n, n_s = op.level, op.n_s
-    c_sigma = cusp_denominator(sigma, n)
+    in_sl2 = sigma.is_sl2()
+    c_sigma = cusp_denominator(sigma, n) if in_sl2 else None
     verification = {
-        "sigma_in_sl2": sigma.is_sl2(),
+        "sigma_in_sl2": in_sl2,
         "c_sigma": c_sigma,
         "c_sigma_equals_n_over_m": c_sigma == n // m,
         "m_squared_divides_n": n % (m * m) == 0,
@@ -243,6 +251,12 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     (den L - q^2 B(c)) / (q^2 den), with a denominator common to all pairs;
     the first pair of least margin is the worst, and the verdict's
     Fractions are built once, for it.
+
+    The box is not a row set of `lattice_rows`, and its worst pair is part
+    of the gap_reduce JSON, so the scan stays a box.  A port onto rows at
+    R = q^2, cut off at 4 c^2 py^2 < 3 q^2, gave the same verdicts over the
+    C3 points, but took both floors there from 0.091-0.098 s to 0.099-0.114 s
+    (best of 5, 3 rounds, 2-core box, Python 3.11.7).
     """
     n_over_m2 = n_over_m_squared(n, m)
     m2 = m * m
@@ -344,21 +358,20 @@ def _first_column_candidates(w: PointH, n: int, m: int):
 
     Decided on cleared integers: with w = (px + i py)/q and
     L = (a q - c px)^2 + (c py)^2, Im(sigma^-1 w) = py q / L, so the floor
-    is 3 M^4 L^2 <= 4 N^2 py^2 q^2, i.e. L <= l_max, which bounds (c py)^2
-    and then gives an exact range of a.  Raises BudgetExceeded rather than
-    return a cut list when there are more than CANDIDATE_BUDGET candidates.
+    is 3 M^4 L^2 <= 4 N^2 py^2 q^2, i.e. L <= l_max.  With a = -d, L is
+    (c px + d q)^2 + (c py)^2, so the columns at each c are a row of the
+    ellipse that `lattice_rows` lists, read as a = -d ascending.  Raises
+    BudgetExceeded rather than return a cut list when there are more than
+    CANDIDATE_BUDGET candidates.
     """
     px, py, q = w.cleared()
     l_max = isqrt((2 * n * py * q) ** 2 // (3 * m**4))
     step = n // m
     out = [(1, 0)] if m == 1 and q * q <= l_max else []  # L = q^2 at (1, 0)
-    for c in range(step, isqrt(l_max) // py + 1, step):
+    for c, d_lo, d_hi in lattice_rows(px, py, q, l_max, 1, step):
         if gcd(c, n) != step:
             continue
-        s = isqrt(l_max - (c * py) ** 2)  # |a q - c px| <= s
-        t = c * px
-        out += [(a, c) for a in range(-((s - t) // q), (t + s) // q + 1)
-                if gcd(a, c) == 1]
+        out += [(a, c) for a in range(-d_hi, 1 - d_lo) if gcd(a, c) == 1]
         if len(out) > CANDIDATE_BUDGET:
             raise BudgetExceeded(
                 f"more than {CANDIDATE_BUDGET} first-column candidates at N={n}, M={m}"

@@ -9,10 +9,12 @@ u(z, w) = |z - w|^2 / (4 Im z Im w).
 
 Enumeration strategy.  u <= delta forces |cz + d|^2 <= l*K with
 K = 1 + 2*delta + 2*sqrt(delta^2 + delta); the rational window
-Kbar = 2 + 4*delta >= K keeps everything in integer arithmetic.  This
-bounds c (a multiple of N) and, per c, the entry d.  For fixed (c, d)
-with c != 0, b = (a*d - l)/c is forced and the condition becomes
-|(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2, a quadratic in a.  Writing
+Kbar = 2 + 4*delta >= K keeps everything in integer arithmetic.  The
+pairs with |cz + d|^2 <= l*Kbar and c a positive multiple of N are the
+rows of `modgroup.lattice_rows`, which bounds c and, per c, the entry d.
+For fixed (c, d) with c != 0, b = (a*d - l)/c is forced and the condition
+becomes |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2, a quadratic in a.
+Writing
 z = (px + i py)/q, delta = dn/dd, A = c px + d q, S = A^2 + (c py)^2,
 T = 4 l dn q^2 S - dd (S - l q^2)^2, D = q S and N0 = c px S + l q^2 A,
 it holds exactly when T >= 0 and
@@ -51,7 +53,15 @@ from .arith import (
 )
 from .conjugation import is_in_G
 from .errors import BudgetExceeded
-from .modgroup import Mat2, PointH, complete_first_column, mobius_act, point_pair_u
+from .modgroup import (
+    Mat2,
+    PointH,
+    complete_first_column,
+    lattice_c_max,
+    lattice_rows,
+    mobius_act,
+    point_pair_u,
+)
 from .precision import working_precision
 
 
@@ -139,23 +149,20 @@ def _lower_windows(cl: _Cleared):
     multiples of N, before the first window is yielded.
     """
     l, n, m, px, py, q, dn, dd = cl
-    # u <= delta forces |cz + d|^2 <= l*Kbar with Kbar = 2 + 4*delta;
-    # l*Kbar = wn/dd
-    wn = 2 * l * (dd + 2 * dn)
-    cmax = isqrt((wn * q * q) // (py * py * dd))
-    n_c_values = 2 * (cmax // n)
+    # u <= delta forces q^2 |cz + d|^2 <= q^2 l Kbar = r_num / dd
+    r_num = 2 * l * (dd + 2 * dn) * q * q
+    n_c_values = 2 * (lattice_c_max(py, r_num, dd) // n)
     if n_c_values > C_BUDGET:
         raise BudgetExceeded(
             f"c-window holds {n_c_values} multiples of N={n}, budget {C_BUDGET}"
         )
     lq2 = l * q * q
     tn = 4 * dn * lq2
-    for c in range(n, cmax + 1, n):
+    for c, d_lo, d_hi in lattice_rows(px, py, q, r_num, dd, n):
         cpy2 = (c * py) ** 2
-        rd = isqrt((wn * q * q - cpy2 * dd) // dd)
         progs = {}  # d mod c -> _a_progressions(d mod c, c, l, m)
         cpx = c * px
-        for d in range(_ceildiv(-cpx - rd, q), (rd - cpx) // q + 1):
+        for d in range(d_lo, d_hi + 1):
             key = d % c
             prog = progs.get(key)
             if prog is None:

@@ -1,13 +1,14 @@
 """Exact 2x2 integer matrices, the Moebius action on rational points of the
 upper half-plane, completion of a primitive column to SL2(Z), the point-pair
-invariant u, and fundamental-domain reduction.
+invariant u, the lattice rows (c, d) with |cz + d|^2 below a bound, and
+fundamental-domain reduction.
 
 All geometric predicates are decided over Q; irrational thresholds such as
 sqrt(3)/2 are compared by squaring both (positive) sides.
 """
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, isqrt, lcm
 
 from .arith import bezout
 from .errors import NotUnimodular
@@ -143,6 +144,24 @@ def mobius_act(g: Mat2, z: PointH) -> PointH:
     den = e * e + (c * py) ** 2
     new_x = Fraction((a * px + b * q) * e + a * c * py * py, den)
     return PointH(new_x, Fraction(det * py * q, den))
+
+
+def lattice_c_max(py: int, r_num: int, r_den: int) -> int:
+    """The largest c >= 0 with (c py)^2 <= r_num / r_den, for r_num >= 0."""
+    return isqrt(r_num // (py * py * r_den))
+
+
+def lattice_rows(px: int, py: int, q: int, r_num: int, r_den: int, c_step: int):
+    """The rows of the ellipse |cz + d|^2 <= R / q^2 around z = (px + i py)/q,
+    with R = r_num / r_den >= 0: yield (c, d_lo, d_hi) for c = c_step,
+    2 c_step, ... up to lattice_c_max(py, r_num, r_den), ascending, where
+    the d with (c px + d q)^2 + (c py)^2 <= R are exactly d_lo <= d <= d_hi
+    (a row may be empty, d_lo > d_hi).  As c px + d q is an integer, the
+    condition is |c px + d q| <= isqrt((r_num - (c py)^2 r_den) // r_den)."""
+    for c in range(c_step, lattice_c_max(py, r_num, r_den) + 1, c_step):
+        cpx = c * px
+        rd = isqrt((r_num - (c * py) ** 2 * r_den) // r_den)
+        yield c, -((cpx + rd) // q), (rd - cpx) // q
 
 
 def point_pair_u(z: PointH, w: PointH) -> Fraction:

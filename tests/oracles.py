@@ -3,6 +3,7 @@
 These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
 random matrix generators build group elements from words in S and T, the
+ellipse rows are listed from a box of d tested one by one, the
 lattice-floor scan, the gap search's first columns, the Moebius action and
 the width-one sigma and shift compute with their own product of Fraction
 matrices where the package clears denominators to integers, the sampled
@@ -139,6 +140,25 @@ def fraction_json(entries) -> list:
         for e in map(Fraction, entries)
     ]
     return [enc[:2], enc[2:]]
+
+
+def ellipse_rows(px: int, py: int, q: int, r_num: int, r_den: int, c_step: int):
+    """{c: [d, ...]} for c = c_step, 2 c_step, ... while (c py)^2 <= R, with
+    every d, ascending, such that (c px + d q)^2 + (c py)^2 <= R, where
+    R = r_num / r_den, tested one by one in Fractions.  Each row is listed
+    from the box |c px + d q| < reach, a power of two with reach^2 > R."""
+    bound = Fraction(r_num, r_den)
+    reach = 1
+    while reach * reach <= bound:
+        reach *= 2
+    rows = {}
+    c = c_step
+    while (c * py) ** 2 <= bound:
+        lo, hi = (-c * px - reach) // q, (reach - c * px) // q + 1
+        cy2 = (c * py) ** 2
+        rows[c] = [d for d in range(lo, hi + 1) if (c * px + d * q) ** 2 + cy2 <= bound]
+        c += c_step
+    return rows
 
 
 def lattice_floor_pairs(z: PointH, n: int, m: int, k: int):

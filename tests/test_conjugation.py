@@ -350,6 +350,19 @@ def test_search_certificates_recompute_postconditions():
     assert searched > 0
 
 
+def test_certificate_of_sigma_outside_sl2_fails_without_raising():
+    # sigma_in_sl2 is decided before C(sigma) is read, so a sigma of
+    # determinant 2 gives a certificate that no check passes, not an error
+    op = atkin_lehner_matrix(4, set())
+    ident = Mat2.identity()
+    cert = conjugation._certificate(ident, op, 1, 1, ident, 1, Mat2(2, 0, 0, 1), "search")
+    v = cert.verification
+    assert v["sigma_in_sl2"] is False and v["c_sigma"] is None
+    assert v["c_sigma_equals_n_over_m"] is False
+    assert not conjugation._all_hold(v)
+    assert cert.to_json()["verification"]["sigma_in_sl2"] is False
+
+
 def test_first_column_candidates_never_truncate(monkeypatch):
     # y = 1/50 is below the floor sqrt(3)/2, so (1, 0) is not listed; the
     # oracle's two columns are one pair +-(a, c), listed once

@@ -287,6 +287,17 @@ def test_budget_exceeded(monkeypatch):
         enumerate_delta_near(z, 1, 1, 1, 1)
     with pytest.raises(BudgetExceeded):
         count_delta_near(z, 1, 1, 1, 1)
+    # the budget reads 2 (c_max // N), c_max the largest c with
+    # c^2 y^2 <= l Kbar, Kbar = 2 + 4 delta; here c^2 y^2 = l Kbar at c = 150
+    z, l, delta, n = PointH(Fraction(1, 3), Fraction(1, 50)), 3, Fraction(1, 4), 3
+    bound = l * (2 + 4 * delta) / (z.y * z.y)
+    c_max = isqrt(bound.numerator // bound.denominator)
+    assert c_max == 150
+    monkeypatch.setattr(counting, "C_BUDGET", 2 * (c_max // n))
+    assert count_delta_near(z, l, delta, n, 1) == len(enumerate_delta_near(z, l, delta, n, 1))
+    monkeypatch.setattr(counting, "C_BUDGET", 2 * (c_max // n) - 1)
+    with pytest.raises(BudgetExceeded):
+        count_delta_near(z, l, delta, n, 1)
 
 
 # -- the closed-form windows against the definitions ------------------------

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm.errors import NotUnimodular
@@ -10,12 +10,14 @@ from cuspnorm.modgroup import (
     Mat2,
     PointH,
     fd_reduce,
+    lattice_rows,
     mobius_act,
     point_pair_u,
 )
 from oracles import (
     S,
     T,
+    ellipse_rows,
     fraction_mobius_act,
     rand_det_matrix,
     rand_point,
@@ -190,3 +192,36 @@ def test_point_serialization_roundtrip():
     assert z.serialize() == "-3/7,22/5"
     with pytest.raises(ValueError):
         PointH(0, 0)
+
+
+@st.composite
+def ellipse_cases(draw):
+    """(px, py, q, r_num, r_den, c_step); in half of them a lattice point
+    (c, d) with (c px + d q)^2 + (c py)^2 = L lies exactly on the boundary
+    (R = L), inside it by less than one (L < R < L + 1) or just outside it
+    (R = L - 1/r_den)."""
+    px, py = draw(st.integers(-40, 40)), draw(st.integers(1, 8))
+    q = draw(st.integers(1, 15))
+    r_den, c_step = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        c = c_step * draw(st.integers(1, 3))
+        d = -(c * px) // q + draw(st.integers(-3, 3))
+        edge = (c * px + d * q) ** 2 + (c * py) ** 2
+        r_num = edge * r_den + draw(st.sampled_from([0, r_den - 1, -1]))
+    else:
+        r_num = draw(st.integers(0, 5000))
+    return px, py, q, r_num, r_den, c_step
+
+
+@settings(max_examples=300, deadline=None)
+@given(ellipse_cases())
+@example((1, 1, 2, 3, 2, 1))  # z = (1 + i)/2, R = 3/2: the one row c = 1 is empty
+@example((0, 1, 1, 2, 1, 1))  # z = i, R = 2: (1, -1) and (1, 1) on the boundary
+@example((3, 2, 5, 0, 1, 2))  # R = 0: no row
+def test_lattice_rows_are_the_ellipse_rows(case):
+    rows = list(lattice_rows(*case))
+    expected = ellipse_rows(*case)
+    assert [c for c, _lo, _hi in rows] == list(expected)
+    for c, d_lo, d_hi in rows:
+        assert list(range(d_lo, d_hi + 1)) == expected[c], (c, d_lo, d_hi)
+

@@ -4,20 +4,43 @@ test run, and not only in the benchmark's self-tests."""
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from cuspnorm import counting, harness
+from cuspnorm.modgroup import PointH
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
+# one small input for each probe whose work count is len of its result
+LEN_PROBE_INPUTS = {
+    ("cuspnorm.counting", "enumerate_delta_near"): (PointH(0, 1), 4, 1, 2, 1),
+    ("cuspnorm.conjugation", "_first_column_candidates"): (
+        PointH(Fraction(1, 3), Fraction(1, 50)), 1, 1,
+    ),
+}
 
-def test_every_probe_resolves_to_a_callable(monkeypatch):
+
+def _tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     monkeypatch.syspath_prepend(str(BENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_every_probe_resolves_to_a_callable(monkeypatch):
+    tracing = _tracing(monkeypatch)
     assert tracing.PROBES
     for module, attr, _span, _work in tracing.PROBES:
         assert callable(getattr(module, attr, None)), (module.__name__, attr)
+
+
+def test_len_probes_return_sized_results(monkeypatch):
+    # a probe that returned a generator would pass the test above and fail
+    # only once the tracer counted its work
+    probes = [(m, a) for m, a, _span, work in _tracing(monkeypatch).PROBES if work is len]
+    assert {(m.__name__, a) for m, a in probes} == set(LEN_PROBE_INPUTS)
+    for module, attr in probes:
+        assert len(getattr(module, attr)(*LEN_PROBE_INPUTS[module.__name__, attr])) > 0
 
 
 def test_only_para_cells_enumerate_matrices(monkeypatch):
