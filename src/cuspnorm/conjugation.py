@@ -113,7 +113,9 @@ class ReductionCertificate:
     found by the verified fallback scan (n is the exact rational solving
     matrix, not necessarily unipotent, with n_den = N_S).  Only a
     construction certificate records scale_identity_ok: the identity
-    Im z' = (M1^2/N_S) Im z0 rests on n being unipotent.
+    Im z' = (M1^2/N_S) Im z0 rests on n being unipotent.  gap_reduce returns
+    a certificate only when every check it records holds, or else the
+    failing construction when its search finds nothing.
     """
 
     tau: Mat2
@@ -315,34 +317,27 @@ def is_in_G(z: PointH, n: int, m: int) -> bool:
     return _height_ok(z.y, n, m) and verify_gap_certificate(z, n, m).passed
 
 
-def _record_height(cert: ReductionCertificate, z: PointH) -> bool:
-    """Set z' = sigma^-1 W z = adj(sigma) W z and record the height floor
-    y'^2 >= 3 M^4 / (4 N^2), which is returned, and for a construction
-    certificate the scale identity."""
-    z_prime = mobius_act(cert.sigma.adjugate() * cert.w.w, z)  # det = N_S > 0
-    cert.z_prime = z_prime
-    cert.verification["y_bound_ok"] = _height_ok(z_prime.y, cert.w.level, cert.m)
-    if cert.method == "construction":
-        cert.verification["scale_identity_ok"] = (
-            z_prime.y == Fraction(cert.m1 * cert.m1, cert.w.n_s) * cert.z0.y
-        )
-    return cert.verification["y_bound_ok"]
+def _checked(cert: ReductionCertificate, z: PointH, z0: PointH) -> bool:
+    """Place cert at z and decide it: the one acceptance rule of gap_reduce.
 
-
-def _record_lattice(cert: ReductionCertificate) -> bool:
-    """Record the target and provable lattice verdicts; returns the target's.
-
-    The provable floor is scanned only when the target floor fails: since
+    Sets z0 and z' = sigma^-1 W z = adj(sigma) W z, records the height floor
+    y'^2 >= 3 M^4 / (4 N^2), the scale identity Im z' = (M1^2/N_S) Im z0
+    for a construction certificate only, and the target and provable
+    lattice verdicts, then returns whether every recorded check holds.  The
+    provable floor is scanned only when the target floor fails: since
     M^2 gcd(c, N/M^2) / N <= 1, its bound is at most the target bound at
     every c, so a passed target floor decides it."""
-    n = cert.w.level
-    verdict = verify_gap_certificate(cert.z_prime, n, cert.m)
-    cert.verification["lattice"] = verdict
-    cert.verification["lattice_ok"] = verdict.passed
-    cert.verification["lattice_provable_ok"] = (
-        verdict.passed or verify_gap_provable(cert.z_prime, n, cert.m).passed
-    )
-    return verdict.passed
+    n, m, v = cert.w.level, cert.m, cert.verification
+    cert.z0 = z0
+    cert.z_prime = z_prime = mobius_act(cert.sigma.adjugate() * cert.w.w, z)  # det N_S > 0
+    v["y_bound_ok"] = _height_ok(z_prime.y, n, m)
+    if cert.method == "construction":
+        v["scale_identity_ok"] = z_prime.y == Fraction(cert.m1 * cert.m1, cert.w.n_s) * z0.y
+    verdict = verify_gap_certificate(z_prime, n, m)
+    v["lattice"] = verdict
+    v["lattice_ok"] = verdict.passed
+    v["lattice_provable_ok"] = verdict.passed or verify_gap_provable(z_prime, n, m).passed
+    return _all_hold(v)
 
 
 CANDIDATE_BUDGET = 4000  # most sigma-columns up to sign one (M, S) may scan; C3 needs 2
@@ -383,31 +378,24 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     """Move z by a width-one conjugation to z' = sigma^{-1} W z with
     certified height and lattice lower bounds.
 
-    Records, exactly and for either method: the postconditions C(sigma) =
-    N/M, M1 = gcd(M, N_S) and M1^2 | N_S recomputed from sigma,
-    y'^2 >= 3 M^4 / (4 N^2), and the full (c, d)-quantified inequality at
-    the target and the provable floor.  The scale identity Im z' =
-    (M1^2/N_S) Im z0 is recorded in construction mode only, since a search
-    certificate's n is not unipotent and the identity need not hold.
-
+    One rule for either method: a certificate is returned only when every
+    check it records holds, as `_checked` decides; its checks are the
+    postconditions of `_certificate` and those that `_checked` records at z.
     The local-profile construction is tried first.  Its lattice bound can
-    genuinely fail (the constant in the target inequality is stronger than
-    what the construction guarantees), so on failure a deterministic
-    verified search runs over M^2 | N, prime subsets S, and the finitely
-    many sigma-columns compatible with the height bound, taken up to sign
-    as sigma and -sigma pass or fail together; the first certificate
-    passing every check is returned.  Its shift is n = tau^-1 W^-1 sigma
-    diag(M1, N_S/M1), formed on integers as adj(tau) adj(W) sigma
-    diag(M1, N_S/M1) and kept over N_S.  If nothing passes, the
-    construction certificate is returned with its failing verdicts intact.
-    A search with more sigma-columns than its budget raises BudgetExceeded
-    instead of reporting failure.
+    genuinely fail (the target constant is stronger than what it
+    guarantees), so a deterministic search then runs over M^2 | N, prime
+    subsets S and the finitely many sigma-columns that meet the height
+    bound, up to sign as sigma and -sigma pass or fail together.  A
+    candidate's postconditions are decided first, so z' is formed only for
+    a column that passes them.  Its shift n = tau^-1 W^-1 sigma diag(M1,
+    N_S/M1) is formed on integers as adj(tau) adj(W) sigma diag(M1, N_S/M1)
+    over N_S.  If no candidate passes, the construction certificate is
+    returned with its failing verdicts intact.  A search with more
+    sigma-columns than its budget raises BudgetExceeded instead.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)
-    cert.z0 = z0
-    height_ok = _record_height(cert, z)
-    if _record_lattice(cert) and height_ok:
+    if _checked(cert, z, z0):
         return cert
     subsets = [set()]
     for p, _e in factor(n):
@@ -415,7 +403,7 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     subsets.sort(key=lambda s: (len(s), sorted(s)))
     for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
         for s in subsets:
-            op = atkin_lehner_matrix(n, s)
+            op = atkin_lehner_matrix(n, s)  # per (M, S): the first one usually succeeds
             w_point = mobius_act(op.w, z)
             m1 = gcd(m, op.n_s)
             back = tau.adjugate() * op.w.adjugate()  # N_S tau^-1 W^-1
@@ -423,11 +411,6 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
                 sigma = complete_first_column(a, c)
                 shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
                 cand = _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
-                cand.z0 = z0
-                if (
-                    _all_hold(cand.verification)
-                    and _record_height(cand, z)
-                    and _record_lattice(cand)
-                ):
+                if _all_hold(cand.verification) and _checked(cand, z, z0):
                     return cand
     return cert

@@ -47,7 +47,6 @@ _ROW_CACHE_SIZE = 256
 Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _scalars(n: int, m: int) -> tuple[int, ...]:
     """Units mod N that are 1 mod M (the row-scaling stabilizer of B_M),
     as residues in [1, N]: (1,) at N = 1."""

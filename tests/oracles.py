@@ -2,6 +2,8 @@
 
 These deliberately avoid the library's own enumeration logic: the box
 oracle scans raw entry boxes against the defining conditions only, the
+Hermite oracle lists Delta(l, N; M) near a point through SL2(Z) \\ M_l with
+its own reduction into the standard domain and its own integer product, the
 random matrix generators build group elements from words in S and T, the
 ellipse rows are listed from a box of d tested one by one, the
 lattice-floor scan, the gap search's first columns, the Moebius action and
@@ -18,7 +20,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm, sqrt
 
 import numpy as np
 
@@ -357,6 +359,100 @@ def hermite_matrices(l: int) -> list[Mat2]:
     return [
         Mat2(a, b, 0, l // a) for a in range(1, l + 1) if l % a == 0 for b in range(l // a)
     ]
+
+
+def _int_product(*mats) -> tuple[int, ...]:
+    """The product of integer 2x2 matrices given as 4-tuples (a, b, c, d),
+    on ints: fraction_product made hermite_delta_near ten times slower."""
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in mats:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
+def _fraction_fd_reduce(x: Fraction, y: Fraction) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    """(k, x0, y0) with x + iy = k (x0 + i y0) for k in SL2(Z), an integer
+    4-tuple, and x0 + i y0 in the closed standard domain |x0| <= 1/2,
+    x0^2 + y0^2 >= 1, so y0 >= sqrt(3)/2: translate, then invert while
+    |z| < 1, in Fractions."""
+    k = (1, 0, 0, 1)
+    while True:
+        shift = floor(x + Fraction(1, 2))
+        x -= shift
+        k = _int_product(k, (1, shift, 0, 1))
+        norm = x * x + y * y
+        if norm >= 1:
+            return k, x, y
+        x, y = -x / norm, y / norm
+        k = _int_product(k, (0, -1, 1, 0))
+
+
+FLOAT_SLACK = 1e-6  # widens the float ranges of hermite_delta_near, far beyond their rounding
+
+
+def hermite_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[tuple[int, ...]]:
+    """Every gamma in Delta(l, N; M) with u(gamma z, z) <= delta, as sorted
+    (a, b, c, d), found through SL2(Z) \\ M_l rather than (c, d) windows.
+
+    Each integer matrix of determinant l is gamma = g h for one g in SL2(Z)
+    and one of the sigma_1(l) Hermite matrices h.  With z = k z0 and
+    h z = j w0 for z0, w0 in the standard domain, gamma = k t j^-1 h and
+    u(gamma z, z) = u(t w0, z0) for t = k^-1 g j in SL2(Z).  u <= delta
+    forces Im(t w0) >= y0 / rho, rho = 1 + 2 delta + 2 sqrt(delta^2 + delta),
+    so the bottom row (r, s) of t has |r w0 + s|^2 <= rho Im(w0) / y0, which
+    holds for few rows as Im(w0) y0 >= 3/4.  With t0 one matrix of that
+    row, t = T^e t0 and t w0 = t0 w0 + e, so u <= delta holds for e in one
+    interval, and gamma = k t0 j^-1 h + e k (r, s; 0, 0) j^-1 h.  Floats
+    widened by FLOAT_SLACK place these ranges; each gamma is then decided
+    exactly, Delta membership from its entries and u(gamma z, z) on
+    integers: as
+    gamma z - z = (b + (a - d) z - c z^2) / (cz + d) and Im(gamma z) =
+    l y / |cz + d|^2, u <= delta reads |c z^2 - (a - d) z - b|^2 <=
+    4 l delta y^2, here cleared by z = (X + iY)/den and delta = dn/dd.
+    """
+    delta = Fraction(delta)
+    den = lcm(z.x.denominator, z.y.denominator)
+    big_x, big_y = int(z.x * den), int(z.y * den)
+    dn, dd = delta.numerator, delta.denominator
+    yy, xy2, yq = big_y * big_y, 2 * big_x * big_y, big_y * den
+    x2y2, xq, qq = big_x * big_x - yy, big_x * den, den * den
+    bound = 4 * l * dn * yy * qq
+    k, x0, y0 = _fraction_fd_reduce(z.x, z.y)
+    fx0, fy0, fd = float(x0), float(y0), float(delta)
+    rho = 1 + 2 * fd + 2 * sqrt(fd * (fd + 1))
+    out = []
+    for h in hermite_matrices(l):
+        ha, hb, _, hd = h.entries()
+        j, wx, wy = _fraction_fd_reduce((ha * z.x + hb) / hd, ha * z.y / hd)
+        right = _int_product((j[3], -j[1], -j[2], j[0]), h.entries())  # j^-1 h
+        w0 = complex(float(wx), float(wy))
+        reach = rho * w0.imag / fy0  # |r w0 + s|^2 <= reach
+        r_max = floor(sqrt(reach) / w0.imag + FLOAT_SLACK)
+        for r in range(-r_max, r_max + 1):
+            mid = -r * w0.real
+            half = sqrt(max(reach - (r * w0.imag) ** 2, 0.0)) + FLOAT_SLACK
+            for s in range(ceil(mid - half), floor(mid + half) + 1):
+                if gcd(r, s) != 1:
+                    continue
+                p = pow(s, -1, abs(r)) if r else s
+                q = (p * s - 1) // r if r else 0
+                t0w = (p * w0 + q) / (r * w0 + s)
+                # (Re t0w + e - x0)^2 <= 4 delta Y y0 - (Y - y0)^2, Y = Im t0w
+                rad = 4 * fd * t0w.imag * fy0 - (t0w.imag - fy0) ** 2
+                if rad < -FLOAT_SLACK:
+                    continue
+                mid, half = fx0 - t0w.real, sqrt(max(rad, 0.0)) + FLOAT_SLACK
+                g0 = _int_product(k, (p, q, r, s), right)
+                step = _int_product(k, (r, s, 0, 0), right)
+                for e in range(ceil(mid - half), floor(mid + half) + 1):
+                    a, b, c, d = (u + e * v for u, v in zip(g0, step))
+                    if c % n or (a - 1) % m:
+                        continue
+                    re_q2 = c * x2y2 - (a - d) * xq - b * qq  # den^2 Re(c z^2 - (a - d) z - b)
+                    im_q2 = c * xy2 - (a - d) * yq
+                    if dd * (re_q2 * re_q2 + im_q2 * im_q2) <= bound:
+                        out.append((a, b, c, d))
+    return sorted(out)
 
 
 def hnf_decompose(gamma: Mat2) -> tuple[Mat2, Mat2]:

@@ -329,13 +329,20 @@ def test_gap_target_floor_counterexample_is_honest():
 def test_search_certificates_recompute_postconditions():
     # C3 points with N <= 12: each search certificate's claims, recomputed
     # here from the definitions; only construction certificates carry the
-    # scale identity
-    searched = 0
+    # scale identity.  One rule returns every certificate: each check it
+    # records holds, save for a construction returned after the search
+    # found nothing, whose target lattice floor fails.
+    searched = failed = 0
     for n, z in gap_sweep_points(12):
         cert = gap_reduce(z, n)
         v = cert.verification
+        if cert.method == "construction" and not v["lattice_ok"]:
+            failed += 1
+            assert [k for k, ok in v.items() if ok is False] == ["lattice_ok"], (n, z)
+        else:
+            assert conjugation._all_hold(v), (n, z)
         if cert.method == "construction":
-            assert "scale_identity_ok" in v
+            assert v["scale_identity_ok"] is True
             continue
         searched += 1
         assert "scale_identity_ok" not in v
@@ -347,7 +354,7 @@ def test_search_certificates_recompute_postconditions():
         assert m1 == gcd(m, n_s) and v["m1_is_gcd_m_n_s"]
         assert n_s % (m1 * m1) == 0 and v["m1_squared_divides_n_s"]
         assert n_s == prod(p ** valuation(n, p) for p in cert.w.s_primes)
-    assert searched > 0
+    assert searched > 0 and failed > 0
 
 
 def test_certificate_of_sigma_outside_sl2_fails_without_raising():

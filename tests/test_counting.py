@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm import counting
@@ -24,7 +24,13 @@ from cuspnorm.counting import (
 from cuspnorm.errors import BudgetExceeded, InvalidM
 from cuspnorm.harness import sample_point_in_g
 from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
-from oracles import box_oracle_delta, delta_member, rand_point
+from oracles import (
+    box_oracle_delta,
+    delta_member,
+    fraction_mobius_act,
+    hermite_delta_near,
+    rand_point,
+)
 
 I = PointH(0, 1)
 
@@ -490,3 +496,63 @@ def test_parabolic_count_invariant_under_gamma0(case, word, unit):
     l = isqrt(l) ** 2
     moved = classify_counts(w, l, delta, n, m)
     assert moved.n_p == classify_counts(z, l, delta, n, m).n_p
+
+
+# -- the windows against SL2(Z) \ M_l, for l up to 48 ------------------------
+
+HERMITE_PAIRS_CAP = 20_000  # at most about 50 ms of kernel time per case
+# the points of the boundary cases: y from 3 down to 1/1000
+HERMITE_POINTS = [
+    PointH(Fraction(x, 7), Fraction(3, yd))
+    for x in range(-20, 21)
+    for yd in (1, 2, 3, 4, 6, 12, 30, 300, 3000)
+]
+
+
+@st.composite
+def hermite_cases(draw):
+    """(z, l, delta, N, M) with l <= 48, N <= 24, M <= 6 and y down to
+    1/1000, the window l Kbar / (N y) at most HERMITE_PAIRS_CAP (l = 1 always
+    fits).  Half of them are boundary cases: gamma = (a, b; c, d) in
+    Delta(l, N; M) is built here, a = 1 + M a0, c = N c0 with |c0| <= 2,
+    then d, then b with 1 <= l <= 48, and delta = u(gamma z, z) at the first
+    point of HERMITE_POINTS whose window fits, going round from a drawn
+    start."""
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        delta = draw(st.sampled_from(DELTAS))
+        x = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 17)))
+        z = PointH(x, Fraction(draw(st.integers(1, 48)), draw(st.integers(1, 1000))))
+        l_max = min(48, int(HERMITE_PAIRS_CAP / _window_size(z, 1, delta, n)))
+        return z, draw(st.integers(1, l_max)), delta, n, m
+    a = 1 + m * draw(st.integers(-3, 3))
+    c = n * draw(st.sampled_from([-2, -1, 1, 2] if a == 0 else [-2, -1, 0, 1, 2]))
+    if c == 0:  # l = a d: d takes the sign of a
+        d = (1 if a > 0 else -1) * draw(st.integers(1, 48 // abs(a)))
+        b = draw(st.integers(-6, 6))
+    else:  # 1 <= a d - b c <= 48, which some b meets as |c| <= 48
+        d = draw(st.integers(-4, 4))
+        b = (1 if c > 0 else -1) * draw(
+            st.integers(-((48 - a * d) // abs(c)), (a * d - 1) // abs(c))
+        )
+    gamma = Mat2(a, b, c, d)
+    l = a * d - b * c
+    start = draw(st.integers(0, len(HERMITE_POINTS) - 1))
+    for z in HERMITE_POINTS[start:] + HERMITE_POINTS[:start]:
+        delta = point_pair_u(fraction_mobius_act(gamma, z), z)
+        if delta <= 8 and _window_size(z, l, delta, n) <= HERMITE_PAIRS_CAP:
+            return z, l, delta, n, m
+    assume(False)  # no point fits gamma's window
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_cases())
+@example((PointH(Fraction(1, 3), Fraction(1, 1000)), 48, Fraction(1), 24, 6))
+@example((PointH(Fraction(-2, 7), Fraction(1, 1000)), 36, Fraction(5, 2), 24, 3))
+@example((PointH(Fraction(1, 5), Fraction(1, 2)), 48, Fraction(5, 2), 4, 5))
+def test_windows_agree_with_the_hermite_oracle(case):
+    # every gamma of u(gamma z, z) <= delta, also those on the boundary,
+    # found as g h over the Hermite matrices h, not from (c, d) windows
+    z, l, delta, n, m = case
+    got = sorted(g.entries() for g in enumerate_delta_near(z, l, delta, n, m))
+    assert got == hermite_delta_near(z, l, delta, n, m), case

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cuspnorm import counting, harness
+from cuspnorm import conjugation, counting, harness
 from cuspnorm.modgroup import PointH
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -66,3 +66,40 @@ def test_only_para_cells_enumerate_matrices(monkeypatch):
         assert row["lhs"] != "0.0"
         expected = ["classify_counts", "enumerate_delta_near"] if reaches else []
         assert calls == expected, lemma
+
+
+def test_gap_reduce_reaches_every_conjugation_probe(monkeypatch):
+    # a helper that gap_reduce called directly, not through the conjugation
+    # module, would leave the tracer's metric for it at zero
+    wrapped = {a for m, a, _span, _work in _tracing(monkeypatch).PROBES if m is conjugation}
+    names = (
+        "fd_reduce",
+        "width_one_conjugate",
+        "local_profile",
+        "mobius_act",
+        "verify_gap_certificate",
+        "verify_gap_provable",
+        "_first_column_candidates",
+    )
+    assert wrapped == {"gap_reduce", *names}
+    calls = []
+
+    def counted(attr):
+        real = getattr(conjugation, attr)
+
+        def wrapper(*args):
+            calls.append(attr)
+            return real(*args)
+
+        monkeypatch.setattr(conjugation, attr, wrapper)
+
+    for attr in names:
+        counted(attr)
+    for n, z, method, lattice_ok in (
+        (4, PointH(Fraction(3, 5), Fraction(1, 4)), "construction", False),  # honest failure
+        (2, PointH(Fraction(-1, 17), Fraction(14, 17)), "search", True),
+    ):
+        calls.clear()
+        cert = conjugation.gap_reduce(z, n)
+        assert (cert.method, cert.verification["lattice_ok"]) == (method, lattice_ok)
+        assert set(calls) == set(names), (n, z)
