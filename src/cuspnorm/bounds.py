@@ -14,12 +14,11 @@ linear programs over the variables
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-
-import mpmath
 
 from .arith import factor, n_over_m_squared, squarefree_split
 from .errors import (
@@ -317,16 +316,17 @@ def smooth_count(x: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_terms(terms, **values) -> mpmath.mpf:
+def evaluate_terms(terms, **values) -> Decimal:
     """Sum of the monomials `terms` at positive rational parameter values
-    (keywords named as in PARAMS), at working_precision() (CUSPNORM_PRECISION).
+    (keywords named as in PARAMS), as a Decimal rounded at working_precision():
+    default_dps() (CUSPNORM_PRECISION) plus 10 guard digits.
 
     Every exponent must be a multiple of 1/2, so each monomial is exactly
     (r_num / r_den) * sqrt(s) with integers r_num, r_den, s: it costs one
     rounded division and, for s > 1, one rounded square root and product.
     """
     with working_precision():
-        total = mpmath.mpf(0)
+        total = Decimal(0)
         for vec in terms:
             r_num = r_den = s = 1
             for param, e in zip(PARAMS, vec.exps):
@@ -347,9 +347,9 @@ def evaluate_terms(terms, **values) -> mpmath.mpf:
                 if half:  # sqrt(num/den) = sqrt(num*den) / den
                     s *= num * den
                     r_den *= den
-            term = mpmath.mpf(r_num) / r_den
+            term = Decimal(r_num) / r_den
             if s != 1:
-                term *= mpmath.sqrt(s)
+                term *= Decimal(s).sqrt()
             total += term
         return total
 

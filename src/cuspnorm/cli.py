@@ -216,18 +216,18 @@ def _dispatch(args) -> tuple[object, dict, str]:
     raise CuspnormError(f"unhandled command {cmd!r}")
 
 
-def _is_point_flag(tok: str) -> bool:
-    """`--point` or an abbreviation of it that argparse accepts (`--p` on)."""
-    return len(tok) > 2 and "--point".startswith(tok)
+# options whose value may start with '-': a negative x, -sigma, delta or nu
+_SIGNED_VALUE_FLAGS = ("--point", "--check-conjugation", "--delta", "--nu")
 
 
-def _attach_point_values(argv: list[str]) -> list[str]:
-    """argv with `--point X,Y` written as `--point=X,Y`, and likewise for the
-    abbreviations `--p` to `--poin`, since argparse reads a separate value
-    that starts with '-' (a negative x) as an option."""
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with `--point X,Y` written as `--point=X,Y`, and likewise for every
+    _SIGNED_VALUE_FLAGS entry and abbreviation (`--p` on), since argparse reads
+    a separate value that starts with '-' as an option."""
     out = []
     for tok in argv:
-        if out and _is_point_flag(out[-1]):
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and any(flag.startswith(prev) for flag in _SIGNED_VALUE_FLAGS):
             tok = f"{out.pop()}={tok}"
         out.append(tok)
     return out
@@ -242,7 +242,7 @@ def run(argv: list[str]) -> CommandResult:
     and so does an --out file that cannot be opened for writing, which is
     found before the command runs and reported on stdout."""
     parser = build_parser()
-    args = parser.parse_args(_attach_point_values(argv))
+    args = parser.parse_args(_attach_signed_values(argv))
     out = getattr(args, "out", None)
     started = time.monotonic()
     if out:

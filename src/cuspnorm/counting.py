@@ -37,11 +37,10 @@ output is both sound and complete.
 
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
-
-import mpmath
 
 from .arith import (
     crt_pair,
@@ -431,9 +430,9 @@ def amplifier_weights(lam: int, m: int) -> dict[int, Fraction]:
 def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
     """Weighted count sum_l y_l / sqrt(l) * N(z, l, delta, N; M).
 
-    Returns (value, pairs) with value an mpmath float at no fewer
-    significant digits than default_dps() (CUSPNORM_PRECISION) and pairs
-    the exact list of (l, y_l, count).
+    Returns (value, pairs) with value a Decimal summed at working_precision(),
+    10 guard digits above default_dps() (CUSPNORM_PRECISION), and pairs the
+    exact list of (l, y_l, count).
 
     The envelope bound assumes M^2 <= Lambda and z in G(N; M); the sum is
     still well-defined otherwise, so violations only warn.
@@ -444,11 +443,11 @@ def amplified_count_sum(z: PointH, lam: int, delta, n: int, m: int):
         warnings.warn(f"point {z!r} lies outside G({n};{m}); bounds may not apply")
     pairs = []
     with working_precision():
-        total = mpmath.mpf(0)
+        total = Decimal(0)
         for l, yl in amplifier_weights(lam, m).items():
             cnt = count_delta_near(z, l, delta, n, m)
             pairs.append((l, yl, cnt))
             if cnt:
-                term = mpmath.mpf(yl.numerator) / yl.denominator * cnt
-                total += term / mpmath.sqrt(l)
+                term = Decimal(yl.numerator) / yl.denominator * cnt
+                total += term / Decimal(l).sqrt()
     return total, pairs

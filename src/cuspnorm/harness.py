@@ -14,11 +14,10 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-
-import mpmath
 
 from .arith import divisors, primes_up_to, squarefree_split
 from .bounds import ENVELOPES, bound_rhs_ampl, evaluate_terms
@@ -26,7 +25,7 @@ from .conjugation import is_in_G
 from .counting import amplified_count_sum, classify_counts, count_star, count_upper
 from .errors import BudgetExceeded, ConfigError
 from .modgroup import PointH
-from .precision import default_dps, working_precision
+from .precision import default_dps, nstr, working_precision
 
 LEMMAS = tuple(ENVELOPES)  # eq1..eq7, para, ampl
 
@@ -166,7 +165,7 @@ def _run_cell(args: tuple) -> dict | None:
                 rhs = bound_rhs_ampl(n, m, lval, y)
             else:
                 determinants, count = _LEMMA_COUNTS[lemma]
-                lhs = mpmath.mpf(sum(
+                lhs = Decimal(sum(
                     mult * count(z, l, delta, n, m)
                     for l, mult in sorted(determinants(lval, m, l1).items())
                 ))
@@ -185,9 +184,9 @@ def _run_cell(args: tuple) -> dict | None:
                 "delta": str(delta),
                 "x": f"{x.numerator}/{x.denominator}",
                 "y": f"{y.numerator}/{y.denominator}",
-                "lhs": mpmath.nstr(lhs, dps),
-                "rhs": mpmath.nstr(rhs, dps),
-                "ratio": mpmath.nstr(ratio, dps),
+                "lhs": nstr(lhs, dps),
+                "rhs": nstr(rhs, dps),
+                "ratio": nstr(ratio, dps),
             }
     except BudgetExceeded as exc:
         raise BudgetExceeded(
@@ -225,10 +224,9 @@ class HarnessResult:
     skipped: int
 
     def max_ratio(self) -> tuple[str, dict | None]:
-        """Largest ratio over the rows, compared exactly on the mpf values;
-        the first of several maximal rows."""
-        with working_precision():
-            best = max(self.rows, key=lambda r: mpmath.mpf(r["ratio"]), default=None)
+        """Largest ratio over the rows, compared exactly as decimals; the
+        first of several maximal rows."""
+        best = max(self.rows, key=lambda r: Decimal(r["ratio"]), default=None)
         return (best["ratio"] if best else "0.0", best)
 
     def to_json(self) -> dict:

@@ -188,6 +188,34 @@ def test_negative_point_after_abbreviated_flag():
         assert spaced.rendered() == glued.rendered()
 
 
+def test_negated_sigma_as_separate_argument():
+    # -sigma acts as sigma does, and may follow --check-conjugation, whole or
+    # abbreviated, as a separate argument
+    hecke = ["hecke", "--level", "4", "--m", "2", "--l", "1"]
+    sigma = payload(hecke + ["--check-conjugation", "1,0,2,1"])["conjugation"]
+    assert sigma["passed"] is True
+    for flag in ("--check-conjugation", "--c", "--check"):
+        res = run(hecke + [flag, "-1,0,-2,-1"])
+        assert res.exit_code == 0, res.payload
+        assert res.payload["conjugation"] == sigma
+
+
+@pytest.mark.parametrize("argv, flags, error", [
+    (["count", "--level", "4", "--l", "1", "--point", "0/1,1/1"],
+     ("--delta", "--d", "--del"), "ValueError"),
+    (["exponent", "--case", "case2"], ("--nu", "--n"), "OutOfRange"),
+])
+def test_negative_value_as_separate_argument(argv, flags, error):
+    # a negative --delta or --nu is a domain error in either form, not a
+    # usage error
+    glued = run(argv + [f"{flags[0]}=-1/4"])
+    for flag in flags:
+        res = run(argv + [flag, "-1/4"])
+        assert res.exit_code == 1, (flag, res.payload)
+        assert res.payload["error"]["type"] == error
+        assert res.rendered() == glued.rendered()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["count", "--level", "notanint", "--l", "1", "--point", "0/1,1/1"])
