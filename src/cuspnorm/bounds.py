@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 
 from .arith import factor, n_over_m_squared, squarefree_split
 from .errors import (
@@ -322,9 +322,12 @@ def evaluate_terms(terms, **values) -> Decimal:
     default_dps() (CUSPNORM_PRECISION) plus 10 guard digits.
 
     Every exponent must be a multiple of 1/2, so each monomial is exactly
-    (r_num / r_den) * sqrt(s) with integers r_num, r_den, s: it costs one
-    rounded division and, for s > 1, one rounded square root and product.
+    (r_num / r_den) * sqrt(s) with integers r_num, r_den, s.  The terms
+    whose s is a perfect square are summed as one exact Fraction, rounded
+    once at the end, so an exact decimal tie reaches nstr unrounded; every
+    other term costs one rounded division, square root and product.
     """
+    exact = Fraction(0)
     with working_precision():
         total = Decimal(0)
         for vec in terms:
@@ -347,11 +350,12 @@ def evaluate_terms(terms, **values) -> Decimal:
                 if half:  # sqrt(num/den) = sqrt(num*den) / den
                     s *= num * den
                     r_den *= den
-            term = Decimal(r_num) / r_den
-            if s != 1:
-                term *= Decimal(s).sqrt()
-            total += term
-        return total
+            root = isqrt(s)
+            if root * root == s:
+                exact += Fraction(r_num * root, r_den)
+            else:
+                total += Decimal(r_num) / r_den * Decimal(s).sqrt()
+        return total + Decimal(exact.numerator) / exact.denominator
 
 
 # the amplifier envelope, in display order

@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _levels(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return (int(lo), int(hi or lo))
+    lo, sep, hi = text.partition("..")
+    return (int(lo), int(hi if sep else lo))
 
 
 def _levels_text(text: str) -> str:

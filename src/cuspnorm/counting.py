@@ -22,23 +22,26 @@ it holds exactly when T >= 0 and
 interval [ceil((N0 - Hf)/D), floor((N0 + Hf)/D)] (the left side is an
 integer, and floor(sqrt(P/dd)) = isqrt(P // dd)).  The hits are the terms
 of the progression a*d == l (mod |c|), a == 1 (mod M) inside it; the
-progression depends only on d mod |c| and is solved once per residue.  For
-c = 0 the pairs (a, d) are the divisor factorizations of l and b runs over
-an interval solved the same way.  gamma and -gamma act alike on the
-half-plane, so only c > 0 (a > 0 when c = 0) is scanned: the hits of the
-negated pair are the negated terms a == -1 (mod M) of the same window.
-Both strata come from one pair of window generators: `enumerate_delta_near`
-walks the windows, `count_delta_near` only measures them, and `count_star`
-and `count_upper` measure one stratum each with the parabolic hits
-(tr^2 = 4l, at most one per sign of the trace in a c != 0 window) taken
-off.  No candidate is tested after the fact; every window is exact, so the
-output is both sound and complete.
+progression depends only on d mod |c|, so each row of c is walked one
+residue class at a time, and a class without a progression is skipped
+whole.  For c = 0 the pairs (a, d) are the divisor factorizations of l and
+b runs over an interval solved the same way.  gamma and -gamma act alike
+on the half-plane, so only c > 0 (a > 0 when c = 0) is scanned: the hits
+of the negated pair are the negated terms a == -1 (mod M) of the same
+window.  Both strata come from one pair of window generators, which yield
+the hits of the free entry as a `range`: `enumerate_delta_near` iterates
+the ranges, `count_delta_near` sums their lengths, and `count_star` and
+`count_upper` measure one stratum each with the parabolic hits (tr^2 = 4l,
+at most one per sign of the trace in a c != 0 window) taken off.  No
+candidate is tested after the fact; every window is exact, so the output
+is both sound and complete.
 """
 
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -72,10 +75,6 @@ def in_delta_entries(a: int, b: int, c: int, d: int, l: int, n: int, m: int) -> 
 C_BUDGET = 400_000  # most multiples of N one c-window may hold
 
 
-def _ceildiv(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
     """(plus, minus): plus = (r, step) with a == r (mod step) exactly when
     a*d == l (mod c) and a == 1 (mod M), the hits of (c, d); minus likewise
@@ -86,7 +85,7 @@ def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
         return ()
     c1 = c // g
     a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1  # pow(_, -1, 1) is 0
-    plus = crt_pair(a0, c1, 1 % m, m)
+    plus = crt_pair(a0, c1, 1, m) if m > 1 else (a0, c1)  # every a is 1 mod 1
     minus = plus if 2 % m == 0 else crt_pair(a0, c1, -1 % m, m)
     return (plus, minus) if plus or minus else ()
 
@@ -114,9 +113,9 @@ def _cleared(z: PointH, l: int, delta, n: int, m: int) -> _Cleared:
 
 
 def _upper_windows(cl: _Cleared):
-    """The c = 0 stratum: yield (a, d, b_lo, b_hi) for each divisor pair
-    a*d = l with a == 1 (mod M); the hits are exactly b in [b_lo, b_hi].
-    Only a > 0 is scanned: the window of (-a, -d) is [-b_hi, -b_lo].
+    """The c = 0 stratum: yield (a, d, b_range) for each divisor pair
+    a*d = l with a == 1 (mod M); the hits are exactly b in b_range.  Only
+    a > 0 is scanned: the window of (-a, -d) is the negation of b_range.
 
     With s = a - d the u-condition reads (s*px + b*q)^2 <= py^2 (4 l delta
     - s^2), and the integer left side may be compared with the floor of the
@@ -130,19 +129,22 @@ def _upper_windows(cl: _Cleared):
         if rhs2 < 0 or not (pos or neg):
             continue
         rb = isqrt(rhs2 // dd)
-        b_lo, b_hi = _ceildiv(-s * px - rb, q), (rb - s * px) // q
+        b_lo, b_hi = -((s * px + rb) // q), (rb - s * px) // q
         if b_lo <= b_hi:
             if pos:
-                yield a, d, b_lo, b_hi
+                yield a, d, range(b_lo, b_hi + 1)
             if neg:
-                yield -a, -d, -b_hi, -b_lo
+                yield -a, -d, range(-b_hi, -b_lo + 1)
 
 
 def _lower_windows(cl: _Cleared):
-    """The c != 0 strata: yield (c, d, a_first, a_last, a_step) for each
-    (c, d) holding a hit; the hits are exactly a in range(a_first, a_last
-    + 1, a_step) with b = (a*d - l)/c.  Only c > 0 is scanned: the hits of
-    (-c, -d) are the negated terms a == -1 (mod M) of the window of (c, d).
+    """The c != 0 strata: yield (c, d, a_range) for each (c, d) holding a
+    hit; the hits are exactly a in a_range with b = (a*d - l)/c.  Only c > 0
+    is scanned: the hits of (-c, -d) are the negated terms a == -1 (mod M)
+    of the window of (c, d).
+
+    Each row of c is walked one residue class d mod c at a time, and a
+    class without a progression of a is skipped whole.
 
     Raises BudgetExceeded when the c-window holds more than C_BUDGET
     multiples of N, before the first window is yielded.
@@ -159,41 +161,37 @@ def _lower_windows(cl: _Cleared):
     tn = 4 * dn * lq2
     for c, d_lo, d_hi in lattice_rows(px, py, q, r_num, dd, n):
         cpy2 = (c * py) ** 2
-        progs = {}  # d mod c -> _a_progressions(d mod c, c, l, m)
         cpx = c * px
-        for d in range(d_lo, d_hi + 1):
-            key = d % c
-            prog = progs.get(key)
-            if prog is None:
-                prog = progs[key] = _a_progressions(key, c, l, m)
+        for d0 in range(d_lo, min(d_hi, d_lo + c - 1) + 1):
+            prog = _a_progressions(d0 % c, c, l, m)
             if not prog:
                 continue
-            # With A + i c py = q (cz + d) and S = |A + i c py|^2, the
-            # condition |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2
-            # is (a D - N0)^2 <= c^2 py^2 T / dd.
-            A = cpx + d * q
-            S = A * A + cpy2
-            T = tn * S - dd * (S - lq2) ** 2
-            if T < 0:
-                continue
-            D = q * S
-            N0 = cpx * S + lq2 * A
-            hf = isqrt(cpy2 * T // dd)
-            a_hi = (N0 + hf) // D
-            a_lo = -((hf - N0) // D)
             plus, minus = prog
-            if plus:
-                r_a, m_a = plus
-                a_first = a_lo + (r_a - a_lo) % m_a
-                if a_first <= a_hi:
-                    yield c, d, a_first, a_hi, m_a
-            if minus:
-                if minus is not plus:  # M | 2 shares plus's residue and step
-                    r_a, m_a = minus
+            for d in range(d0, d_hi + 1, c):
+                # With A + i c py = q (cz + d) and S = |A + i c py|^2, the
+                # condition |(a - cz)(cz + d) - l|^2 <= 4 l delta c^2 y^2
+                # is (a D - N0)^2 <= c^2 py^2 T / dd.
+                A = cpx + d * q
+                S = A * A + cpy2
+                T = tn * S - dd * (S - lq2) ** 2
+                if T < 0:
+                    continue
+                D = q * S
+                N0 = cpx * S + lq2 * A
+                hf = isqrt(cpy2 * T // dd)
+                a_hi = (N0 + hf) // D
+                a_lo = -((hf - N0) // D)
+                if plus:
+                    r_a, m_a = plus
                     a_first = a_lo + (r_a - a_lo) % m_a
-                if a_first <= a_hi:
-                    a_top = a_hi - (a_hi - a_first) % m_a
-                    yield -c, -d, -a_top, -a_first, m_a
+                    if a_first <= a_hi:
+                        yield c, d, range(a_first, a_hi + 1, m_a)
+                if minus:
+                    if minus is not plus:  # M | 2 shares plus's residue and step
+                        r_a, m_a = minus
+                        a_first = a_lo + (r_a - a_lo) % m_a
+                    if a_first <= a_hi:
+                        yield -c, -d, range(-a_first, -a_hi - 1, -m_a)
 
 
 def enumerate_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[Mat2]:
@@ -204,13 +202,9 @@ def enumerate_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[Mat2]
     multiples of N (guards against extremely small y).
     """
     cl = _cleared(z, l, delta, n, m)
-    found = [
-        (0, a, d, b)
-        for a, d, b_lo, b_hi in _upper_windows(cl)
-        for b in range(b_lo, b_hi + 1)
-    ]
-    for c, d, a_first, a_last, a_step in _lower_windows(cl):
-        for a in range(a_first, a_last + 1, a_step):
+    found = [(0, a, d, b) for a, d, b_range in _upper_windows(cl) for b in b_range]
+    for c, d, a_range in _lower_windows(cl):
+        for a in a_range:
             found.append((c, a, d, (a * d - l) // c))
     found.sort()
     return [Mat2(a, b, c, d) for c, a, d, b in found]
@@ -223,10 +217,7 @@ def count_delta_near(z: PointH, l: int, delta, n: int, m: int) -> int:
     Raises BudgetExceeded on the same inputs as enumerate_delta_near.
     """
     cl = _cleared(z, l, delta, n, m)
-    total = sum(b_hi - b_lo + 1 for _a, _d, b_lo, b_hi in _upper_windows(cl))
-    for _c, _d, a_first, a_last, a_step in _lower_windows(cl):
-        total += (a_last - a_first) // a_step + 1
-    return total
+    return sum(len(hits) for _c, _d, hits in chain(_upper_windows(cl), _lower_windows(cl)))
 
 
 def count_star(z: PointH, l: int, delta, n: int, m: int) -> int:
@@ -242,12 +233,10 @@ def count_star(z: PointH, l: int, delta, n: int, m: int) -> int:
     r = isqrt(l)
     traces = (2 * r, -2 * r) if r * r == l else ()
     total = 0
-    for _c, d, a_first, a_last, a_step in _lower_windows(_cleared(z, l, delta, n, m)):
-        total += (a_last - a_first) // a_step + 1
+    for _c, d, a_range in _lower_windows(_cleared(z, l, delta, n, m)):
+        total += len(a_range)
         for t in traces:
-            a = t - d
-            if a_first <= a <= a_last and (a - a_first) % a_step == 0:
-                total -= 1
+            total -= t - d in a_range
     return total
 
 
@@ -255,8 +244,8 @@ def count_upper(z: PointH, l: int, delta, n: int, m: int) -> int:
     """classify_counts(z, l, delta, n, m).n_u, computed from the c = 0
     windows alone: no c-window is scanned, so C_BUDGET never applies."""
     return sum(
-        b_hi - b_lo + 1
-        for a, d, b_lo, b_hi in _upper_windows(_cleared(z, l, delta, n, m))
+        len(b_range)
+        for a, d, b_range in _upper_windows(_cleared(z, l, delta, n, m))
         if (a + d) ** 2 != 4 * l
     )
 

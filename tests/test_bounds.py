@@ -6,6 +6,7 @@ import pytest
 from cuspnorm import bounds
 from cuspnorm.bounds import (
     AMPL_RHS_TERMS,
+    ENVELOPES,
     ConstraintSet,
     ExponentVector,
     dominated_by,
@@ -26,6 +27,7 @@ from cuspnorm.errors import (
     OutOfRange,
     UnboundedPolytope,
 )
+from cuspnorm.precision import nstr
 from oracles import fourier_exponent
 
 F = Fraction
@@ -271,6 +273,22 @@ def test_evaluate_terms_examples():
     assert evaluate_terms((monomial(),)) == 1
     with pytest.raises(ConfigError):
         evaluate_terms((monomial(N=F(1, 3)),), N=8)
+
+
+@pytest.mark.parametrize(
+    "dps, n, m, lval, y, printed",
+    [
+        (5, 12, 1, 3, F(281, 288), "9.7813"),  # 313/32 = 9.78125
+        (7, 24, 1, 6, F(773, 2304), "7.039063"),  # 901/128 = 7.0390625
+        (8, 24, 2, 6, F(1447, 2304), "6.6523438"),  # 1703/256 = 6.65234375
+    ],
+)
+def test_exact_tie_rounds_half_up(monkeypatch, dps, n, m, lval, y, printed):
+    # eq7 harness rhs cells whose value is an exact decimal tie at dps digits:
+    # sqrt(L N) is an integer, so every term is rational
+    monkeypatch.setenv("CUSPNORM_PRECISION", str(dps))
+    rhs = evaluate_terms(ENVELOPES["eq7"], N=n, M=m, y=y, N0=1, L=lval)
+    assert nstr(rhs, dps) == printed
 
 
 def test_smooth_count_examples():

@@ -223,9 +223,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["reduce", "--level", "4", "--point", "zzz"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["harness", "--lemma", "eq7", "--levels", "1-3"])
-    assert exc.value.code == 2
+    for levels in ("1-3", "1.."):
+        with pytest.raises(SystemExit) as exc:
+            run(["harness", "--lemma", "eq7", "--levels", levels])
+        assert exc.value.code == 2
 
 
 def test_cli_subprocess_byte_identical(tmp_path):

@@ -8,7 +8,10 @@ are not trivial); recorded at commit 90a3a5f, the same digest over
 all 6,000 C3 points with N <= 60 (all seven failed certificates); and,
 recorded at commit 535ee51, digests of `coset_reps_delta(l, N, M).to_json()`
 over the C7 table grid and of `conjugation_invariance(...).to_json()` over
-the C7 conjugation grid.
+the C7 conjugation grid; recorded at commit 7f28a1c, the para harness CSV
+at seed 5, the ampl harness CSV at --jobs 2 (the same digest as at
+--jobs 1) and a `count --matrices` call at M = 3 whose output holds
+matrices with c < 0 and with c = 0, a < 0 (the negated windows).
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -38,12 +41,24 @@ CASES = {
         ]
         for lemma in LEMMAS
     },
+    "harness-para-seed5": [
+        "harness", "--lemma", "para", "--levels", "1..12", "--seed", "5",
+        "--format", "csv",
+    ],
+    "harness-ampl-jobs2": [
+        "harness", "--lemma", "ampl", "--levels", "1..12", "--seed", "0",
+        "--format", "csv", "--jobs", "2",
+    ],
     "reduce-construction": ["reduce", "--level", "4", "--point", "1/2,1/4"],
     "reduce-failed": ["reduce", "--level", "4", "--point", "3/5,1/4"],
     "reduce-search": ["reduce", "--level", "2", "--point=-1/17,14/17"],
     "count-matrices": [
         "count", "--level", "4", "--m", "2", "--l", "1", "--delta", "1/100",
         "--point", "0/1,2/1", "--matrices",
+    ],
+    "count-matrices-negated": [
+        "count", "--level", "9", "--m", "3", "--l", "10", "--delta", "1",
+        "--point", "1/3,1/2", "--matrices",
     ],
     "hecke": [
         "hecke", "--level", "9", "--m", "3", "--l", "4",
@@ -65,10 +80,13 @@ DIGESTS = {
     "harness-eq7": "b6997a92a642c5f7d019f456b61560fe19d6ba00bd2fb7955f1528bff7077345",
     "harness-para": "d52230aadfa064177c33be943eb265dc2b3d276d5761ff99d5ab1ff4ceaa3035",
     "harness-ampl": "4f463d3e41d68dc5aa6fbc573e4c42cd5ea6f9276868a4db1504e0fd9c73f35d",
+    "harness-para-seed5": "4124c52e953c337f0f5e3492c91f9403ad17df9ed591b7368217315efa56418d",
+    "harness-ampl-jobs2": "4f463d3e41d68dc5aa6fbc573e4c42cd5ea6f9276868a4db1504e0fd9c73f35d",
     "reduce-construction": "c875de3eea079b3fd4375f8213096adba8140aeec2c83d21c6f26c31bf6377f8",
     "reduce-failed": "f9094223c8fcc360eff4f34936e1e616d158eba275953a9f7b1f4d709bd05c9f",
     "reduce-search": "cd6f5bc241499368c8018e3251b13c9f0a60ca63bb95bb71f77433986118c463",
     "count-matrices": "61d17f367606e5066215e79c36a774bbcebb5a5ce2bcc880d166d1fbed18958b",
+    "count-matrices-negated": "6e67a0853a349be2a25158cab2c578daa6554beac9f91953953fe240fef12b21",
     "hecke": "bac1e47b7221b2a3348ff6b69cfd9304f9c12558a09a7b71d4d015f1510af5a9",
     "exponent-main": "4138f45b4cec1ad368832475f198ffc1562299e8e8ee31487c4cf927325cabaf",
     "exponent-case2-text": "3e2b64afaeefc687c861596d49a3ac1f4b131ab019bc505be26c7d5ec87fabe0",
