@@ -125,29 +125,43 @@ def _levels_text(text: str) -> str:
     return text
 
 
-def _dispatch(args) -> tuple[object, dict, str]:
-    """Returns (payload, inputs-echo, format)."""
+# not echoed: the command, which the document names on its own, and the
+# arguments that choose how a result is written or which parts it holds;
+# leaving --jobs out keeps output byte-identical across --jobs settings
+_NOT_ECHOED = frozenset(("command", "format", "out", "jobs", "matrices",
+                         "check_conjugation"))
+
+
+def _inputs(args) -> dict:
+    """The inputs echo: every argument not in _NOT_ECHOED, a Fraction as its
+    string and a point serialized; an unset --nu, and --l1 at its default 1,
+    are left out, so default output is unchanged."""
+    inputs = {}
+    for name, value in vars(args).items():
+        if name in _NOT_ECHOED or value is None or (name == "l1" and value == 1):
+            continue
+        if isinstance(value, Fraction):
+            value = str(value)
+        elif isinstance(value, PointH):
+            value = value.serialize()
+        inputs[name] = value
+    return inputs
+
+
+def _dispatch(args) -> tuple[object, str]:
+    """Returns (payload, format)."""
     cmd = args.command
     if cmd == "cusps":
-        return cusps.cusp_table_json(args.level), {"level": args.level}, "json"
+        return cusps.cusp_table_json(args.level), "json"
 
     if cmd == "reduce":
-        cert = conjugation.gap_reduce(args.point, args.level)
-        inputs = {"level": args.level, "point": args.point.serialize()}
-        return cert.to_json(), inputs, "json"
+        return conjugation.gap_reduce(args.point, args.level).to_json(), "json"
 
     if cmd == "count":
         report = counting.classify_counts(
             args.point, args.l, args.delta, args.level, args.m
         )
-        inputs = {
-            "level": args.level,
-            "m": args.m,
-            "l": args.l,
-            "delta": str(args.delta),
-            "point": args.point.serialize(),
-        }
-        return report.to_json(include_matrices=args.matrices), inputs, "json"
+        return report.to_json(include_matrices=args.matrices), "json"
 
     if cmd == "harness":
         lo, hi = _levels(args.levels)
@@ -162,20 +176,9 @@ def _dispatch(args) -> tuple[object, dict, str]:
             l1=args.l1,
         )
         result = harness.lemma_harness(config)
-        # jobs is an execution detail, not an input: keeping it out of the
-        # payload preserves byte-identical output across --jobs settings
-        inputs = {
-            "lemma": args.lemma,
-            "levels": args.levels,
-            "delta": str(args.delta),
-            "samples": args.samples,
-            "seed": args.seed,
-        }
-        if args.l1 != 1:  # echoed only off its default, so default output is unchanged
-            inputs["l1"] = args.l1
         if args.format == "csv":
-            return result.to_csv(), inputs, "raw"
-        return result.to_json(), inputs, "json"
+            return result.to_csv(), "raw"
+        return result.to_json(), "json"
 
     if cmd == "hecke":
         table = hecke.coset_reps_delta(args.l, args.level, args.m)
@@ -187,31 +190,23 @@ def _dispatch(args) -> tuple[object, dict, str]:
             payload["conjugation"] = hecke.conjugation_invariance(
                 args.check_conjugation, args.l, args.level, args.m
             ).to_json()
-        inputs = {"level": args.level, "m": args.m, "l": args.l}
-        return payload, inputs, "json"
+        return payload, "json"
 
     if cmd == "exponent":
         report = bounds.theorem_pipeline(args.case, nu=args.nu)
-        inputs = {"case": args.case}
-        if args.nu is not None:
-            inputs["nu"] = str(args.nu)
         if args.format == "text":
             text = report.render_text()
             if args.nu is not None:
                 text += f"exponent at nu = {args.nu}: {report.exponent_at(args.nu)}\n"
-            return text, inputs, "raw"
+            return text, "raw"
         payload = report.to_json()
         if args.nu is not None:
             payload["exponent_at_nu"] = str(report.exponent_at(args.nu))
-        return payload, inputs, "json"
+        return payload, "json"
 
     if cmd == "smooth":
         count = bounds.smooth_count(args.x, args.level)
-        return (
-            {"x": args.x, "level": args.level, "count": count},
-            {"x": args.x, "level": args.level},
-            "json",
-        )
+        return {"x": args.x, "level": args.level, "count": count}, "json"
 
     raise CuspnormError(f"unhandled command {cmd!r}")
 
@@ -252,7 +247,8 @@ def run(argv: list[str]) -> CommandResult:
             return CommandResult(args.command, {}, _error(exc), 1, time.monotonic() - started)
     try:
         default_dps()  # a malformed CUSPNORM_PRECISION fails every command alike
-        payload, inputs, fmt = _dispatch(args)
+        payload, fmt = _dispatch(args)
+        inputs = _inputs(args)
         code = 0
     except (CuspnormError, ValueError, ZeroDivisionError) as exc:
         payload = _error(exc)

@@ -43,7 +43,6 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .arith import (
     crt_pair,
@@ -90,29 +89,17 @@ def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
     return (plus, minus) if plus or minus else ()
 
 
-class _Cleared(NamedTuple):
-    """One enumeration problem cleared to integers: z = (px + i py)/q and
-    delta = dn/dd."""
-
-    l: int
-    n: int
-    m: int
-    px: int
-    py: int
-    q: int
-    dn: int
-    dd: int
-
-
-def _cleared(z: PointH, l: int, delta, n: int, m: int) -> _Cleared:
+def _cleared(z: PointH, l: int, delta, n: int, m: int) -> tuple:
+    """One enumeration problem cleared to integers, (l, N, M, px, py, q, dn,
+    dd) with z = (px + i py)/q and delta = dn/dd."""
     delta = Fraction(delta)
     if l < 1 or delta < 0 or n < 1 or m < 1:
         raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
     px, py, q = z.cleared()
-    return _Cleared(l, n, m, px, py, q, delta.numerator, delta.denominator)
+    return (l, n, m, px, py, q, delta.numerator, delta.denominator)
 
 
-def _upper_windows(cl: _Cleared):
+def _upper_windows(cl: tuple):
     """The c = 0 stratum: yield (a, d, b_range) for each divisor pair
     a*d = l with a == 1 (mod M); the hits are exactly b in b_range.  Only
     a > 0 is scanned: the window of (-a, -d) is the negation of b_range.
@@ -137,7 +124,7 @@ def _upper_windows(cl: _Cleared):
                 yield -a, -d, range(-b_hi, -b_lo + 1)
 
 
-def _lower_windows(cl: _Cleared):
+def _lower_windows(cl: tuple):
     """The c != 0 strata: yield (c, d, a_range) for each (c, d) holding a
     hit; the hits are exactly a in a_range with b = (a*d - l)/c.  Only c > 0
     is scanned: the hits of (-c, -d) are the negated terms a == -1 (mod M)

@@ -66,14 +66,6 @@ def _cell_seed(seed: int, lemma: str, n: int, m: int, lval: int, k: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def _ceil_sqrt_ratio(a: int, b: int) -> int:
-    """Smallest s >= 0 with s*s*b >= a (a >= 0, b >= 1)."""
-    s = isqrt(a // b)
-    while s * s * b < a:
-        s += 1
-    return s
-
-
 SAMPLE_TRIES = 200  # draws before sample_point_in_g gives up on a cell
 
 
@@ -84,7 +76,8 @@ def sample_point_in_g(
     G(N; M) in at most SAMPLE_TRIES draws; y ranges over
     [sqrt(3) M^2/(2N), sqrt(y_hi_sq)]."""
     den = 4 * n * n
-    num_lo = _ceil_sqrt_ratio(3 * m**4 * den * den, 4 * n * n)
+    # least j with j^2 >= 12 M^4 N^2 = 3 (2 M^2 N)^2, which is never a square
+    num_lo = isqrt(12 * m**4 * n * n) + 1
     hi = y_hi_sq * den * den
     num_hi = isqrt(hi.numerator // hi.denominator)
     if num_hi < num_lo:

@@ -39,10 +39,11 @@ from math import gcd
 from .arith import bezout, divisors
 from .counting import in_delta_entries
 from .cusps import cusp_denominator
-from .errors import InvalidM, PrereqFailed
+from .errors import BudgetExceeded, InvalidM, PrereqFailed
 from .modgroup import Mat2
 
 _ROW_CACHE_SIZE = 256
+COSET_BUDGET = 1_000_000  # most row pairs (N^2) or cosets one coset table may take
 
 Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
@@ -140,11 +141,16 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     invariant on the B_M-coset once the first holds, and neither reads b1,
     so they are decided once per (row, a1), and each passing pair gives the
     l/a1 cosets u * (a1, b1; 0, l/a1), 0 <= b1 < l/a1.
+
+    Raises BudgetExceeded when the N^2 row pairs exceed COSET_BUDGET,
+    before the rows are walked.
     """
     if l < 1 or n < 1:
         raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
+    if n * n > COSET_BUDGET:
+        raise BudgetExceeded(f"N={n} has {n * n} row pairs, budget {COSET_BUDGET}")
     a1s = divisors(l)
     walk = []
     for c, d in _row_cosets(n, m):
@@ -160,9 +166,18 @@ def _coset_entries(l: int, n: int, m: int) -> list[Entries]:
     """Entries of one representative per right coset of Gamma0(N; M) in
     Delta(l, N; M): u * (a1, b1; 0, l/a1) for each passing (u, a1) of
     _coset_walk and 0 <= b1 < l/a1, each checked to lie in Delta(l, N; M).
-    Output order: rows, then a1, then b1."""
+    Output order: rows, then a1, then b1.
+
+    Raises BudgetExceeded when there are more than COSET_BUDGET cosets,
+    before the first is built."""
+    walk = _coset_walk(l, n, m)
+    count = sum(l // a1 for _u, a1 in walk)
+    if count > COSET_BUDGET:
+        raise BudgetExceeded(
+            f"Delta({l}, {n}; {m}) has {count} cosets, budget {COSET_BUDGET}"
+        )
     reps = []
-    for (ua, ub, uc, ud), a1 in _coset_walk(l, n, m):
+    for (ua, ub, uc, ud), a1 in walk:
         d1 = l // a1
         for b1 in range(d1):
             gamma = (ua * a1, ua * b1 + ub * d1, uc * a1, uc * b1 + ud * d1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspnorm.cli import run
+from cuspnorm.cli import main, run
 from cuspnorm.harness import CSV_HEADER, CSV_VERSION
 from cuspnorm.modgroup import Mat2, PointH
 
@@ -265,6 +265,17 @@ def test_out_file(tmp_path):
     assert json.loads(proc.stdout)["result"]["error"]["type"] == "FileNotFoundError"
     assert b"Traceback" not in proc.stderr
     assert not missing.parent.exists()
+
+
+def test_json_out_file_is_stdout(tmp_path, capsys):
+    # --out is not echoed, so the JSON document it writes is the one stdout
+    # gets without it
+    argv = ["harness", "--lemma", "eq1", "--levels", "1..3", "--format", "json"]
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_precision_env(tmp_path):

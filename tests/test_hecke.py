@@ -9,7 +9,8 @@ from cuspnorm import hecke
 from cuspnorm.arith import divisors, squarefree_split
 from cuspnorm.counting import in_delta_entries
 from cuspnorm.cusps import cusp_denominator
-from cuspnorm.errors import InvalidM, PrereqFailed
+from cuspnorm.cli import run
+from cuspnorm.errors import BudgetExceeded, InvalidM, PrereqFailed
 from cuspnorm.hecke import (
     conjugation_invariance,
     coset_count_invariance,
@@ -332,3 +333,27 @@ def test_in_delta_entries_agrees_with_delta_member(entries, pair, l, forced):
         l = a * d - b * c
     member = delta_member(Mat2(a, b, c, d), l, n, m)
     assert in_delta_entries(a, b, c, d, l, n, m) == member
+
+
+def test_coset_budget(monkeypatch):
+    # N = 9 has 81 row pairs, and Delta(4, 9; 3) has 7 cosets
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 80)
+    with pytest.raises(BudgetExceeded, match="N=9 has 81 row pairs"):
+        coset_reps_delta(4, 9, 3)
+    with pytest.raises(BudgetExceeded, match="N=9 has 81 row pairs"):
+        coset_count_invariance(4, 9, 3)
+    res = run(["hecke", "--level", "9", "--m", "3", "--l", "4"])
+    assert res.exit_code == 1
+    assert res.payload["error"]["type"] == "BudgetExceeded"
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 81)
+    assert coset_reps_delta(4, 9, 3).count == 7
+    # at N = 1 the one row pair fits, but sigma_1(64) = 127 cosets do not;
+    # the count comparison builds no table, so it still runs
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 126)
+    with pytest.raises(BudgetExceeded, match="has 127 cosets"):
+        coset_reps_delta(64, 1, 1)
+    with pytest.raises(BudgetExceeded, match="has 127 cosets"):
+        conjugation_invariance(Mat2(1, 0, 1, 1), 64, 1, 1)
+    assert coset_count_invariance(64, 1, 1).count_nm == 127
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 127)
+    assert coset_reps_delta(64, 1, 1).count == 127

@@ -11,7 +11,10 @@ over the C7 table grid and of `conjugation_invariance(...).to_json()` over
 the C7 conjugation grid; recorded at commit 7f28a1c, the para harness CSV
 at seed 5, the ampl harness CSV at --jobs 2 (the same digest as at
 --jobs 1) and a `count --matrices` call at M = 3 whose output holds
-matrices with c < 0 and with c = 0, a < 0 (the negated windows).
+matrices with c < 0 and with c = 0, a < 0 (the negated windows); and,
+recorded at commit 0bb7bd9, the outputs whose inputs echo nothing else
+pins: `cusps`, `smooth`, a harness JSON document with `--l1` off its
+default, the `exponent --nu` JSON document and one error document.
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -68,6 +71,12 @@ CASES = {
     "exponent-case2-text": [
         "exponent", "--case", "case2", "--nu", "1/2", "--format", "text",
     ],
+    "exponent-case2-json": ["exponent", "--case", "case2", "--nu", "1/2"],
+    "cusps": ["cusps", "--level", "12"],
+    "smooth": ["smooth", "--x", "12", "--level", "6"],
+    "harness-eq3-l1-json": [
+        "harness", "--lemma", "eq3", "--levels", "1..6", "--l1", "2",
+    ],
 }
 
 DIGESTS = {
@@ -90,6 +99,10 @@ DIGESTS = {
     "hecke": "bac1e47b7221b2a3348ff6b69cfd9304f9c12558a09a7b71d4d015f1510af5a9",
     "exponent-main": "4138f45b4cec1ad368832475f198ffc1562299e8e8ee31487c4cf927325cabaf",
     "exponent-case2-text": "3e2b64afaeefc687c861596d49a3ac1f4b131ab019bc505be26c7d5ec87fabe0",
+    "exponent-case2-json": "c4c11597e46768631df90aff1f5a7e089cc6e43303e3f7f2943e395beb921757",
+    "cusps": "e05332bba758a0c02fd302e429f8814a00e1073a1558bcc83dcdc23213d9144b",
+    "smooth": "c34cfe8ebcf5c34c4ee906be06cf48c4c4bbb4d5bc60507516719c975762b0c7",
+    "harness-eq3-l1-json": "b36a244deea5ae5a5c9f232e5c7ea090a78d274890a1511049ddb30aa5f25e3e",
 }
 
 
@@ -100,6 +113,18 @@ def test_stdout_digest_unchanged(name, monkeypatch):
     assert result.exit_code == 0, result.payload
     digest = hashlib.sha256(result.rendered().encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+ERROR_DIGEST = "5b83c387cf145a51387e2476c4b3feae39c076a7e73ec8af0ae3af437dec87dd"
+
+
+def test_error_document_digest_unchanged(monkeypatch):
+    """A domain error exits 1 and echoes no inputs."""
+    monkeypatch.delenv("CUSPNORM_PRECISION", raising=False)
+    result = run(["count", "--level", "0", "--l", "1", "--point", "0,1"])
+    assert result.exit_code == 1
+    assert result.inputs == {}
+    assert hashlib.sha256(result.rendered().encode()).hexdigest() == ERROR_DIGEST
 
 
 GAP_DIGEST = "089a164f78732da94d0ca1ce5555444142df67bf11eb205de874e2abe01fbfc8"
