@@ -128,14 +128,13 @@ def _levels_text(text: str) -> str:
 # not echoed: the command, which the document names on its own, and the
 # arguments that choose how a result is written or which parts it holds;
 # leaving --jobs out keeps output byte-identical across --jobs settings
-_NOT_ECHOED = frozenset(("command", "format", "out", "jobs", "matrices",
-                         "check_conjugation"))
+_NOT_ECHOED = frozenset(("command", "format", "out", "jobs", "matrices"))
 
 
 def _inputs(args) -> dict:
     """The inputs echo: every argument not in _NOT_ECHOED, a Fraction as its
-    string and a point serialized; an unset --nu, and --l1 at its default 1,
-    are left out, so default output is unchanged."""
+    string, a point serialized and a matrix as "a,b,c,d"; an unset option,
+    and --l1 at its default 1, are left out, so default output is unchanged."""
     inputs = {}
     for name, value in vars(args).items():
         if name in _NOT_ECHOED or value is None or (name == "l1" and value == 1):
@@ -144,6 +143,8 @@ def _inputs(args) -> dict:
             value = str(value)
         elif isinstance(value, PointH):
             value = value.serialize()
+        elif isinstance(value, Mat2):
+            value = ",".join(map(str, value.entries()))
         inputs[name] = value
     return inputs
 

@@ -28,20 +28,32 @@ whole.  For c = 0 the pairs (a, d) are the divisor factorizations of l and
 b runs over an interval solved the same way.  gamma and -gamma act alike
 on the half-plane, so only c > 0 (a > 0 when c = 0) is scanned: the hits
 of the negated pair are the negated terms a == -1 (mod M) of the same
-window.  Both strata come from one pair of window generators, which yield
-the hits of the free entry as a `range`: `enumerate_delta_near` iterates
-the ranges, `count_delta_near` sums their lengths, and `count_star` and
-`count_upper` measure one stratum each with the parabolic hits (tr^2 = 4l,
-at most one per sign of the trace in a c != 0 window) taken off.  No
-candidate is tested after the fact; every window is exact, so the output
-is both sound and complete.
+window (for c != 0 and M | 2, its negated hits, counted and not yielded).
+
+The half scan.  When M | N and l == eps (mod M) with eps = +-1, the map
+gamma -> eps adj(gamma) = eps l gamma^-1 takes the counted set onto itself,
+since a d == l (mod M) and u(gamma^-1 z, z) = u(gamma z, z).  On c > 0 it
+reads (a, b, c, d) -> (-d, b, c, -a), reversing the trace t = a + d; so
+only the hits of t >= 0 are scanned, each of t != 0 counted twice.  They
+have Re w >= -c y sqrt(delta), w = cz + d: as a - cz = t - w, the condition
+|(t - w) w - l| <= 2 c y sqrt(l delta) gives Re w (1 + l/|w|^2) >=
+t - 2 c y sqrt(l delta)/|w|, and 1 + l/|w|^2 >= 2 sqrt(l)/|w|; so Re w < 0
+<= t forces -Re w <= c y sqrt(delta), on integers A >= -isqrt(c^2 py^2 dn
+// dd).  Every other input is scanned in full.
+
+Both strata come from one pair of window generators, which yield the hits
+of the free entry as a `range`: `enumerate_delta_near` iterates the ranges
+and adds the images of the hits, `count_delta_near` sums their lengths,
+and `count_star` and `count_upper` measure one stratum each with the
+parabolic hits (tr^2 = 4l, at most one per sign of the trace in a c != 0
+window) taken off.  No candidate is tested after the fact; every window is
+exact, so the output is both sound and complete.
 """
 
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt
 
 from .arith import (
@@ -78,14 +90,15 @@ def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
     """(plus, minus): plus = (r, step) with a == r (mod step) exactly when
     a*d == l (mod c) and a == 1 (mod M), the hits of (c, d); minus likewise
     for a == -1 (mod M), whose negations are the hits of (-c, -d).  Either
-    is None when no a fits, minus is plus when M | 2; () when neither fits."""
+    is None when no a fits, and minus is None when M | 2, where the hits of
+    (-c, -d) are the negated hits of (c, d); () when neither fits."""
     g = gcd(d, c)
     if l % g:
         return ()
     c1 = c // g
     a0 = (l // g) * pow((d // g) % c1, -1, c1) % c1  # pow(_, -1, 1) is 0
     plus = crt_pair(a0, c1, 1, m) if m > 1 else (a0, c1)  # every a is 1 mod 1
-    minus = plus if 2 % m == 0 else crt_pair(a0, c1, -1 % m, m)
+    minus = None if 2 % m == 0 else crt_pair(a0, c1, -1 % m, m)
     return (plus, minus) if plus or minus else ()
 
 
@@ -124,11 +137,18 @@ def _upper_windows(cl: tuple):
                 yield -a, -d, range(-b_hi, -b_lo + 1)
 
 
+def _mirror_sign(l: int, n: int, m: int) -> int:
+    """eps = +-1 with l == eps (mod M) when M | N, so that gamma -> eps adj(gamma)
+    maps Delta(l, N; M) onto itself and keeps u; 0 when there is no such eps."""
+    return 0 if n % m else 1 if (l - 1) % m == 0 else -1 if (l + 1) % m == 0 else 0
+
+
 def _lower_windows(cl: tuple):
     """The c != 0 strata: yield (c, d, a_range) for each (c, d) holding a
     hit; the hits are exactly a in a_range with b = (a*d - l)/c.  Only c > 0
     is scanned: the hits of (-c, -d) are the negated terms a == -1 (mod M)
-    of the window of (c, d).
+    of the window of (c, d), not yielded for M | 2.  A half scan (nonzero
+    _mirror_sign) yields only the hits of trace a + d >= 0 of the c > 0 pair.
 
     Each row of c is walked one residue class d mod c at a time, and a
     class without a progression of a is skipped whole.
@@ -144,11 +164,14 @@ def _lower_windows(cl: tuple):
         raise BudgetExceeded(
             f"c-window holds {n_c_values} multiples of N={n}, budget {C_BUDGET}"
         )
+    half = _mirror_sign(l, n, m) != 0
     lq2 = l * q * q
     tn = 4 * dn * lq2
     for c, d_lo, d_hi in lattice_rows(px, py, q, r_num, dd, n):
         cpy2 = (c * py) ** 2
         cpx = c * px
+        if half:  # c px + d q >= -c py sqrt(dn / dd), on integers
+            d_lo = max(d_lo, -((cpx + isqrt(cpy2 * dn // dd)) // q))
         for d0 in range(d_lo, min(d_hi, d_lo + c - 1) + 1):
             prog = _a_progressions(d0 % c, c, l, m)
             if not prog:
@@ -168,15 +191,16 @@ def _lower_windows(cl: tuple):
                 hf = isqrt(cpy2 * T // dd)
                 a_hi = (N0 + hf) // D
                 a_lo = -((hf - N0) // D)
+                if half and a_lo < -d:
+                    a_lo = -d
                 if plus:
                     r_a, m_a = plus
                     a_first = a_lo + (r_a - a_lo) % m_a
                     if a_first <= a_hi:
                         yield c, d, range(a_first, a_hi + 1, m_a)
                 if minus:
-                    if minus is not plus:  # M | 2 shares plus's residue and step
-                        r_a, m_a = minus
-                        a_first = a_lo + (r_a - a_lo) % m_a
+                    r_a, m_a = minus
+                    a_first = a_lo + (r_a - a_lo) % m_a
                     if a_first <= a_hi:
                         yield -c, -d, range(-a_first, -a_hi - 1, -m_a)
 
@@ -189,12 +213,33 @@ def enumerate_delta_near(z: PointH, l: int, delta, n: int, m: int) -> list[Mat2]
     multiples of N (guards against extremely small y).
     """
     cl = _cleared(z, l, delta, n, m)
+    eps = _mirror_sign(l, n, m)
     found = [(0, a, d, b) for a, d, b_range in _upper_windows(cl) for b in b_range]
     for c, d, a_range in _lower_windows(cl):
         for a in a_range:
-            found.append((c, a, d, (a * d - l) // c))
+            b = (a * d - l) // c
+            found.append((c, a, d, b))
+            if eps and a != -d:  # eps adj(gamma), of trace -(a + d), is not yielded
+                found.append((-eps * c, eps * d, eps * a, -eps * b))
+    if 2 % m == 0:  # nor is -gamma for c != 0
+        found += [(-c, -a, -d, -b) for c, a, d, b in found if c]
     found.sort()
     return [Mat2(a, b, c, d) for c, a, d, b in found]
+
+
+def _lower_count(cl: tuple, traces: tuple = ()) -> int:
+    """The hits of the c != 0 windows, less those of trace in traces, each
+    with its images: a hit of trace t != 0 in a half scan stands for its
+    mirror too (trace 0, a = -d, is its own up to sign), and for M | 2 all
+    stand for their negations."""
+    l, n, m = cl[:3]
+    k = 2 if _mirror_sign(l, n, m) else 1
+    total = 0
+    for _c, d, hits in _lower_windows(cl):
+        total += k * len(hits) - (k == 2 and hits[0] == -d)
+        for t in traces:
+            total -= k * (t - d in hits)
+    return 2 * total if 2 % m == 0 else total
 
 
 def count_delta_near(z: PointH, l: int, delta, n: int, m: int) -> int:
@@ -204,7 +249,7 @@ def count_delta_near(z: PointH, l: int, delta, n: int, m: int) -> int:
     Raises BudgetExceeded on the same inputs as enumerate_delta_near.
     """
     cl = _cleared(z, l, delta, n, m)
-    return sum(len(hits) for _c, _d, hits in chain(_upper_windows(cl), _lower_windows(cl)))
+    return sum(len(hits) for _a, _d, hits in _upper_windows(cl)) + _lower_count(cl)
 
 
 def count_star(z: PointH, l: int, delta, n: int, m: int) -> int:
@@ -218,13 +263,7 @@ def count_star(z: PointH, l: int, delta, n: int, m: int) -> int:
     Raises BudgetExceeded on the same inputs as enumerate_delta_near.
     """
     r = isqrt(l)
-    traces = (2 * r, -2 * r) if r * r == l else ()
-    total = 0
-    for _c, d, a_range in _lower_windows(_cleared(z, l, delta, n, m)):
-        total += len(a_range)
-        for t in traces:
-            total -= t - d in a_range
-    return total
+    return _lower_count(_cleared(z, l, delta, n, m), (2 * r, -2 * r) if r * r == l else ())
 
 
 def count_upper(z: PointH, l: int, delta, n: int, m: int) -> int:

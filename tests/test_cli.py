@@ -188,6 +188,17 @@ def test_negative_point_after_abbreviated_flag():
         assert spaced.rendered() == glued.rendered()
 
 
+def test_hecke_echoes_sigma():
+    # two passing checks with different sigma print different documents
+    hecke = ["hecke", "--level", "4", "--m", "2", "--l", "1", "--check-conjugation"]
+    docs = {sigma: run(hecke + [sigma]) for sigma in ("1,0,2,1", "3,1,2,1")}
+    for sigma, res in docs.items():
+        assert res.payload["conjugation"]["passed"] is True
+        assert res.inputs["check_conjugation"] == sigma
+    assert docs["1,0,2,1"].rendered() != docs["3,1,2,1"].rendered()
+    assert "check_conjugation" not in run(hecke[:-1]).inputs
+
+
 def test_negated_sigma_as_separate_argument():
     # -sigma acts as sigma does, and may follow --check-conjugation, whole or
     # abbreviated, as a separate argument

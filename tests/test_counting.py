@@ -556,3 +556,76 @@ def test_windows_agree_with_the_hermite_oracle(case):
     z, l, delta, n, m = case
     got = sorted(g.entries() for g in enumerate_delta_near(z, l, delta, n, m))
     assert got == hermite_delta_near(z, l, delta, n, m), case
+
+
+# -- the half scan: gamma -> eps adj(gamma) when M | N, l == eps (mod M) ------
+
+
+def _mirror(g: tuple, eps: int) -> tuple:
+    """eps adj(gamma) for gamma = (a, b, c, d)."""
+    a, b, c, d = g
+    return (eps * d, -eps * b, -eps * c, eps * a)
+
+
+@st.composite
+def mirror_cases(draw):
+    """(z, l, delta, N, M, gamma) with M | N <= 24 and l == +-1 (mod M),
+    where the c != 0 windows are scanned by half.  A third are free draws of
+    l <= 48 (a square half of the time) with gamma None; the rest are
+    boundary cases, delta = u(gamma z, z) at the first point of
+    HERMITE_POINTS whose window fits, for gamma in Delta(l, N; M) with
+    c != 0 and trace 0 (a = 1 + M a0, d = -a, so l == -1 (mod M)) or trace
+    2s, s == 1 (mod M), l = s^2 (gamma = s I + k (xy, -x^2; y^2, -xy) with
+    N | k)."""
+    m = draw(st.sampled_from([1, 2, 2, 3, 4, 6]))
+    n = m * draw(st.integers(1, 24 // m))
+    kind = draw(st.sampled_from(["free", "trace0", "parabolic"]))
+    if kind == "free":
+        delta = draw(st.sampled_from(DELTAS))
+        x = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 17)))
+        z = PointH(x, Fraction(draw(st.integers(1, 48)), draw(st.integers(1, 1000))))
+        l_max = min(48, int(HERMITE_PAIRS_CAP / _window_size(z, 1, delta, n)))
+        ls = [l for l in range(1, l_max + 1) if (l - 1) % m == 0 or (l + 1) % m == 0]
+        if draw(st.booleans()):
+            ls = [l for l in ls if isqrt(l) ** 2 == l]
+        return z, draw(st.sampled_from(ls)), delta, n, m, None
+    c = n * draw(st.sampled_from([-2, -1, 1, 2]))
+    if kind == "trace0":  # l = -a^2 - b c, 1 <= l <= 48
+        a = 1 + m * draw(st.integers(-2, 2))
+        lo, hi = -((-a * a - 1) // abs(c)), (48 + a * a) // abs(c)
+        assume(lo <= hi)
+        gamma = Mat2(a, -(1 if c > 0 else -1) * draw(st.integers(lo, hi)), c, -a)
+    else:
+        s = 1 + m * draw(st.sampled_from([-2, -1, 0, 1]))
+        assume(s != 0 and s * s <= 49)
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+        gamma = Mat2(s + c * x * y, -c * x * x, c * y * y, s - c * x * y)
+    l = gamma.det
+    start = draw(st.integers(0, len(HERMITE_POINTS) - 1))
+    for z in HERMITE_POINTS[start:] + HERMITE_POINTS[:start]:
+        delta = point_pair_u(fraction_mobius_act(gamma, z), z)
+        if delta <= 8 and _window_size(z, l, delta, n) <= HERMITE_PAIRS_CAP:
+            return z, l, delta, n, m, gamma
+    assume(False)  # no point fits gamma's window
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirror_cases())
+@example((I, 1, Fraction(5, 4), 2, 2, Mat2(1, -1, 2, -1)))  # M | 2, trace 0
+@example((I, 9, Fraction(5, 2), 3, 3, None))  # l == 0 (mod 3): a full scan
+def test_half_scan_agrees_with_the_hermite_oracle(case):
+    z, l, delta, n, m, gamma = case
+    got = sorted(g.entries() for g in enumerate_delta_near(z, l, delta, n, m))
+    assert got == hermite_delta_near(z, l, delta, n, m), case
+    assert gamma is None or (delta_member(gamma, l, n, m) and gamma.entries() in got)
+    eps = 1 if (l - 1) % m == 0 else -1 if (l + 1) % m == 0 else 0
+    if n % m == 0 and eps:
+        assert {_mirror(g, eps) for g in got} == set(got)
+        # the c != 0 windows hold only the hits of trace >= 0 of their c > 0 matrix
+        cl = counting._cleared(z, l, delta, n, m)
+        for c, d, hits in counting._lower_windows(cl):
+            assert all((a + d) * c >= 0 for a in hits)
+    n_p = sum((a + d) ** 2 == 4 * l for a, _b, _c, d in got)
+    total = count_delta_near(z, l, delta, n, m)
+    assert total == len(got)
+    assert count_star(z, l, delta, n, m) + count_upper(z, l, delta, n, m) + n_p == total

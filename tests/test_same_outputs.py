@@ -14,7 +14,9 @@ at seed 5, the ampl harness CSV at --jobs 2 (the same digest as at
 matrices with c < 0 and with c = 0, a < 0 (the negated windows); and,
 recorded at commit 0bb7bd9, the outputs whose inputs echo nothing else
 pins: `cusps`, `smooth`, a harness JSON document with `--l1` off its
-default, the `exponent --nu` JSON document and one error document.
+default, the `exponent --nu` JSON document and one error document.  The
+`hecke` digest was re-recorded at the change that echoes the sigma of
+`--check-conjugation` in `inputs`.
 
 A refactoring must leave every digest unchanged.  A change that alters an
 output on purpose updates the digest here and says why in CHANGES.md.
@@ -96,7 +98,7 @@ DIGESTS = {
     "reduce-search": "cd6f5bc241499368c8018e3251b13c9f0a60ca63bb95bb71f77433986118c463",
     "count-matrices": "61d17f367606e5066215e79c36a774bbcebb5a5ce2bcc880d166d1fbed18958b",
     "count-matrices-negated": "6e67a0853a349be2a25158cab2c578daa6554beac9f91953953fe240fef12b21",
-    "hecke": "bac1e47b7221b2a3348ff6b69cfd9304f9c12558a09a7b71d4d015f1510af5a9",
+    "hecke": "c5daa5987e9b253f7815d83db3b5757981a45f90e8674203e6bd5868ed42fa15",
     "exponent-main": "4138f45b4cec1ad368832475f198ffc1562299e8e8ee31487c4cf927325cabaf",
     "exponent-case2-text": "3e2b64afaeefc687c861596d49a3ac1f4b131ab019bc505be26c7d5ec87fabe0",
     "exponent-case2-json": "c4c11597e46768631df90aff1f5a7e089cc6e43303e3f7f2943e395beb921757",
