@@ -247,7 +247,7 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     exactly, c >= 1 ascending and then d ascending after the pair (0, 1).
     The sign symmetry (c, d) -> (-c, -d) reduces to c >= 0.
 
-    The scan runs on cleared integers.  With z' = (px + i py)/q,
+    The scan runs on the triple z' = (px + i py)/q.  With
     L = (c px + d q)^2 + (c py)^2, B(c) = 3 (M^2 gcd(c, N/M^2))^k and
     den = 4 N^k, the margin |c z' + d|^2 - B(c)/den equals
     (den L - q^2 B(c)) / (q^2 den), with a denominator common to all pairs;
@@ -263,7 +263,7 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     n_over_m2 = n_over_m_squared(n, m)
     m2 = m * m
     den = 4 * n**k
-    px, py, q = z_prime.cleared()
+    px, py, q = z_prime.px, z_prime.py, z_prime.q
     q2 = q * q
     worst, worst_l, worst_b = (0, 1), q2, 3 * n**k  # B(0) = 3 (M^2 N/M^2)^k
     min_num = den * q2 - q2 * worst_b
@@ -304,17 +304,17 @@ def verify_gap_provable(z_prime: PointH, n: int, m: int) -> GapVerdict:
     return _verify_lattice_floor(z_prime, n, m, 2)
 
 
-def _height_ok(y: Fraction, n: int, m: int) -> bool:
-    """The height floor of G(N; M), y >= sqrt(3) M^2 / (2N), squared:
-    4 N^2 y^2 >= 3 M^4."""
-    return y * y * 4 * n * n >= 3 * m**4
+def _height_ok(z: PointH, n: int, m: int) -> bool:
+    """The height floor of G(N; M), y >= sqrt(3) M^2 / (2N), squared and
+    read on z = (px + i py)/q: 4 (N py)^2 >= 3 (M^2 q)^2."""
+    return 4 * (n * z.py) ** 2 >= 3 * (m * m * z.q) ** 2
 
 
 def is_in_G(z: PointH, n: int, m: int) -> bool:
     """Membership in the region G(N; M): height y >= sqrt(3) M^2 / (2N) and
     |cz + d|^2 >= 3 M^2 gcd(c, N/M^2) / (4N) for all (c, d) != (0, 0)."""
     n_over_m_squared(n, m)
-    return _height_ok(z.y, n, m) and verify_gap_certificate(z, n, m).passed
+    return _height_ok(z, n, m) and verify_gap_certificate(z, n, m).passed
 
 
 def _checked(cert: ReductionCertificate, z: PointH, z0: PointH) -> bool:
@@ -330,9 +330,10 @@ def _checked(cert: ReductionCertificate, z: PointH, z0: PointH) -> bool:
     n, m, v = cert.w.level, cert.m, cert.verification
     cert.z0 = z0
     cert.z_prime = z_prime = mobius_act(cert.sigma.adjugate() * cert.w.w, z)  # det N_S > 0
-    v["y_bound_ok"] = _height_ok(z_prime.y, n, m)
-    if cert.method == "construction":
-        v["scale_identity_ok"] = z_prime.y == Fraction(cert.m1 * cert.m1, cert.w.n_s) * z0.y
+    v["y_bound_ok"] = _height_ok(z_prime, n, m)
+    if cert.method == "construction":  # py'/q' = (M1^2/N_S) py0/q0
+        v["scale_identity_ok"] = z_prime.py * z0.q * cert.w.n_s == (
+            cert.m1 * cert.m1 * z0.py * z_prime.q)
     verdict = verify_gap_certificate(z_prime, n, m)
     v["lattice"] = verdict
     v["lattice_ok"] = verdict.passed
@@ -351,7 +352,7 @@ def _first_column_candidates(w: PointH, n: int, m: int):
     -sigma T^k, whose z' is an integer translate of the z' of sigma, so it
     passes or fails every check of gap_reduce together with sigma.
 
-    Decided on cleared integers: with w = (px + i py)/q and
+    Decided on the triple w = (px + i py)/q: with
     L = (a q - c px)^2 + (c py)^2, Im(sigma^-1 w) = py q / L, so the floor
     is 3 M^4 L^2 <= 4 N^2 py^2 q^2, i.e. L <= l_max.  With a = -d, L is
     (c px + d q)^2 + (c py)^2, so the columns at each c are a row of the
@@ -359,7 +360,7 @@ def _first_column_candidates(w: PointH, n: int, m: int):
     BudgetExceeded rather than return a cut list when there are more than
     CANDIDATE_BUDGET candidates.
     """
-    px, py, q = w.cleared()
+    px, py, q = w.px, w.py, w.q
     l_max = isqrt((2 * n * py * q) ** 2 // (3 * m**4))
     step = n // m
     out = [(1, 0)] if m == 1 and q * q <= l_max else []  # L = q^2 at (1, 0)

@@ -103,13 +103,12 @@ def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
 
 
 def _cleared(z: PointH, l: int, delta, n: int, m: int) -> tuple:
-    """One enumeration problem cleared to integers, (l, N, M, px, py, q, dn,
-    dd) with z = (px + i py)/q and delta = dn/dd."""
+    """One enumeration problem on integers, (l, N, M, px, py, q, dn, dd)
+    with z = (px + i py)/q, its stored triple, and delta = dn/dd."""
     delta = Fraction(delta)
     if l < 1 or delta < 0 or n < 1 or m < 1:
         raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
-    px, py, q = z.cleared()
-    return (l, n, m, px, py, q, delta.numerator, delta.denominator)
+    return (l, n, m, z.px, z.py, z.q, delta.numerator, delta.denominator)
 
 
 def _upper_windows(cl: tuple):
@@ -415,9 +414,11 @@ def parabolic_certify(
             checks["t0_divisibility"] = (
                 t0 * t0 * m * m * n * n <= t * t * m**4 * g * g * n0 * n0
             )
-        u_val = point_pair_u(mobius_act(gamma, z), z)
-        lat = (c_tau * z.x + d_tau) ** 2 + (c_tau * z.y) ** 2
-        checks["u_identity"] = u_val * 4 * l * z.y * z.y == t * t * lat * lat
+        # on z = (px + i py)/q, with L = q^2 |c_tau z + d_tau|^2: u 4 l py^2 q^2 = t^2 L^2
+        u = point_pair_u(mobius_act(gamma, z), z)
+        lat = (c_tau * z.px + d_tau * z.q) ** 2 + (c_tau * z.py) ** 2
+        checks["u_identity"] = u.numerator * 4 * l * (z.py * z.q) ** 2 == (
+            u.denominator * (t * lat) ** 2)
         certs.append(
             ParabolicCertificate(
                 gamma, ml, sign, tau, t, t0, t1, c_tau, d_tau, t == 0, checks

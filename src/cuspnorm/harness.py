@@ -74,7 +74,8 @@ def sample_point_in_g(
 ) -> PointH | None:
     """Rational z with x = k/(2N+1), y = j/(4N^2), rejection-sampled into
     G(N; M) in at most SAMPLE_TRIES draws; y ranges over
-    [sqrt(3) M^2/(2N), sqrt(y_hi_sq)]."""
+    [sqrt(3) M^2/(2N), sqrt(y_hi_sq)].  As gcd(2N+1, 4N^2) = 1, the draw is
+    the triple (4N^2 k, (2N+1) j, (2N+1) 4N^2)."""
     den = 4 * n * n
     # least j with j^2 >= 12 M^4 N^2 = 3 (2 M^2 N)^2, which is never a square
     num_lo = isqrt(12 * m**4 * n * n) + 1
@@ -84,10 +85,8 @@ def sample_point_in_g(
         return None
     xden = 2 * n + 1
     for _ in range(SAMPLE_TRIES):
-        z = PointH(
-            Fraction(rng.randint(-n, n), xden),
-            Fraction(rng.randint(num_lo, num_hi), den),
-        )
+        k, j = rng.randint(-n, n), rng.randint(num_lo, num_hi)
+        z = PointH.from_triple(k * den, j * xden, xden * den)
         if is_in_G(z, n, m):
             return z
     return None

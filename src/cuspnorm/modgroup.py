@@ -3,12 +3,13 @@ upper half-plane, completion of a primitive column to SL2(Z), the point-pair
 invariant u, the lattice rows (c, d) with |cz + d|^2 below a bound, and
 fundamental-domain reduction.
 
-All geometric predicates are decided over Q; irrational thresholds such as
-sqrt(3)/2 are compared by squaring both (positive) sides.
+A point is held as its cleared triple z = (px + i py)/q, and every
+geometric predicate is decided on those integers; irrational thresholds such
+as sqrt(3)/2 are compared by squaring both (positive) sides.
 """
 
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import bezout
 from .errors import NotUnimodular
@@ -87,39 +88,50 @@ def complete_first_column(a: int, c: int) -> Mat2:
 
 
 class PointH:
-    """Exact rational point x + iy of the upper half-plane (y > 0)."""
+    """Exact rational point z = (px + i py)/q of the upper half-plane, held
+    as its cleared triple: q > 0, py > 0 and gcd(px, py, q) = 1.  The triple
+    is canonical, so equality and hashing compare it; x and y are its
+    Fraction coordinates."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("px", "py", "q")
 
     def __init__(self, x, y):
-        self.x = x if type(x) is Fraction else Fraction(x)
-        self.y = y if type(y) is Fraction else Fraction(y)
-        if self.y <= 0:
-            raise ValueError(f"point must have y > 0, got y = {self.y}")
+        x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        y = y if isinstance(y, (int, Fraction)) else Fraction(y)
+        yn, xd, yd = y.numerator, x.denominator, y.denominator
+        if yn <= 0:
+            raise ValueError(f"point must have y > 0, got y = {y}")
+        # for x and y in lowest terms, no prime divides q, px and py at once
+        q = lcm(xd, yd)
+        self.px, self.py, self.q = x.numerator * (q // xd), yn * (q // yd), q
+
+    @classmethod
+    def from_triple(cls, px: int, py: int, q: int) -> "PointH":
+        """The point (px + i py)/q for ints with py, q > 0, reduced to its
+        canonical triple."""
+        g = gcd(px, py, q)
+        z = object.__new__(cls)
+        z.px, z.py, z.q = px // g, py // g, q // g
+        return z
+
+    x = property(lambda self: Fraction(self.px, self.q), doc="Re z as a Fraction")
+    y = property(lambda self: Fraction(self.py, self.q), doc="Im z as a Fraction")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointH):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self.px == other.px and self.py == other.py and self.q == other.q
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash((self.px, self.py, self.q))
 
     def __repr__(self):
         return f"PointH({self.x}, {self.y})"
 
-    def cleared(self) -> tuple[int, int, int]:
-        """(px, py, q) with z = (px + i py)/q, q the lcm of the denominators."""
-        xd, yd = self.x.denominator, self.y.denominator
-        q = lcm(xd, yd)
-        return self.x.numerator * (q // xd), self.y.numerator * (q // yd), q
-
     def serialize(self) -> str:
         """"x_num/x_den,y_num/y_den" wire format."""
-        return (
-            f"{self.x.numerator}/{self.x.denominator},"
-            f"{self.y.numerator}/{self.y.denominator}"
-        )
+        x, y = self.x, self.y
+        return f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
 
     @classmethod
     def parse(cls, text: str) -> "PointH":
@@ -128,22 +140,25 @@ class PointH:
 
 
 def mobius_act(g: Mat2, z: PointH) -> PointH:
-    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0.
-
-    z is cleared to (px + i py)/q.  With e = c px + d q and
-    D = e^2 + (c py)^2 = q^2 |cz + d|^2 > 0, the image is
-    x' = ((a px + b q) e + a c py^2) / D and y' = det py q / D, so exactly
-    two Fractions are built.  The error names det(g) as str(det).
-    """
+    """Exact Moebius action (az+b)/(cz+d) for det(g) > 0 on the triple
+    z = (px + i py)/q: with e = c px + d q, the image is the triple
+    ((a px + b q) e + a c py^2, det py q, e^2 + (c py)^2), and no Fraction
+    is built.  Rational entries are first scaled by the lcm of their
+    denominators, which leaves the action unchanged.  The error names
+    det(g) as str(det)."""
     a, b, c, d = g.a, g.b, g.c, g.d
     det = a * d - b * c
     if det <= 0:
         raise ValueError(f"mobius_act needs det > 0, got {det}")
-    px, py, q = z.cleared()
+    if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+        k = lcm(*(Fraction(e).denominator for e in (a, b, c, d)))
+        a, b, c, d = (int(e * k) for e in (a, b, c, d))
+        det = a * d - b * c
+    px, py, q = z.px, z.py, z.q
     e = c * px + d * q
-    den = e * e + (c * py) ** 2
-    new_x = Fraction((a * px + b * q) * e + a * c * py * py, den)
-    return PointH(new_x, Fraction(det * py * q, den))
+    return PointH.from_triple(
+        (a * px + b * q) * e + a * c * py * py, det * py * q, e * e + (c * py) ** 2
+    )
 
 
 def lattice_c_max(py: int, r_num: int, r_den: int) -> int:
@@ -165,34 +180,38 @@ def lattice_rows(px: int, py: int, q: int, r_num: int, r_den: int, c_step: int):
 
 
 def point_pair_u(z: PointH, w: PointH) -> Fraction:
-    """Point-pair invariant u(z, w) = |z - w|^2 / (4 Im z Im w)."""
-    return ((z.x - w.x) ** 2 + (z.y - w.y) ** 2) / (4 * z.y * w.y)
+    """Point-pair invariant u(z, w) = |z - w|^2 / (4 Im z Im w), from the
+    triples: with z = (px + i py)/q and w = (rx + i ry)/s it is
+    ((px s - rx q)^2 + (py s - ry q)^2) / (4 py ry q s)."""
+    dx, dy = z.px * w.q - w.px * z.q, z.py * w.q - w.py * z.q
+    return Fraction(dx * dx + dy * dy, 4 * z.py * w.py * z.q * w.q)
 
 
 def fd_reduce(z: PointH) -> tuple[Mat2, PointH]:
     """Reduce z into the standard fundamental domain: z = tau * z0.
 
-    Gauss reduction: translate to x in (-1/2, 1/2], invert while |z| < 1;
-    on the boundary arc |z0| = 1 the representative with x0 >= 0 is chosen.
-    Terminates on exact rationals (each inversion strictly increases y
-    within a discrete set of attainable heights).
+    Gauss reduction on the triple z = (px + i py)/q, tau kept as four ints:
+    translate x into (-1/2, 1/2], invert by (px, py, q) <- (-px q, py q,
+    px^2 + py^2) over its gcd while px^2 + py^2 < q^2, and on the arc
+    |z0| = 1 choose x0 >= 0.  Terminates on exact rationals (each inversion
+    strictly increases y within a discrete set of attainable heights).
     """
-    x, y = z.x, z.y
-    tau = Mat2.identity()
+    px, py, q = z.px, z.py, z.q
+    a, b, c, d = 1, 0, 0, 1
     while True:
-        n = ceil(x - Fraction(1, 2))  # shift into (-1/2, 1/2]
+        n = -((q - 2 * px) // (2 * q))  # shift into (-1/2, 1/2]
         if n:
-            x -= n
-            tau = tau * Mat2(1, n, 0, 1)  # tau <- tau * T^n, point <- T^-n point
-        norm = x * x + y * y
-        if norm >= 1:
+            px -= n * q
+            b, d = a * n + b, c * n + d  # tau <- tau * T^n, point <- T^-n point
+        norm = px * px + py * py
+        if norm >= q * q:
             break
         # apply S: z <- -1/z, tau <- tau * S^-1
-        x, y = -x / norm, y / norm
-        tau = tau * Mat2(0, 1, -1, 0)
-    if x < 0 and x * x + y * y == 1:
-        x = -x  # S acts as x -> -x on the unit arc
-        tau = tau * Mat2(0, 1, -1, 0)
-    if tau.c < 0 or (tau.c == 0 and tau.a < 0):
-        tau = -tau  # +-tau act identically; pin the sign for determinism
-    return tau, PointH(x, y)
+        g = gcd(q * gcd(px, py), norm)  # the gcd of the new triple
+        px, py, q = -px * q // g, py * q // g, norm // g
+        a, b, c, d = -b, a, -d, c
+    if px < 0 and px * px + py * py == q * q:
+        px = -px  # S acts as x -> -x on the unit arc
+        a, b, c, d = -b, a, -d, c
+    tau = Mat2(a, b, c, d)  # +-tau act identically; pin the sign for determinism
+    return (-tau if c < 0 or (c == 0 and a < 0) else tau), PointH.from_triple(px, py, q)

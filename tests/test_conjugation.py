@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from cuspnorm.conjugation import (
     _first_column_candidates,
     atkin_lehner_matrix,
     gap_reduce,
+    is_in_G,
     verify_gap_certificate,
     verify_gap_provable,
     width_one_conjugate,
@@ -238,6 +239,24 @@ def _least_margin_pairs(z, n, m, k):
 def test_lattice_floor_matches_fraction_oracle(n, x_num, y_num, den, k, data):
     m = data.draw(st.sampled_from([m for m in range(1, n + 1) if n % m**2 == 0]))
     _same_verdict(PointH(Fraction(x_num, den), Fraction(y_num, den)), n, m, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(-64, 64),
+    st.integers(1, 64),
+    st.integers(-2, 3),
+    st.data(),
+)
+def test_is_in_G_matches_fraction_height_and_floor(n, x_num, den, offset, data):
+    # y = j/den with j next to den sqrt(3) M^2 / (2N), so both sides of the
+    # height floor are drawn
+    m = data.draw(st.sampled_from([m for m in range(1, n + 1) if n % m**2 == 0]))
+    j = max(1, isqrt(3 * (m * m * den) ** 2 // (4 * n * n)) + offset)
+    z = PointH(Fraction(x_num, den), Fraction(j, den))
+    height = 4 * n * n * z.y * z.y >= 3 * m**4
+    assert is_in_G(z, n, m) == (height and lattice_floor_verdict(z, n, m, 1).passed)
 
 
 @pytest.mark.parametrize("n, m, x, y", [

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm.errors import NotUnimodular
@@ -17,6 +18,7 @@ from cuspnorm.modgroup import (
 from oracles import (
     S,
     T,
+    _fraction_fd_reduce,
     ellipse_rows,
     fraction_mobius_act,
     rand_det_matrix,
@@ -225,3 +227,68 @@ def test_lattice_rows_are_the_ellipse_rows(case):
     for c, d_lo, d_hi in rows:
         assert list(range(d_lo, d_hi + 1)) == expected[c], (c, d_lo, d_hi)
 
+
+def _canonical_fd(z: PointH) -> tuple[Mat2, PointH]:
+    """oracles._fraction_fd_reduce moved onto the package's representative:
+    x0 = -1/2 goes to 1/2 by T, a point of the unit arc with x0 < 0 goes to
+    -x0 by S, and tau is taken with c > 0, or c = 0 and a > 0."""
+    (a, b, c, d), x0, y0 = _fraction_fd_reduce(z.x, z.y)
+    if x0 == Fraction(-1, 2):
+        x0, b, d = x0 + 1, b - a, d - c  # k T^-1
+    if x0 < 0 and x0 * x0 + y0 * y0 == 1:
+        x0, a, b, c, d = -x0, b, -a, d, -c  # k S, which acts as k S^-1
+    if c < 0 or (c == 0 and a < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return Mat2(a, b, c, d), PointH(x0, y0)
+
+
+@st.composite
+def fd_special_points(draw):
+    """A point that the reduction must treat with care (on the unit arc
+    with x < 0, from the rational parametrisation ((1 - t^2) + 2t i)/(1 + t^2)
+    with t > 1; at x = +-1/2 and any height; or i), moved by a word in S and
+    T through the Fraction action."""
+    kind = draw(st.sampled_from(("arc", "half", "i")))
+    if kind == "arc":
+        t = Fraction(draw(st.integers(2, 60)), draw(st.integers(1, 20)))
+        assume(t > 1)
+        z0 = PointH((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    elif kind == "half":
+        y = Fraction(draw(st.integers(1, 200)), draw(st.integers(1, 40)))
+        z0 = PointH(draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 2)))), y)
+    else:
+        z0 = PointH(0, 1)
+    g = Mat2.identity()
+    for e in draw(st.lists(st.integers(-4, 4), max_size=6)):
+        g = g * Mat2(1, e, 0, 1) * S
+    return fraction_mobius_act(g, z0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(points, fd_special_points()))
+@example(PointH(Fraction(-3, 5), Fraction(4, 5)))  # on the unit arc, x < 0
+@example(PointH(Fraction(-1, 2), Fraction(1, 2)))  # x = -1/2 below the arc
+@example(PointH(Fraction(1, 2), Fraction(7, 3)))  # x = 1/2 above it
+def test_fd_reduce_matches_fraction_oracle(z):
+    tau, z0 = fd_reduce(z)
+    expected_tau, expected_z0 = _canonical_fd(z)
+    assert z0 == expected_z0
+    if z0 == PointH(0, 1):  # i is fixed by S, so tau is defined up to S
+        assert tau in (expected_tau, expected_tau * S, -(expected_tau * S))
+    else:
+        assert tau == expected_tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(points, st.integers(2, 30))
+def test_a_scaled_triple_is_the_same_point(z, k):
+    x, y = z.x, z.y
+    q = x.denominator * y.denominator  # a common denominator, not always the least
+    w = PointH.from_triple(
+        k * x.numerator * y.denominator, k * y.numerator * x.denominator, k * q
+    )
+    assert w == z and hash(w) == hash(z)
+    assert (w.px, w.py, w.q) == (z.px, z.py, z.q)
+    assert w.q > 0 and w.py > 0 and gcd(gcd(w.px, w.py), w.q) == 1
+    assert (Fraction(w.px, w.q), Fraction(w.py, w.q)) == (x, y)
+    assert PointH.parse(z.serialize()) == z
