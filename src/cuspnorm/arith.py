@@ -55,9 +55,11 @@ def divisors(n: int) -> list[int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, for p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p < 2:
+        raise ValueError(f"valuation expects p >= 2, got {p}")
     n = abs(n)
     v = 0
     while n % p == 0:

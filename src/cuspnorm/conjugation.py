@@ -15,19 +15,13 @@ every postcondition is re-verified on the constructed certificate rather
 than trusted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
 
-from .arith import (
-    crt_solve,
-    divisors,
-    factor,
-    n_over_m_squared,
-    squarefree_split,
-    valuation,
-)
-from .cusps import cusp_denominator, local_profile
+from .arith import crt_solve, divisors, factor, n_over_m_squared, squarefree_split
+from .cusps import local_profile
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidPrimeSet
 from .modgroup import (
     Mat2,
@@ -65,11 +59,11 @@ def atkin_lehner_matrix(n: int, s: set[int]) -> AtkinLehnerOp:
     """
     n_s = 1
     prime_set = frozenset(s)
-    level_primes = {p for p, _ in factor(n)}
+    exponents = dict(factor(n))
     for p in prime_set:
-        if p not in level_primes:
+        if p not in exponents:
             raise InvalidPrimeSet(f"prime {p} does not divide level {n}")
-        n_s *= p ** valuation(n, p)
+        n_s *= p ** exponents[p]
     if not prime_set:
         return AtkinLehnerOp(Mat2.identity(), prime_set, 1, n)
     m = n // n_s  # coprime to n_s by construction
@@ -164,11 +158,12 @@ def _certificate(
     sigma: Mat2, method: str,
 ) -> ReductionCertificate:
     """The one constructor of a certificate.  Its postconditions, the claims
-    C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and M1^2 | N_S, are decided
-    on sigma and (N, M, M1, N_S)."""
+    sigma in SL2(Z), C(sigma) = N/M, M^2 | N, M1 = gcd(M, N_S) and
+    M1^2 | N_S, are decided once each on sigma and (N, M, M1, N_S); C(sigma)
+    is read as gcd(c, N) once sigma is known to be in SL2(Z)."""
     n, n_s = op.level, op.n_s
     in_sl2 = sigma.is_sl2()
-    c_sigma = cusp_denominator(sigma, n) if in_sl2 else None
+    c_sigma = gcd(sigma.c, n) if in_sl2 else None
     verification = {
         "sigma_in_sl2": in_sl2,
         "c_sigma": c_sigma,
@@ -194,9 +189,9 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
     n is kept as (M1, u; 0, M1) over n_den = M1.
     sigma is then (A/M1, (A u + B M1)/N_S; C/M1, (C u + D M1)/N_S), each
     entry one exact division.  All claims about sigma are verified before
-    returning.
+    returning.  Raises NotUnimodular, through local_profile, unless tau is
+    in SL2(Z).
     """
-    tau.require_sl2()
     prof = local_profile(tau, n)
     m1 = m = 1
     for p, np_, cp, wp in prof:
@@ -386,22 +381,21 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     genuinely fail (the target constant is stronger than what it
     guarantees), so a deterministic search then runs over M^2 | N, prime
     subsets S and the finitely many sigma-columns that meet the height
-    bound, up to sign as sigma and -sigma pass or fail together.  A
-    candidate's postconditions are decided first, so z' is formed only for
-    a column that passes them.  Its shift n = tau^-1 W^-1 sigma diag(M1,
-    N_S/M1) is formed on integers as adj(tau) adj(W) sigma diag(M1, N_S/M1)
-    over N_S.  If no candidate passes, the construction certificate is
-    returned with its failing verdicts intact.  A search with more
-    sigma-columns than its budget raises BudgetExceeded instead.
+    bound, up to sign as sigma and -sigma pass or fail together.
+    `_checked` decides every claim of a candidate, once: its
+    postconditions, recorded by `_certificate`, and its checks at z.  Its
+    shift n = tau^-1 W^-1 sigma diag(M1, N_S/M1) is formed on integers as
+    adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  If no candidate
+    passes, the construction certificate is returned with its failing
+    verdicts intact.  A search with more sigma-columns than its budget
+    raises BudgetExceeded instead.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)
     if _checked(cert, z, z0):
         return cert
-    subsets = [set()]
-    for p, _e in factor(n):
-        subsets += [s | {p} for s in subsets]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    primes = [p for p, _e in factor(n)]  # ascending, so S runs by (|S|, sorted S)
+    subsets = [set(s) for k in range(len(primes) + 1) for s in combinations(primes, k)]
     for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
         for s in subsets:
             op = atkin_lehner_matrix(n, s)  # per (M, S): the first one usually succeeds
@@ -412,6 +406,6 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
                 sigma = complete_first_column(a, c)
                 shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
                 cand = _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
-                if _all_hold(cand.verification) and _checked(cand, z, z0):
+                if _checked(cand, z, z0):
                     return cand
     return cert

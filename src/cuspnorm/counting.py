@@ -388,7 +388,6 @@ def parabolic_certify(
     u(gamma z, z) * 4 l y^2 = t^2 |c_tau z + d_tau|^4.
     """
     n_over_m2 = n_over_m_squared(n, m)
-    delta = Fraction(delta)
     ml = isqrt(l)
     if ml * ml != l:
         return []

@@ -246,7 +246,7 @@ def lemma_harness(config: HarnessConfig) -> HarnessResult:
     regardless of the jobs setting."""
     cells = harness_cells(config)
     if config.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=8))
     else:
         results = [_run_cell(c) for c in cells]

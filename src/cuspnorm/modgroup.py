@@ -16,7 +16,8 @@ from .errors import NotUnimodular
 
 
 class Mat2:
-    """2x2 matrix with Python int entries."""
+    """2x2 matrix; its entries must be Python ints, as `mobius_act` reads
+    them as ints and `is_sl2` fails a Fraction or float entry."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -143,17 +144,11 @@ def mobius_act(g: Mat2, z: PointH) -> PointH:
     """Exact Moebius action (az+b)/(cz+d) for det(g) > 0 on the triple
     z = (px + i py)/q: with e = c px + d q, the image is the triple
     ((a px + b q) e + a c py^2, det py q, e^2 + (c py)^2), and no Fraction
-    is built.  Rational entries are first scaled by the lcm of their
-    denominators, which leaves the action unchanged.  The error names
-    det(g) as str(det)."""
+    is built.  The error names det(g) as str(det)."""
     a, b, c, d = g.a, g.b, g.c, g.d
     det = a * d - b * c
     if det <= 0:
         raise ValueError(f"mobius_act needs det > 0, got {det}")
-    if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
-        k = lcm(*(Fraction(e).denominator for e in (a, b, c, d)))
-        a, b, c, d = (int(e * k) for e in (a, b, c, d))
-        det = a * d - b * c
     px, py, q = z.px, z.py, z.q
     e = c * px + d * q
     return PointH.from_triple(

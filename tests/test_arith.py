@@ -14,9 +14,20 @@ from cuspnorm.arith import (
     primes_up_to,
     smooth_part,
     squarefree_split,
+    valuation,
 )
 from cuspnorm.errors import Inconsistent
 from oracles import euler_phi, is_prime
+
+
+def test_valuation_examples_and_bad_primes():
+    assert valuation(8, 2) == 3 and valuation(-12, 3) == 1 and valuation(7, 2) == 0
+    # every n is divisible by 1 and -1, so those have no finite valuation
+    for p in (1, 0, -1, -2):
+        with pytest.raises(ValueError):
+            valuation(8, p)
+    with pytest.raises(ValueError):
+        valuation(0, 2)
 
 
 def test_factor_examples():

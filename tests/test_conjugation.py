@@ -19,7 +19,7 @@ from cuspnorm.conjugation import (
 )
 from cuspnorm.cusps import cusp_denominator
 from cuspnorm.errors import BudgetExceeded, InvalidM, InvalidPrimeSet, NotUnimodular
-from cuspnorm.modgroup import Mat2, PointH, fd_reduce, mobius_act
+from cuspnorm.modgroup import Mat2, PointH, complete_first_column, fd_reduce, mobius_act
 from oracles import (
     first_column_columns,
     fraction_json,
@@ -374,6 +374,72 @@ def test_search_certificates_recompute_postconditions():
         assert n_s % (m1 * m1) == 0 and v["m1_squared_divides_n_s"]
         assert n_s == prod(p ** valuation(n, p) for p in cert.w.s_primes)
     assert searched > 0 and failed > 0
+
+
+def _square_divisor_ms(n):
+    """Every M with M^2 | N, that is every M | N0."""
+    return [m for m in range(1, isqrt(n) + 1) if n % (m * m) == 0]
+
+
+def test_m1_squared_divides_n_s_at_every_search_pair():
+    # for p in S, v_p(N_S) = v_p(N) >= 2 v_p(M), so M1 = gcd(M, N_S) has
+    # M1^2 | N_S at every (M, S) the search runs over
+    for n in range(1, 301):
+        for s in all_prime_subsets(n):
+            n_s = prod(p ** valuation(n, p) for p in s)
+            for m in _square_divisor_ms(n):
+                m1 = gcd(m, n_s)
+                assert n_s % (m1 * m1) == 0, (n, m, s)
+
+
+SEARCH_POSTCONDITIONS = (
+    "sigma_in_sl2", "c_sigma_equals_n_over_m", "m_squared_divides_n",
+    "m1_is_gcd_m_n_s", "m1_squared_divides_n_s",
+)
+
+
+def _columns_meet_postconditions(w, tau, n, m, op):
+    """Certify every sigma-column listed at w for (M, S) as the search
+    does, assert that each certificate's postconditions hold, and return
+    how many columns there were."""
+    m1 = gcd(m, op.n_s)
+    columns = _first_column_candidates(w, n, m)
+    for a, c in columns:
+        where = (n, w, m, sorted(op.s_primes), a, c)
+        assert gcd(c, n) == n // m, where
+        v = conjugation._certificate(
+            tau, op, m, m1, Mat2.identity(), 1, complete_first_column(a, c), "search"
+        ).verification
+        assert all(v[k] is True for k in SEARCH_POSTCONDITIONS), where
+    return len(columns)
+
+
+def test_every_search_column_meets_the_postconditions():
+    # gap_reduce decides a search candidate's postconditions once, in
+    # _checked, with no pre-check: at the C3 points with N <= 12 that reach
+    # the search, every column of every (M, S) gives a certificate whose
+    # postconditions all hold
+    reached = columns = 0
+    for n, z in gap_sweep_points(12):
+        tau, z0 = fd_reduce(z)
+        if conjugation._checked(width_one_conjugate(tau, n), z, z0):
+            continue
+        reached += 1
+        for m in _square_divisor_ms(n):
+            for s in all_prime_subsets(n):
+                op = atkin_lehner_matrix(n, s)
+                columns += _columns_meet_postconditions(mobius_act(op.w, z), tau, n, m, op)
+    assert reached > 0 and columns > reached
+    # heights down to 1/(64 N^2) list columns with c >= 2N/M, where a
+    # column with C(sigma) = gcd(c, N) other than N/M would fail
+    rng = seeded_rng("search-postconditions")
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        m = rng.choice(_square_divisor_ms(n))
+        op = atkin_lehner_matrix(n, rng.choice(all_prime_subsets(n)))
+        y = Fraction(rng.randint(1, 64), rng.randint(1, 64 * n * n))
+        w = PointH(rand_fraction(rng, -2, 2), y)
+        _columns_meet_postconditions(w, Mat2.identity(), n, m, op)
 
 
 def test_certificate_of_sigma_outside_sl2_fails_without_raising():

@@ -189,6 +189,32 @@ def test_rows_deterministic_across_jobs_and_reruns():
     assert a.max_ratio()[0] == b.max_ratio()[0]
 
 
+def test_pool_size_is_capped_by_the_cells(monkeypatch):
+    # under fork a pool starts every worker at its first submit, so jobs=64
+    # over two cells must ask for two workers; the stub maps the cells
+    # serially and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = dict(lemma="para", n_lo=1, n_hi=1)
+    pooled = lemma_harness(HarnessConfig(**cfg, jobs=64))
+    assert sizes == [len(harness_cells(HarnessConfig(**cfg)))] == [2]
+    assert pooled.rows == lemma_harness(HarnessConfig(**cfg)).rows
+
+
 def test_csv_shape():
     res = lemma_harness(HarnessConfig(lemma="eq2", n_lo=2, n_hi=6, seed=3))
     text = res.to_csv()

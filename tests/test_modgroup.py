@@ -36,7 +36,6 @@ def test_mobius_examples():
         mobius_act(Mat2(1, 0, 0, -1), z)  # det < 0 is not an action on H
 
 
-fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 points = st.builds(
     PointH,
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)),
@@ -45,20 +44,11 @@ points = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.tuples(*[st.integers(-20, 20)] * 4),
-        st.tuples(*[fractions] * 4),
-    ),
-    st.integers(1, 6),
-    st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
-    points,
-)
-def test_mobius_act_matches_fraction_oracle(entries, t, scale, z):
-    # integer and rational matrices, and non-reduced multiples of them: a
-    # positive scalar leaves the action, and the error, unchanged
-    for g in (Mat2(*entries), Mat2(*(t * e for e in entries)),
-              Mat2(*(scale * e for e in entries))):
+@given(st.tuples(*[st.integers(-20, 20)] * 4), st.integers(1, 6), points)
+def test_mobius_act_matches_fraction_oracle(entries, t, z):
+    # integer matrices and their integer multiples: a positive scalar leaves
+    # the action, and the error, unchanged
+    for g in (Mat2(*entries), Mat2(*(t * e for e in entries))):
         if g.det > 0:
             assert mobius_act(g, z) == fraction_mobius_act(g, z)
             assert mobius_act(g, z) == mobius_act(Mat2(*entries), z)
