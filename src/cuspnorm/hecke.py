@@ -15,12 +15,13 @@ Delta(l, N; M) on the left, the right cosets correspond to pairs
 (B_M-coset of u, h) whose product lands in the family; B_M-cosets are
 bottom rows (c, d) mod N up to scaling by units that are 1 mod M.
 Neither membership condition reads b, so each row is tested once per
-divisor a of l, and a row is lifted to SL2(Z) only when some a passes
-c * a == 0 (mod N); when gcd(l, N) = 1 only the rows with c = 0 do.
-The coset table and the coset count both read that one (row, a) walk; the
-count adds l/a per passing pair and builds no matrix, and _coset_entries,
-the one place representatives are formed, multiplies each passing lift by
-its Hermite matrices on ints.
+divisor a of l, and only the rows that can pass c * a == 0 (mod N) are
+walked: those whose c is a multiple of N / gcd(N, a) for some a | l, found
+as blocks of the sorted _row_cosets by bisection; when gcd(l, N) = 1 only
+the rows with c = 0 are.  The coset table and the coset count both read
+that one (row, a) walk; the count adds l/a per passing pair and builds no
+matrix, and _coset_entries, the one place representatives are formed,
+multiplies each passing lift by its Hermite matrices on ints.
 
 Conjugation invariance is sampled on integer 4-tuples: random
 Gamma0(N; M)-words are multiplied in four local ints, with the unit letters
@@ -28,10 +29,15 @@ read from a per-(N, M) table, and the translates and both conjugates are
 formed from the entries of _coset_entries and tested by
 counting.in_delta_entries.  The random draws are fixed calls in a fixed
 order (see _random_word and conjugation_invariance), so a seed fixes the
-samples, verdicts and witnesses.
+samples, verdicts and witnesses.  Every draw reads rng.getrandbits alone: a
+value below n takes k = n.bit_length() bits, redrawn until it is below n
+(_below), which is the rule by which random.Random.randrange(n) consumes
+getrandbits, so the stream matches randint/randrange draw for draw without
+depending on how randrange treats its arguments.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -94,9 +100,13 @@ def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def sl2_lift_from_row(c: int, d: int, n: int) -> Entries:
-    """Entries of some u in SL2(Z) whose bottom row is (c, d) mod N."""
+    """Entries of some u in SL2(Z) whose bottom row is (c, d) mod N.
+
+    Raises ValueError when gcd(c, d, N) > 1, as no such u exists."""
     if n == 1:
         return 1, 0, 0, 1
+    if gcd(gcd(c, d), n) != 1:
+        raise ValueError(f"row ({c}, {d}) is not primitive mod N = {n}")
     c0 = c % n
     d0 = d % n
     if c0 == 0:
@@ -142,6 +152,10 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     so they are decided once per (row, a1), and each passing pair gives the
     l/a1 cosets u * (a1, b1; 0, l/a1), 0 <= b1 < l/a1.
 
+    Only rows whose c is a multiple of N / gcd(N, a1) for some a1 | l can
+    pass, so only their blocks of the sorted _row_cosets are walked, each
+    found by bisection.
+
     Raises BudgetExceeded when the N^2 row pairs exceed COSET_BUDGET,
     before the rows are walked.
     """
@@ -152,13 +166,15 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     if n * n > COSET_BUDGET:
         raise BudgetExceeded(f"N={n} has {n * n} row pairs, budget {COSET_BUDGET}")
     a1s = divisors(l)
+    rows = _row_cosets(n, m)
+    steps = {n // gcd(n, a1) for a1 in a1s}
     walk = []
-    for c, d in _row_cosets(n, m):
+    for c in sorted({c for step in steps for c in range(0, n, step)}):
         passing = [a1 for a1 in a1s if (c * a1) % n == 0]
-        if not passing:
-            continue
-        u = sl2_lift_from_row(c, d, n)
-        walk += [(u, a1) for a1 in passing if (u[0] * a1) % m == 1 % m]
+        lo = bisect_left(rows, (c,))
+        for _c, d in rows[lo : bisect_left(rows, (c + 1,), lo)]:
+            u = sl2_lift_from_row(c, d, n)
+            walk += [(u, a1) for a1 in passing if (u[0] * a1) % m == 1 % m]
     return walk
 
 
@@ -213,11 +229,11 @@ def coset_count_invariance(l: int, n: int, m: int) -> CountInvariance:
     """Compare |Gamma0(N;M) \\ Delta(l,N;M)| with |Gamma0(N) \\ Delta(l,N;1)|,
     the coset-level shadow of the Hecke algebra isomorphism.  Counted from
     _coset_walk without building the tables: each passing (u, a1) gives
-    l/a1 cosets."""
-    return CountInvariance(
-        sum(l // a1 for _u, a1 in _coset_walk(l, n, m)),
-        sum(l // a1 for _u, a1 in _coset_walk(l, n, 1)),
-    )
+    l/a1 cosets.  At M = 1 both counts read the one walk."""
+    count_nm = sum(l // a1 for _u, a1 in _coset_walk(l, n, m))
+    if m == 1:
+        return CountInvariance(count_nm, count_nm)
+    return CountInvariance(count_nm, sum(l // a1 for _u, a1 in _coset_walk(l, n, 1)))
 
 
 @dataclass
@@ -234,26 +250,50 @@ class ConjugationResult:
         return out
 
 
+def _below(bits, n: int) -> int:
+    """What rng.randrange(n) returns, read from bits = rng.getrandbits:
+    k = n.bit_length() bits, redrawn until below n.  Raises ValueError for
+    n < 1, as randrange does, where the redraw would never end."""
+    if n < 1:
+        raise ValueError(f"empty range for _below: {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_word(n: int, m: int, rng: random.Random) -> Entries:
     """Entries of a pseudo-random word in T^t, the lower N-shear and the
     _unit_steps letters, multiplied on the right in four local ints.
 
-    Draws, in order: rng.randint(2, 5) letters, then per letter
-    rng.randrange(3) for its kind and rng.randint(-3, 3) for a shear or
-    rng.randrange(len(steps)) for a unit."""
+    Draws, in order, as rng.randint and rng.randrange would make them: the
+    letter count in 2..5, then per letter its kind (one of 3) and then its
+    shift t in -3..3 or its unit step.  The constant-width draws (3, 2 and
+    3 bits) are _below inlined."""
+    bits = rng.getrandbits
     steps = _unit_steps(n, m)
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(rng.randint(2, 5)):
-        kind = rng.randrange(3)
-        if kind == 0:  # * (1, t; 0, 1)
-            t = rng.randint(-3, 3)
-            b, d = a * t + b, c * t + d
-        elif kind == 1:  # * (1, 0; N t, 1)
-            t = n * rng.randint(-3, 3)
-            a, c = a + b * t, c + d * t
-        else:  # * (u, k; N, d0)
-            u, k, nn, d0 = steps[rng.randrange(len(steps))]
+    letters = bits(3)
+    while letters >= 4:
+        letters = bits(3)
+    for _ in range(letters + 2):
+        kind = bits(2)
+        while kind == 3:
+            kind = bits(2)
+        if kind == 2:  # * (u, k; N, d0)
+            u, k, nn, d0 = steps[_below(bits, len(steps))]
             a, b, c, d = a * u + b * nn, a * k + b * d0, c * u + d * nn, c * k + d * d0
+            continue
+        t = bits(3)
+        while t == 7:
+            t = bits(3)
+        t -= 3
+        if kind == 0:  # * (1, t; 0, 1)
+            b, d = a * t + b, c * t + d
+        else:  # * (1, 0; N t, 1)
+            t *= n
+            a, c = a + b * t, c + d * t
     return a, b, c, d
 
 
@@ -273,8 +313,8 @@ def conjugation_invariance(
     asserted by the theory, which the result's note records.
 
     Samples are integer 4-tuples: the _coset_entries representatives, then
-    translates that each draw their word and then rng.randrange(count) for
-    their representative; the witness is the first failing sample, as a
+    translates that each draw their word and then their representative, as
+    rng.randrange(count) would; the witness is the first failing sample, as a
     Mat2.
     """
     c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
@@ -287,10 +327,11 @@ def conjugation_invariance(
     sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)
     reps = _coset_entries(l, n, m)
     rng = random.Random(seed)
+    bits = rng.getrandbits
     samples = reps[:]
     for _ in range(budget):
         a, b, c, d = _random_word(n, m, rng)
-        ra, rb, rc, rd = reps[rng.randrange(len(reps))]
+        ra, rb, rc, rd = reps[_below(bits, len(reps))]
         samples.append((a * ra + b * rc, a * rb + b * rd, c * ra + d * rc, c * rb + d * rd))
     checked = 0
     for gamma in samples:

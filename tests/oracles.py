@@ -11,9 +11,9 @@ the width-one sigma and shift compute with their own product of Fraction
 matrices where the package clears denominators to integers, the sampled
 Hecke conjugation check multiplies Mat2 objects where the package keeps
 integer 4-tuples, and the number-theoretic oracles (cusp orbits and widths,
-Hermite decomposition, coset labels, Delta membership, primality, Euler
-phi, W^2, the Fourier exponent) work from definitions and import no private
-helper of the code they check.
+Hermite decomposition, coset labels, Delta membership, the passing pairs
+of the coset walk, primality, Euler phi, W^2, the Fourier exponent) work
+from definitions and import no private helper of the code they check.
 """
 
 import hashlib
@@ -509,6 +509,31 @@ def canonical_rows(n: int, m: int) -> list[tuple[int, int]]:
     units = np.array(_units_one_mod(n, m), dtype=np.int64)[:, None]
     keys = np.unique(((units * c % n) * n + units * d % n).min(axis=0))
     return [divmod(int(k), n) for k in keys]
+
+
+@lru_cache(maxsize=16)
+def _row_arrays(n: int, m: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """canonical_rows(n, m) with its c and d columns as arrays."""
+    rows = canonical_rows(n, m)
+    return rows, np.array([c for c, _ in rows]), np.array([d for _, d in rows])
+
+
+def coset_walk_pairs(l: int, n: int, m: int) -> list[tuple[tuple[int, int], int]]:
+    """The passing (row, a1) pairs of the pair method over every canonical
+    row, in order: rows, then a1 ascending.
+
+    From the definitions: (row (c, d), (a1, b1; 0, l/a1)) contributes iff
+    N | c a1 and a a1 == 1 (mod M) for the upper-left a of a lift of the
+    row to SL2(Z).  Given N | c a1, a d - b c = 1 gives a a1 d == a1
+    (mod M), so the second condition reads gcd(a1, M) = 1 and
+    d == a1 (mod M), with no lift formed."""
+    rows, c, d = _row_arrays(n, m)
+    hits = []
+    for a1 in range(1, l + 1):
+        if l % a1 == 0 and gcd(a1, m) == 1:
+            ok = (c * a1 % n == 0) & (d % m == a1 % m)
+            hits += [(int(i), a1) for i in np.flatnonzero(ok)]
+    return [(rows[i], a1) for i, a1 in sorted(hits)]
 
 
 def coset_key(gamma: Mat2, n: int, m: int) -> tuple:

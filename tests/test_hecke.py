@@ -24,6 +24,7 @@ from oracles import (
     _canonical_row,
     canonical_rows,
     coset_key,
+    coset_walk_pairs,
     delta_member,
     hermite_matrices,
     hnf_decompose,
@@ -110,6 +111,33 @@ def test_sl2_lift_from_row():
         assert uc % n == c % n and ud % n == d % n
 
 
+def test_sl2_lift_from_row_rejects_non_primitive_rows():
+    # no u in SL2(Z) has a bottom row with gcd(c, d, N) > 1; the search for
+    # a coprime d0 in d + N Z never ended on such a row
+    with pytest.raises(ValueError, match="not primitive"):
+        sl2_lift_from_row(2, 2, 4)
+    for n in range(2, 31):
+        for c in range(-n, n):
+            for d in range(-n, n):
+                if gcd(gcd(c, d), n) != 1:
+                    with pytest.raises(ValueError):
+                        sl2_lift_from_row(c, d, n)
+
+
+def test_coset_walk_matches_the_all_rows_oracle():
+    # every l <= 36, gcd(l, N) > 1 included, so rows with c != 0 pass too
+    off_c_zero = 0
+    for n in range(1, 61):
+        for m in divisors(n):
+            for l in range(1, 37):
+                walk = hecke._coset_walk(l, n, m)
+                assert all(ua * ud - ub * uc == 1 for (ua, ub, uc, ud), _a1 in walk)
+                got = [((u[2] % n, u[3] % n), a1) for u, a1 in walk]
+                assert got == coset_walk_pairs(l, n, m), (l, n, m)
+                off_c_zero += any(c for (c, _d), _a1 in got)
+    assert off_c_zero
+
+
 def test_coset_examples():
     assert coset_reps_delta(1, 12, 2).count == 1
     assert coset_reps_delta(3, 4, 2).count == 4
@@ -180,6 +208,16 @@ def test_count_invariance_examples():
     assert (r.count_nm, r.count_n, r.equal) == (7, 7, True)
 
 
+def test_count_invariance_walks_once_at_m_one(monkeypatch):
+    walked = []
+    walk = hecke._coset_walk
+    monkeypatch.setattr(hecke, "_coset_walk", lambda *a: walked.append(a) or walk(*a))
+    r = coset_count_invariance(7, 10, 1)
+    assert (r.count_nm, r.count_n, walked) == (8, 8, [(7, 10, 1)])
+    walked.clear()
+    assert coset_count_invariance(4, 9, 3).equal and walked == [(4, 9, 3), (4, 9, 1)]
+
+
 def test_count_invariance_can_fail_off_the_good_range():
     # with gcd(l, N) > 1 and l != 1 (mod M) the family genuinely shrinks,
     # so the count comparison reports inequality rather than masking it
@@ -246,6 +284,19 @@ def test_random_words_match_the_mat2_oracle(pair, seed, words):
     for _ in range(words):
         assert hecke._random_word(n, m, rng) == mat2_gamma0nm_word(n, m, ref).entries()
     assert rng.getstate() == ref.getstate()
+
+
+def test_below_matches_randrange_draw_for_draw():
+    # the stdlib draws k = n.bit_length() bits and redraws at or above n
+    ns = list(range(1, 301)) + [2**k + e for k in range(1, 41) for e in (-1, 0, 1)]
+    for seed in (0, 1, 7, 2**40 + 3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in ns:
+            assert hecke._below(rng.getrandbits, n) == ref.randrange(n), (seed, n)
+        assert rng.getstate() == ref.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            hecke._below(rng.getrandbits, n)
 
 
 @st.composite
