@@ -16,8 +16,8 @@ Delta(l, N; M) on the left, the right cosets correspond to pairs
 bottom rows (c, d) mod N up to scaling by units that are 1 mod M.
 Neither membership condition reads b, so each row is tested once per
 divisor a of l, and only the rows that can pass c * a == 0 (mod N) are
-walked: those whose c is a multiple of N / gcd(N, a) for some a | l, found
-as blocks of the sorted _row_cosets by bisection; when gcd(l, N) = 1 only
+walked: those whose c is a multiple of N / gcd(N, a) for some a | l, each
+c's canonical rows swept as one block (_row_block); when gcd(l, N) = 1 only
 the rows with c = 0 are.  The coset table and the coset count both read
 that one (row, a) walk; the count adds l/a per passing pair and builds no
 matrix, and _coset_entries, the one place representatives are formed,
@@ -37,7 +37,6 @@ depending on how randrange treats its arguments.
 """
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -49,7 +48,7 @@ from .errors import BudgetExceeded, InvalidM, PrereqFailed
 from .modgroup import Mat2
 
 _ROW_CACHE_SIZE = 256
-COSET_BUDGET = 1_000_000  # most row pairs (N^2) or cosets one coset table may take
+COSET_BUDGET = 1_000_000  # most rows walked (N per admissible c) or cosets per table
 
 Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
@@ -73,29 +72,30 @@ def _unit_steps(n: int, m: int) -> tuple[Entries, ...]:
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _row_cosets(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Canonical bottom rows for B_M \\ SL2(Z/N): pairs (c, d) mod N with
-    gcd(c, d, N) = 1, minimized over scaling by _scalars(n, m), ascending.
+def _row_block(c: int, n: int, m: int) -> tuple[int, ...]:
+    """The d, ascending, of the canonical rows (c, d) of B_M \\ SL2(Z/N):
+    gcd(c, d, N) = 1 and least in lex order under scaling by the units u of
+    _unit_steps(n, m).  Over c = 0..N-1 the blocks form the whole table.
 
-    One sweep in lex order: the first primitive row not yet marked is the
-    least member of its orbit, because every smaller member was visited
-    earlier and would have marked it.  It is recorded and its orbit marked.
-    The scalars are units, so orbits of primitive rows hold only primitive
-    rows, and the action on them is free (s c == c and s d == d mod N with
-    gcd(c, d, N) = 1 force s == 1): each primitive row is marked once.
-    M | N is checked by the caller, _coset_walk.
+    (c, d) is least in its orbit exactly when c is least in {s c mod N} and
+    d is least in its orbit under Stab(c) = {s : s c == c (mod N)}.  So the
+    block is empty unless c is least; else one sweep over d records each
+    unmarked d with gcd(d, gcd(c, N)) = 1 and marks its Stab(c)-orbit, on
+    which Stab(c) acts freely.  M | N is checked by _coset_walk.
     """
-    scalars = _scalars(n, m)
-    seen = bytearray(n * n)
+    units = [step[0] for step in _unit_steps(n, m)]
+    if any(s * c % n < c for s in units):
+        return ()
+    stab = [s for s in units if s * c % n == c]
+    g = gcd(c, n)
+    seen = bytearray(n)
     reps = []
-    for c in range(n):
-        g = gcd(c, n)
-        for d in range(n):
-            if seen[c * n + d] or gcd(g, d) != 1:
-                continue
-            reps.append((c, d))
-            for s in scalars:
-                seen[(s * c) % n * n + (s * d) % n] = 1
+    for d in range(n):
+        if seen[d] or gcd(g, d) != 1:
+            continue
+        reps.append(d)
+        for s in stab:
+            seen[s * d % n] = 1
     return tuple(reps)
 
 
@@ -153,26 +153,25 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     l/a1 cosets u * (a1, b1; 0, l/a1), 0 <= b1 < l/a1.
 
     Only rows whose c is a multiple of N / gcd(N, a1) for some a1 | l can
-    pass, so only their blocks of the sorted _row_cosets are walked, each
-    found by bisection.
-
-    Raises BudgetExceeded when the N^2 row pairs exceed COSET_BUDGET,
-    before the rows are walked.
+    pass, so only the _row_block of each such c is read.  Raises
+    BudgetExceeded, before any block is swept, when those blocks span more
+    than COSET_BUDGET rows (N per admissible c).
     """
     if l < 1 or n < 1:
         raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
     if m < 1 or n % m:
         raise InvalidM(f"M = {m} does not divide N = {n}")
-    if n * n > COSET_BUDGET:
-        raise BudgetExceeded(f"N={n} has {n * n} row pairs, budget {COSET_BUDGET}")
     a1s = divisors(l)
-    rows = _row_cosets(n, m)
     steps = {n // gcd(n, a1) for a1 in a1s}
+    cs = sorted({c for step in steps for c in range(0, n, step)})
+    if len(cs) * n > COSET_BUDGET:
+        raise BudgetExceeded(
+            f"Delta({l}, {n}; {m}) walks {len(cs) * n} rows, budget {COSET_BUDGET}"
+        )
     walk = []
-    for c in sorted({c for step in steps for c in range(0, n, step)}):
+    for c in cs:
         passing = [a1 for a1 in a1s if (c * a1) % n == 0]
-        lo = bisect_left(rows, (c,))
-        for _c, d in rows[lo : bisect_left(rows, (c + 1,), lo)]:
+        for d in _row_block(c, n, m):
             u = sl2_lift_from_row(c, d, n)
             walk += [(u, a1) for a1 in passing if (u[0] * a1) % m == 1 % m]
     return walk

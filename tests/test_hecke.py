@@ -15,7 +15,7 @@ from cuspnorm.hecke import (
     conjugation_invariance,
     coset_count_invariance,
     coset_reps_delta,
-    _row_cosets,
+    _row_block,
     _scalars,
     sl2_lift_from_row,
 )
@@ -52,16 +52,17 @@ def test_coset_reps_at_level_one_are_the_hermite_matrices():
         assert len(reps) == sigma1(l), l
 
 
-def test_row_cosets_match_canonical_row_oracle():
-    """The orbit sweep against the orbit minimum of every primitive row, for
-    every N <= 120 and M | N; the scalars act freely on primitive rows."""
+def test_row_blocks_match_canonical_row_oracle():
+    """The blocks, concatenated over c, against the orbit minimum of every
+    primitive row, for every N <= 120 and M | N; the scalars act freely on
+    primitive rows."""
     for n in range(1, 121):
         n_primitive = sum(
             gcd(gcd(c, d), n) == 1 for c in range(n) for d in range(n)
         )
         for m in divisors(n):
-            rows = _row_cosets(n, m)
-            assert list(rows) == canonical_rows(n, m), (n, m)
+            rows = [(c, d) for c in range(n) for d in _row_block(c, n, m)]
+            assert rows == canonical_rows(n, m), (n, m)
             if n > 1:
                 assert len(rows) * len(_scalars(n, m)) == n_primitive, (n, m)
 
@@ -387,18 +388,24 @@ def test_in_delta_entries_agrees_with_delta_member(entries, pair, l, forced):
 
 
 def test_coset_budget(monkeypatch):
-    # N = 9 has 81 row pairs, and Delta(4, 9; 3) has 7 cosets
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 80)
-    with pytest.raises(BudgetExceeded, match="N=9 has 81 row pairs"):
+    # Delta(4, 9; 3) walks the c = 0 block alone (9 rows) and has 7 cosets;
+    # l = 3 at N = 9 walks c in {0, 3, 6} (27 rows)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 8)
+    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 9 rows"):
         coset_reps_delta(4, 9, 3)
-    with pytest.raises(BudgetExceeded, match="N=9 has 81 row pairs"):
+    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 9 rows"):
         coset_count_invariance(4, 9, 3)
     res = run(["hecke", "--level", "9", "--m", "3", "--l", "4"])
     assert res.exit_code == 1
     assert res.payload["error"]["type"] == "BudgetExceeded"
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 81)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 9)
     assert coset_reps_delta(4, 9, 3).count == 7
-    # at N = 1 the one row pair fits, but sigma_1(64) = 127 cosets do not;
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 26)
+    with pytest.raises(BudgetExceeded, match=r"Delta\(3, 9; 3\) walks 27 rows"):
+        coset_count_invariance(3, 9, 3)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 27)
+    assert coset_reps_delta(3, 9, 3).count == 3
+    # at N = 1 the one row fits, but sigma_1(64) = 127 cosets do not;
     # the count comparison builds no table, so it still runs
     monkeypatch.setattr(hecke, "COSET_BUDGET", 126)
     with pytest.raises(BudgetExceeded, match="has 127 cosets"):
@@ -408,3 +415,21 @@ def test_coset_budget(monkeypatch):
     assert coset_count_invariance(64, 1, 1).count_nm == 127
     monkeypatch.setattr(hecke, "COSET_BUDGET", 127)
     assert coset_reps_delta(64, 1, 1).count == 127
+
+
+def test_tables_at_large_level():
+    # N^2 = 1048576 rows mod 1024, but only the blocks of admissible c are
+    # walked: c = 0 for l = 3, and c in {0, 512} for l = 2
+    res = run(["hecke", "--level", "1024", "--l", "3", "--m", "2"])
+    assert res.exit_code == 0
+    assert res.payload["count"] == sigma1(3)
+    assert res.payload["count_invariance"]["equal"] is True
+    walk = [((u[2] % 1024, u[3] % 1024), a1) for u, a1 in hecke._coset_walk(2, 1024, 1)]
+    assert walk == [((0, 1), 1), ((0, 1), 2), ((512, 1), 2)]
+    # at M = 2 no a1 = 2 pair passes, as that needs gcd(a1, M) = 1
+    r = coset_count_invariance(2, 1024, 2)
+    assert (r.count_n, r.count_nm) == (4, 2)
+    n = 10**5
+    assert coset_reps_delta(3, n, 10).count == sigma1(3)
+    r = coset_count_invariance(3, n, 10)
+    assert (r.count_nm, r.count_n, r.equal) == (4, 4, True)
