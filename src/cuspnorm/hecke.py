@@ -23,22 +23,26 @@ that one (row, a) walk; the count adds l/a per passing pair and builds no
 matrix, and _coset_entries, the one place representatives are formed,
 multiplies each passing lift by its Hermite matrices on ints.
 
-Conjugation invariance is sampled on integer 4-tuples: random
-Gamma0(N; M)-words are multiplied in four local ints, with the unit letters
-read from a per-(N, M) table, and the translates and both conjugates are
-formed from the entries of _coset_entries and tested by
-counting.in_delta_entries.  The random draws are fixed calls in a fixed
-order (see _random_word and conjugation_invariance), so a seed fixes the
-samples, verdicts and witnesses.  Every draw reads rng.getrandbits alone: a
-value below n takes k = n.bit_length() bits, redrawn until it is below n
-(_below), which is the rule by which random.Random.randrange(n) consumes
-getrandbits, so the stream matches randint/randrange draw for draw without
-depending on how randrange treats its arguments.
+Conjugation invariance is sampled on integer 4-tuples: the
+representatives of _coset_entries, then random Gamma0(N; M)-translates
+w r of them, each drawn by one generator (_translates), which multiplies
+the word in four local ints with the unit letters read from a per-(N, M)
+table, and tested as it is drawn.  The a and c entries of both conjugates
+of w r are integer linear forms in the entries of w, formed once per r,
+so a sample costs their products and two congruences; a failing sample is
+rebuilt on full integers and re-checked by counting.in_delta_entries.  The
+draws are fixed calls in a fixed order, so a seed fixes the samples,
+verdicts and witnesses.  Every draw reads rng.getrandbits alone: a value
+below k takes k.bit_length() bits, redrawn until it is below k, which is
+the rule by which random.Random.randrange(k) consumes getrandbits, so the
+stream matches randint/randrange draw for draw without depending on how
+randrange treats its arguments.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from math import gcd
 
 from .arith import bezout, divisors
@@ -53,10 +57,11 @@ COSET_BUDGET = 1_000_000  # most rows walked (N per admissible c) or cosets per 
 Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
 
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _scalars(n: int, m: int) -> tuple[int, ...]:
     """Units mod N that are 1 mod M (the row-scaling stabilizer of B_M),
-    as residues in [1, N]: (1,) at N = 1."""
-    return tuple(u for u in range(1, n + 1) if gcd(u, n) == 1 and u % m == 1 % m)
+    ascending as residues in [1, N]: (1,) at N = 1."""
+    return tuple(u for u in range(1, n + 1, m) if gcd(u, n) == 1)
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -75,7 +80,7 @@ def _unit_steps(n: int, m: int) -> tuple[Entries, ...]:
 def _row_block(c: int, n: int, m: int) -> tuple[int, ...]:
     """The d, ascending, of the canonical rows (c, d) of B_M \\ SL2(Z/N):
     gcd(c, d, N) = 1 and least in lex order under scaling by the units u of
-    _unit_steps(n, m).  Over c = 0..N-1 the blocks form the whole table.
+    _scalars(n, m).  Over c = 0..N-1 the blocks form the whole table.
 
     (c, d) is least in its orbit exactly when c is least in {s c mod N} and
     d is least in its orbit under Stab(c) = {s : s c == c (mod N)}.  So the
@@ -83,7 +88,7 @@ def _row_block(c: int, n: int, m: int) -> tuple[int, ...]:
     unmarked d with gcd(d, gcd(c, N)) = 1 and marks its Stab(c)-orbit, on
     which Stab(c) acts freely.  M | N is checked by _coset_walk.
     """
-    units = [step[0] for step in _unit_steps(n, m)]
+    units = _scalars(n, m)
     if any(s * c % n < c for s in units):
         return ()
     stab = [s for s in units if s * c % n == c]
@@ -249,51 +254,61 @@ class ConjugationResult:
         return out
 
 
-def _below(bits, n: int) -> int:
-    """What rng.randrange(n) returns, read from bits = rng.getrandbits:
-    k = n.bit_length() bits, redrawn until below n.  Raises ValueError for
-    n < 1, as randrange does, where the redraw would never end."""
-    if n < 1:
-        raise ValueError(f"empty range for _below: {n}")
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+def _times(g: Entries, h: Entries) -> Entries:
+    """Entries of the product g h of two integer 2x2 matrices."""
+    a, b, c, d = g
+    e, f, x, y = h
+    return a * e + b * x, a * f + b * y, c * e + d * x, c * f + d * y
 
 
-def _random_word(n: int, m: int, rng: random.Random) -> Entries:
-    """Entries of a pseudo-random word in T^t, the lower N-shear and the
-    _unit_steps letters, multiplied on the right in four local ints.
+def _translates(n: int, m: int, nreps: int, rng: random.Random):
+    """Yield (wa, wb, wc, wd, i) without end: the entries of a pseudo-random
+    word in T^t, the lower N-shear and the _unit_steps letters, multiplied
+    on the right in four local ints, then the index i of the representative
+    it translates.
 
-    Draws, in order, as rng.randint and rng.randrange would make them: the
+    Every draw reads rng.getrandbits by randrange's rule: a value below k
+    takes k.bit_length() bits, redrawn until it is below k, so the stream
+    matches rng.randint and rng.randrange draw for draw.  In order: the
     letter count in 2..5, then per letter its kind (one of 3) and then its
-    shift t in -3..3 or its unit step.  The constant-width draws (3, 2 and
-    3 bits) are _below inlined."""
+    shift t in -3..3 or its unit step, then i below nreps.  Raises
+    ValueError at the first draw when nreps < 1, as randrange does, where
+    the redraw of i would never end."""
+    if nreps < 1:
+        raise ValueError(f"no representatives to translate: {nreps}")
     bits = rng.getrandbits
     steps = _unit_steps(n, m)
-    a, b, c, d = 1, 0, 0, 1
-    letters = bits(3)
-    while letters >= 4:
+    nsteps = len(steps)
+    ksteps, kreps = nsteps.bit_length(), nreps.bit_length()
+    while True:
+        a, b, c, d = 1, 0, 0, 1
         letters = bits(3)
-    for _ in range(letters + 2):
-        kind = bits(2)
-        while kind == 3:
+        while letters >= 4:
+            letters = bits(3)
+        for _ in range(letters + 2):
             kind = bits(2)
-        if kind == 2:  # * (u, k; N, d0)
-            u, k, nn, d0 = steps[_below(bits, len(steps))]
-            a, b, c, d = a * u + b * nn, a * k + b * d0, c * u + d * nn, c * k + d * d0
-            continue
-        t = bits(3)
-        while t == 7:
+            while kind == 3:
+                kind = bits(2)
+            if kind == 2:  # * (u, k; N, d0)
+                j = bits(ksteps)
+                while j >= nsteps:
+                    j = bits(ksteps)
+                u, k, nn, d0 = steps[j]
+                a, b, c, d = a * u + b * nn, a * k + b * d0, c * u + d * nn, c * k + d * d0
+                continue
             t = bits(3)
-        t -= 3
-        if kind == 0:  # * (1, t; 0, 1)
-            b, d = a * t + b, c * t + d
-        else:  # * (1, 0; N t, 1)
-            t *= n
-            a, c = a + b * t, c + d * t
-    return a, b, c, d
+            while t == 7:
+                t = bits(3)
+            t -= 3
+            if kind == 0:  # * (1, t; 0, 1)
+                b, d = a * t + b, c * t + d
+            else:  # * (1, 0; N t, 1)
+                t *= n
+                a, c = a + b * t, c + d * t
+        i = bits(kreps)
+        while i >= nreps:
+            i = bits(kreps)
+        yield a, b, c, d, i
 
 
 def conjugation_invariance(
@@ -311,10 +326,15 @@ def conjugation_invariance(
     Requires C(sigma) = N/M and M^2 | N; when l != 1 (mod M) nothing is
     asserted by the theory, which the result's note records.
 
-    Samples are integer 4-tuples: the _coset_entries representatives, then
-    translates that each draw their word and then their representative, as
-    rng.randrange(count) would; the witness is the first failing sample, as a
-    Mat2.
+    The samples are the _coset_entries representatives r, then the
+    translates w r of _translates, each tested as it is drawn; the witness
+    is the first failing sample, as a Mat2.  For (x, y) = (sigma, sigma^-1)
+    and then (sigma^-1, sigma), the a and c entries of x (w r) y are
+    integer linear forms in the entries of w, formed once per r from x and
+    r y.  Every conjugate has determinant l (each r does, w and sigma have
+    determinant one), so a sample is decided by N | c and a == 1 (mod M)
+    alone; a failing one is rebuilt on full integers and re-checked by
+    in_delta_entries.
     """
     c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
     if n % (m * m):
@@ -325,23 +345,35 @@ def conjugation_invariance(
     sa, sb, sc, sd = sigma.entries()
     sig, inv = (sa, sb, sc, sd), (sd, -sb, -sc, sa)
     reps = _coset_entries(l, n, m)
-    rng = random.Random(seed)
-    bits = rng.getrandbits
-    samples = reps[:]
-    for _ in range(budget):
-        a, b, c, d = _random_word(n, m, rng)
-        ra, rb, rc, rd = reps[_below(bits, len(reps))]
-        samples.append((a * ra + b * rc, a * rb + b * rd, c * ra + d * rc, c * rb + d * rd))
+    # per r, per (x, y): x, y and the coefficients of wa, wb, wc, wd in the a
+    # entry (mod M) and the c entry (mod N) of x (w r) y, from the first
+    # column (p, q) of r y
+    forms = []
+    for r in reps:
+        both = []
+        for x, y in ((sig, inv), (inv, sig)):
+            xa, xb, xc, xd = x
+            p, _, q, _ = _times(r, y)
+            both.append((
+                x, y,
+                xa * p % m, xa * q % m, xb * p % m, xb * q % m,
+                xc * p % n, xc * q % n, xd * p % n, xd * q % n,
+            ))
+        forms.append(both)
+    one = 1 % m
+    samples = chain(
+        ((1, 0, 0, 1, i) for i in range(len(reps))),
+        islice(_translates(n, m, len(reps), random.Random(seed)), budget),
+    )
     checked = 0
-    for gamma in samples:
-        a, b, c, d = gamma
-        # x gamma = (p, q; r, s), then (x gamma) y, for (x, y) = (sigma, sigma^-1)
-        # and (sigma^-1, sigma)
-        for (xa, xb, xc, xd), (ya, yb, yc, yd) in ((sig, inv), (inv, sig)):
-            p, q, r, s = xa * a + xb * c, xa * b + xb * d, xc * a + xd * c, xc * b + xd * d
+    for wa, wb, wc, wd, i in samples:
+        assert wa * wd - wb * wc == 1, (wa, wb, wc, wd)
+        for x, y, a0, a1, a2, a3, c0, c1, c2, c3 in forms[i]:
             checked += 1
-            if not in_delta_entries(
-                p * ya + q * yc, p * yb + q * yd, r * ya + s * yc, r * yb + s * yd, l, n, m
-            ):
+            if (c0 * wa + c1 * wb + c2 * wc + c3 * wd) % n or (
+                a0 * wa + a1 * wb + a2 * wc + a3 * wd
+            ) % m != one:
+                gamma = _times((wa, wb, wc, wd), reps[i])
+                assert not in_delta_entries(*_times(_times(x, gamma), y), l, n, m)
                 return ConjugationResult(False, Mat2(*gamma), checked, note)
     return ConjugationResult(True, None, checked, note)

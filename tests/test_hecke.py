@@ -1,8 +1,10 @@
 import random
 from math import gcd
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm import hecke
@@ -276,28 +278,63 @@ def test_coset_key_constant_on_cosets():
 POWERFUL_PAIRS = [(n, m) for n in range(1, 61) for m in range(1, 8) if n % (m * m) == 0]
 
 
+class _BoundedRandom(random.Random):
+    """A Random whose getrandbits gives up after 10,000 draws, so a redraw
+    that never ends fails the test instead of hanging it."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise RuntimeError("the draws do not end")
+        return super().getrandbits(k)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(POWERFUL_PAIRS), st.integers(0, 2**32), st.integers(1, 6))
-def test_random_words_match_the_mat2_oracle(pair, seed, words):
-    # equal words from equal draws, and the generators end in the same state
+@given(
+    st.sampled_from(POWERFUL_PAIRS),
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.integers(1, 300),
+)
+def test_random_words_match_the_mat2_oracle(pair, seed, words, nreps):
+    # equal words and representative indices from equal draws, and the
+    # generators end in the same state
     n, m = pair
     rng, ref = random.Random(seed), random.Random(seed)
+    translates = hecke._translates(n, m, nreps, rng)
     for _ in range(words):
-        assert hecke._random_word(n, m, rng) == mat2_gamma0nm_word(n, m, ref).entries()
+        wa, wb, wc, wd, i = next(translates)
+        want = mat2_gamma0nm_word(n, m, ref).entries(), ref.randrange(nreps)
+        assert ((wa, wb, wc, wd), i) == want
     assert rng.getstate() == ref.getstate()
 
 
 def test_below_matches_randrange_draw_for_draw():
-    # the stdlib draws k = n.bit_length() bits and redraws at or above n
+    # the representative index: the stdlib draws k = n.bit_length() bits
+    # and redraws at or above n
     ns = list(range(1, 301)) + [2**k + e for k in range(1, 41) for e in (-1, 0, 1)]
     for seed in (0, 1, 7, 2**40 + 3):
         rng, ref = random.Random(seed), random.Random(seed)
         for n in ns:
-            assert hecke._below(rng.getrandbits, n) == ref.randrange(n), (seed, n)
+            *word, i = next(hecke._translates(1, 1, n, rng))
+            assert tuple(word) == mat2_gamma0nm_word(1, 1, ref).entries()
+            assert i == ref.randrange(n), (seed, n)
         assert rng.getstate() == ref.getstate()
     for n in (0, -1):
         with pytest.raises(ValueError):
-            hecke._below(rng.getrandbits, n)
+            next(hecke._translates(1, 1, n, _BoundedRandom()))
+
+
+def test_conjugation_invariance_refuses_an_empty_table(monkeypatch):
+    # with no representative to translate, the draw of its index raises
+    # instead of redrawing for ever
+    monkeypatch.setattr(hecke, "_coset_entries", lambda l, n, m: [])
+    monkeypatch.setattr(hecke, "random", SimpleNamespace(Random=_BoundedRandom))
+    assert conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=0).passed
+    with pytest.raises(ValueError, match="no representatives"):
+        conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=1)
 
 
 @st.composite
@@ -363,6 +400,32 @@ def test_conjugation_witnesses_off_the_prerequisites_match_the_mat2_oracle(monke
             want = mat2_conjugation_invariance(sigma, reps, l, n, m, 10, seed)
             assert got.to_json() == want, (sigma, seed)
             assert not got.passed and (got.witness in reps) == on_a_rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(-5, 5),
+    st.sampled_from(POWERFUL_PAIRS),
+    st.integers(1, 13),
+    st.integers(0, 40),
+    st.integers(0, 2**32),
+)
+@example(-18, 25, -1, (4, 2), 12, 39, 3542410537)
+def test_conjugation_invariance_matches_the_mat2_oracle_for_any_sigma(
+    a, c, t, pair, l, budget, seed
+):
+    # any sigma in SL2(Z), with C(sigma) = N/M waived, so the witness may be
+    # a random translate as well as a representative.  In the example the
+    # first conjugate to fail has N | c and fails on a == 1 (mod M) alone
+    assume(gcd(a, c) == 1)
+    sigma = complete_first_column(a, c) * Mat2(1, t, 0, 1)
+    n, m = pair
+    with mock.patch.object(hecke, "cusp_denominator", lambda tau, n: n // m):
+        got = conjugation_invariance(sigma, l, n, m, budget=budget, seed=seed)
+    reps = coset_reps_delta(l, n, m).reps
+    assert got.to_json() == mat2_conjugation_invariance(sigma, reps, l, n, m, budget, seed)
 
 
 @settings(max_examples=300, deadline=None)
