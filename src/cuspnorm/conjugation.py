@@ -74,13 +74,30 @@ def atkin_lehner_matrix(n: int, s: set[int]) -> AtkinLehnerOp:
 
 @dataclass
 class GapVerdict:
-    """Outcome of the weighted-lattice inequality check at a point."""
+    """Outcome of the weighted-lattice inequality check at a point.  A scan
+    builds it on integers by `_scanned`, and its Fractions are formed on
+    first read, so a caller that reads only `passed` forms none."""
 
     passed: bool
     worst_pair: tuple[int, int]
     min_margin: Fraction
     min_lhs: Fraction
     bound_at_worst: Fraction
+
+    @classmethod
+    def _scanned(cls, worst, num, lhs, b, q2, den):  # margin num/(q2 den) at worst
+        verdict = cls.__new__(cls)
+        verdict.passed, verdict.worst_pair = num >= 0, worst
+        verdict._ints = num, lhs, b, q2, den  # lhs/q2 and bound b/den at worst
+        return verdict
+
+    def __getattr__(self, name):  # reached only for a Fraction not yet formed
+        if name not in ("min_margin", "min_lhs", "bound_at_worst"):
+            raise AttributeError(name)
+        num, lhs, b, q2, den = self.__dict__.pop("_ints")
+        self.min_margin, self.min_lhs, self.bound_at_worst = (
+            Fraction(num, q2 * den), Fraction(lhs, q2), Fraction(b, den))
+        return getattr(self, name)
 
     def to_json(self):
         return {
@@ -107,9 +124,7 @@ class ReductionCertificate:
     found by the verified fallback scan (n is the exact rational solving
     matrix, not necessarily unipotent, with n_den = N_S).  Only a
     construction certificate records scale_identity_ok: the identity
-    Im z' = (M1^2/N_S) Im z0 rests on n being unipotent.  gap_reduce returns
-    a certificate only when every check it records holds, or else the
-    failing construction when its search finds nothing.
+    Im z' = (M1^2/N_S) Im z0 rests on n being unipotent.
     """
 
     tau: Mat2
@@ -237,26 +252,20 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     """Decide |c z' + d|^2 >= (3/4) (M^2 gcd(c, N/M^2) / N)^k over (c, d) != 0
     for k >= 1; the bound is at most 3/4 as gcd(c, N/M^2) <= N/M^2.
 
-    Finite search: only pairs with |c z' + d|^2 < 3/4 can violate, which
-    forces c^2 y'^2 < 3/4 and (c x' + d)^2 < 3/4, a finite box scanned
-    exactly, c >= 1 ascending and then d ascending after the pair (0, 1).
-    The sign symmetry (c, d) -> (-c, -d) reduces to c >= 0.
+    Finite box scan: only pairs with |c z' + d|^2 < 3/4 can violate, which
+    forces c^2 y'^2 < 3/4 and (c x' + d)^2 < 3/4; (c, d) -> (-c, -d) leaves
+    c >= 0.  The worst pair, part of the gap_reduce JSON, is the first of
+    least margin in the order (0, 1), then c >= 1 ascending, d ascending.
 
     The scan runs on the triple z' = (px + i py)/q.  With
     L = (c px + d q)^2 + (c py)^2, B(c) = 3 (M^2 gcd(c, N/M^2))^k and
     den = 4 N^k, the margin |c z' + d|^2 - B(c)/den equals
-    (den L - q^2 B(c)) / (q^2 den), with a denominator common to all pairs;
-    the first pair of least margin is the worst, and the verdict's
-    Fractions are built once, for it.
-
-    The box is not a row set of `lattice_rows`, and its worst pair is part
-    of the gap_reduce JSON, so the scan stays a box.  A port onto rows at
-    R = q^2, cut off at 4 c^2 py^2 < 3 q^2, gave the same verdicts over the
-    C3 points, but took both floors there from 0.091-0.098 s to 0.099-0.114 s
-    (best of 5, 3 rounds, 2-core box, Python 3.11.7).
+    (den L - q^2 B(c)) / (q^2 den), with a denominator common to all pairs.
+    B(c) and (c py)^2 are constant along row c, so the row's least margin
+    sits at the d nearest -c x', the lesser on a tie, which lies in the
+    row's box [ceil(-c x' - 1), floor(-c x' + 1)]: that one pair is read.
     """
     n_over_m2 = n_over_m_squared(n, m)
-    m2 = m * m
     den = 4 * n**k
     px, py, q = z_prime.px, z_prime.py, z_prime.q
     q2 = q * q
@@ -264,24 +273,13 @@ def _verify_lattice_floor(z_prime: PointH, n: int, m: int, k: int) -> GapVerdict
     min_num = den * q2 - q2 * worst_b
     # c >= 1 with 4 c^2 py^2 < 3 q^2, i.e. 2 c py <= isqrt(3 q^2 - 1)
     for c in range(1, isqrt(3 * q2 - 1) // (2 * py) + 1):
-        b = 3 * (m2 * gcd(c, n_over_m2)) ** k
-        qb = q2 * b
-        t = c * px
-        cy2 = (c * py) ** 2
-        # d in [ceil(-c x' - 1), floor(-c x' + 1)]
-        for d in range(-((t + q) // q), (q - t) // q + 1):
-            e = t + d * q
-            val = e * e + cy2
-            num = den * val - qb
-            if num < min_num:
-                min_num, worst, worst_l, worst_b = num, (c, d), val, b
-    return GapVerdict(
-        min_num >= 0,
-        worst,
-        Fraction(min_num, q2 * den),
-        Fraction(worst_l, q2),
-        Fraction(worst_b, den),
-    )
+        b = 3 * (m * m * gcd(c, n_over_m2)) ** k
+        d = -((2 * c * px + q) // (2 * q))  # nearest -c x', the lesser on a tie
+        val = (c * px + d * q) ** 2 + (c * py) ** 2
+        num = den * val - q2 * b
+        if num < min_num:
+            min_num, worst, worst_l, worst_b = num, (c, d), val, b
+    return GapVerdict._scanned(worst, min_num, worst_l, worst_b, q2, den)
 
 
 def verify_gap_certificate(z_prime: PointH, n: int, m: int) -> GapVerdict:
@@ -291,11 +289,9 @@ def verify_gap_certificate(z_prime: PointH, n: int, m: int) -> GapVerdict:
 
 
 def verify_gap_provable(z_prime: PointH, n: int, m: int) -> GapVerdict:
-    """Check the weaker floor |c z' + d|^2 >= 3 M^4 gcd(c, N/M^2)^2 / (4 N^2).
-
-    This is the constant the width-one construction actually guarantees
-    (the target floor of verify_gap_certificate can fail for it).
-    """
+    """Check the weaker floor |c z' + d|^2 >= 3 M^4 gcd(c, N/M^2)^2 / (4 N^2),
+    the constant the width-one construction actually guarantees (the
+    target floor of verify_gap_certificate can fail for it)."""
     return _verify_lattice_floor(z_prime, n, m, 2)
 
 
@@ -317,11 +313,12 @@ def _checked(cert: ReductionCertificate, z: PointH, z0: PointH) -> bool:
 
     Sets z0 and z' = sigma^-1 W z = adj(sigma) W z, records the height floor
     y'^2 >= 3 M^4 / (4 N^2), the scale identity Im z' = (M1^2/N_S) Im z0
-    for a construction certificate only, and the target and provable
-    lattice verdicts, then returns whether every recorded check holds.  The
-    provable floor is scanned only when the target floor fails: since
-    M^2 gcd(c, N/M^2) / N <= 1, its bound is at most the target bound at
-    every c, so a passed target floor decides it."""
+    for a construction certificate only, and the target lattice verdict,
+    then returns whether every recorded check holds.  A passed target floor
+    decides the provable one, whose bound is at most the target bound at
+    every c as M^2 gcd(c, N/M^2) / N <= 1, so lattice_provable_ok is then
+    recorded True; a failed one rejects the certificate whatever the
+    provable verdict, so nothing is recorded (see gap_reduce)."""
     n, m, v = cert.w.level, cert.m, cert.verification
     cert.z0 = z0
     cert.z_prime = z_prime = mobius_act(cert.sigma.adjugate() * cert.w.w, z)  # det N_S > 0
@@ -329,10 +326,10 @@ def _checked(cert: ReductionCertificate, z: PointH, z0: PointH) -> bool:
     if cert.method == "construction":  # py'/q' = (M1^2/N_S) py0/q0
         v["scale_identity_ok"] = z_prime.py * z0.q * cert.w.n_s == (
             cert.m1 * cert.m1 * z0.py * z_prime.q)
-    verdict = verify_gap_certificate(z_prime, n, m)
-    v["lattice"] = verdict
+    v["lattice"] = verdict = verify_gap_certificate(z_prime, n, m)
     v["lattice_ok"] = verdict.passed
-    v["lattice_provable_ok"] = verdict.passed or verify_gap_provable(z_prime, n, m).passed
+    if verdict.passed:
+        v["lattice_provable_ok"] = True
     return _all_hold(v)
 
 
@@ -381,14 +378,14 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     genuinely fail (the target constant is stronger than what it
     guarantees), so a deterministic search then runs over M^2 | N, prime
     subsets S and the finitely many sigma-columns that meet the height
-    bound, up to sign as sigma and -sigma pass or fail together.
-    `_checked` decides every claim of a candidate, once: its
-    postconditions, recorded by `_certificate`, and its checks at z.  Its
-    shift n = tau^-1 W^-1 sigma diag(M1, N_S/M1) is formed on integers as
-    adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  If no candidate
-    passes, the construction certificate is returned with its failing
-    verdicts intact.  A search with more sigma-columns than its budget
-    raises BudgetExceeded instead.
+    bound, up to sign as sigma and -sigma pass or fail together.  A
+    candidate's shift n = tau^-1 W^-1 sigma diag(M1, N_S/M1) is formed on
+    integers as adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  If no
+    candidate passes, the construction certificate is returned with its
+    failing verdicts intact, and its provable floor, which `_checked`
+    leaves out when the target floor fails, is scanned then, once.  A
+    search with more sigma-columns than its budget raises BudgetExceeded
+    instead.
     """
     tau, z0 = fd_reduce(z)
     cert = width_one_conjugate(tau, n)
@@ -408,4 +405,7 @@ def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
                 cand = _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
                 if _checked(cand, z, z0):
                     return cand
+    v = cert.verification
+    if not v["lattice_ok"]:  # recorded last, where _checked leaves it out
+        v["lattice_provable_ok"] = verify_gap_provable(cert.z_prime, n, cert.m).passed
     return cert

@@ -17,26 +17,21 @@ bottom rows (c, d) mod N up to scaling by units that are 1 mod M.
 Neither membership condition reads b, so each row is tested once per
 divisor a of l, and only the rows that can pass c * a == 0 (mod N) are
 walked: those whose c is a multiple of N / gcd(N, a) for some a | l, each
-c's canonical rows swept as one block (_row_block); when gcd(l, N) = 1 only
-the rows with c = 0 are.  The coset table and the coset count both read
-that one (row, a) walk; the count adds l/a per passing pair and builds no
-matrix, and _coset_entries, the one place representatives are formed,
-multiplies each passing lift by its Hermite matrices on ints.
+c's canonical rows read as one block (_row_block, with no sweep at c = 0);
+when gcd(l, N) = 1 only the rows with c = 0 are.  Table and count both
+read that one (row, a) walk; the count adds l/a per passing pair and
+builds no matrix, and _coset_entries, the one place representatives are
+formed, multiplies each passing lift by its Hermite matrices on ints.
 
 Conjugation invariance is sampled on integer 4-tuples: the
 representatives of _coset_entries, then random Gamma0(N; M)-translates
-w r of them, each drawn by one generator (_translates), which multiplies
-the word in four local ints with the unit letters read from a per-(N, M)
-table, and tested as it is drawn.  The a and c entries of both conjugates
-of w r are integer linear forms in the entries of w, formed once per r,
-so a sample costs their products and two congruences; a failing sample is
-rebuilt on full integers and re-checked by counting.in_delta_entries.  The
-draws are fixed calls in a fixed order, so a seed fixes the samples,
-verdicts and witnesses.  Every draw reads rng.getrandbits alone: a value
-below k takes k.bit_length() bits, redrawn until it is below k, which is
-the rule by which random.Random.randrange(k) consumes getrandbits, so the
-stream matches randint/randrange draw for draw without depending on how
-randrange treats its arguments.
+w r of them, each drawn by one generator (_translates) and tested as it
+is drawn.  The a and c entries of both conjugates of w r are integer
+linear forms in the entries of w, formed once per r, so a sample costs
+their products and two congruences; a failing sample is rebuilt on full
+integers and re-checked by counting.in_delta_entries.  Every draw reads
+rng.getrandbits alone, by randrange's rule, in a fixed order, so a seed
+fixes the samples, verdicts and witnesses.
 """
 
 import random
@@ -86,8 +81,13 @@ def _row_block(c: int, n: int, m: int) -> tuple[int, ...]:
     d is least in its orbit under Stab(c) = {s : s c == c (mod N)}.  So the
     block is empty unless c is least; else one sweep over d records each
     unmarked d with gcd(d, gcd(c, N)) = 1 and marks its Stab(c)-orbit, on
-    which Stab(c) acts freely.  M | N is checked by _coset_walk.
+    which Stab(c) acts freely.  At c = 0 an orbit is the units d == r
+    (mod M) for one unit r mod M, read at its least d ((0,) at N = 1).
+    M | N is checked by _coset_walk.
     """
+    if c == 0:
+        return tuple(sorted(next(d for d in range(r, n, m) if gcd(d, n) == 1)
+                            for r in range(m) if gcd(r, m) == 1))
     units = _scalars(n, m)
     if any(s * c % n < c for s in units):
         return ()

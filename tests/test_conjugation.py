@@ -280,9 +280,12 @@ def test_lattice_floor_exact_zero_margin(n, m, x, y):
     (1, 1, Fraction(2, 5), Fraction(1, 5), [(1, 0), (2, -1)]),
     (2, 1, Fraction(1, 4), Fraction(1, 4), [(1, 0), (2, -1), (2, 0)]),
     (4, 2, Fraction(2, 5), Fraction(1, 5), [(1, 0), (2, -1)]),
+    (2, 1, Fraction(1, 4), Fraction(1, 5), [(2, -1), (2, 0)]),
 ])
 def test_lattice_floor_tied_minimum(n, m, x, y, tied):
-    # several pairs share the least margin: the first in scan order is worst
+    # several pairs share the least margin: the first in scan order is
+    # worst; in the last case they tie inside the row c = 2, at the two d
+    # nearest -c x', and the lesser d is the worst pair
     z = PointH(x, y)
     assert _least_margin_pairs(z, n, m, 1)[1] == tied
     assert verify_gap_certificate(z, n, m).worst_pair == tied[0]
@@ -303,25 +306,31 @@ def test_passed_target_floor_decides_the_provable_floor():
                     assert verify_gap_provable(point, n, m).passed
 
 
+def _direct_scan_passes(z, n, m, k):
+    """No pair (c, d) != 0 with |c| <= 30, |d| <= 65 has
+    |c z + d|^2 < 3 (M^2 gcd(c, N/M^2))^k / (4 N^k), decided on the triple
+    z = (px + i py)/q: 4 N^k ((c px + d q)^2 + (c py)^2) < 3 (M^2 g)^k q^2."""
+    px, py, q = z.px, z.py, z.q
+    n_over_m2 = n // (m * m)
+    for c in range(-30, 31):
+        rhs = 3 * (m * m * gcd(c, n_over_m2)) ** k * q * q  # gcd(0, x) = x
+        cy2 = (c * py) ** 2
+        ds = (d for d in range(-65, 66) if c or d)
+        if any(4 * n**k * ((c * px + d * q) ** 2 + cy2) < rhs for d in ds):
+            return False
+    return True
+
+
 def test_verify_gap_agrees_with_direct_scan():
-    # compare against a wide direct scan of pairs
+    # both floors against a wide direct scan of pairs
     rng = random.Random(25)
     for _ in range(60):
         n = rng.randint(1, 30)
         ms = [m for m in range(1, n + 1) if n % (m * m) == 0]
         m = rng.choice(ms)
         z = rand_point(rng, den_max=16)  # y >= 1/16 keeps violators inside the scan
-        verdict = verify_gap_certificate(z, n, m)
-        violated = False
-        for c in range(-30, 31):
-            for d in range(-65, 66):
-                if (c, d) == (0, 0):
-                    continue
-                g = gcd(c, n // (m * m)) if c else n // (m * m)
-                lhs = (c * z.x + d) ** 2 + (c * z.y) ** 2
-                if lhs * 4 * n < 3 * m * m * g:
-                    violated = True
-        assert verdict.passed == (not violated)
+        for k, verify in VERIFIERS.items():
+            assert verify(z, n, m).passed == _direct_scan_passes(z, n, m, k), (z, n, m, k)
 
 
 def test_not_unimodular_rejected():
@@ -329,20 +338,63 @@ def test_not_unimodular_rejected():
         width_one_conjugate(Mat2(2, 0, 0, 1), 4)
 
 
+CERTIFIED_COUNTEREXAMPLES = [
+    (4, PointH(Fraction(3, 5), Fraction(1, 4))),
+    (8, PointH(Fraction(-1, 3), Fraction(5, 39))),
+]
+
+
 def test_gap_target_floor_counterexample_is_honest():
     # At these points no (M, S, W, sigma) meets the target lattice floor
     # (independently certified by exhaustive scans); the pipeline must
     # report the failure rather than mask it, while the weaker floor that
     # the construction actually guarantees still holds.
-    for n, z in [
-        (4, PointH(Fraction(3, 5), Fraction(1, 4))),
-        (8, PointH(Fraction(-1, 3), Fraction(5, 39))),
-    ]:
+    for n, z in CERTIFIED_COUNTEREXAMPLES:
         cert = gap_reduce(z, n)
         v = cert.verification
         assert not v["lattice_ok"]
         assert v["y_bound_ok"]
         assert v["lattice_provable_ok"]
+
+
+CONSTRUCTION_KEYS = [
+    "sigma_in_sl2", "c_sigma", "c_sigma_equals_n_over_m", "m_squared_divides_n",
+    "m1_is_gcd_m_n_s", "m1_squared_divides_n_s", "y_bound_ok", "scale_identity_ok",
+    "lattice", "lattice_ok", "lattice_provable_ok",
+]
+
+
+def test_provable_floor_is_scanned_only_where_it_is_returned(monkeypatch):
+    # gap_reduce scans the provable floor once per returned certificate
+    # whose target floor fails, and for no discarded candidate; the key
+    # stays last in verification either way
+    calls = []
+    real = conjugation.verify_gap_provable
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conjugation, "verify_gap_provable", counted)
+    points = [*gap_sweep_points(12), *CERTIFIED_COUNTEREXAMPLES]
+    failing = 0
+    for n, z in points:
+        cert = gap_reduce(z, n)
+        v = cert.verification
+        keys = [k for k in CONSTRUCTION_KEYS
+                if cert.method == "construction" or k != "scale_identity_ok"]
+        assert list(v) == keys, (n, z)
+        if not v["lattice_ok"]:
+            failing += 1
+            assert calls[-1] == (cert.z_prime, n, cert.m)
+    assert len(calls) == failing >= len(CERTIFIED_COUNTEREXAMPLES)
+    # _checked itself records no provable verdict when the target fails
+    for n, z in CERTIFIED_COUNTEREXAMPLES:
+        tau, z0 = fd_reduce(z)
+        cert = width_one_conjugate(tau, n)
+        assert not conjugation._checked(cert, z, z0)
+        assert list(cert.verification) == CONSTRUCTION_KEYS[:-1]
+    assert len(calls) == failing
 
 
 def test_search_certificates_recompute_postconditions():
