@@ -23,15 +23,18 @@ read that one (row, a) walk; the count adds l/a per passing pair and
 builds no matrix, and _coset_entries, the one place representatives are
 formed, multiplies each passing lift by its Hermite matrices on ints.
 
-Conjugation invariance is sampled on integer 4-tuples: the
-representatives of _coset_entries, then random Gamma0(N; M)-translates
-w r of them, each drawn by one generator (_translates) and tested as it
-is drawn.  The a and c entries of both conjugates of w r are integer
-linear forms in the entries of w, formed once per r, so a sample costs
-their products and two congruences; a failing sample is rebuilt on full
-integers and re-checked by counting.in_delta_entries.  Every draw reads
-rng.getrandbits alone, by randrange's rule, in a fixed order, so a seed
-fixes the samples, verdicts and witnesses.
+Conjugation invariance is decided on each representative's residue
+class: the a and c entries of both conjugates of w r are integer linear
+forms in the entries of w, formed once per representative r of
+_coset_entries, and every Gamma0(N; M)-word w is (u, b; 0, u^-1) mod N
+with u a unit that is 1 mod M.  So five congruences on the forms decide
+whether every translate w r passes.  When they hold for every r, no
+translate is drawn.  Otherwise the representatives and then `budget`
+random translates w r are sampled, each drawn by one generator
+(_translates) and tested as it is drawn; a failing sample is rebuilt on
+full integers and re-checked by counting.in_delta_entries.  Every draw
+reads rng.getrandbits alone, by randrange's rule, in a fixed order, so a
+seed fixes the samples, verdicts and witnesses.
 """
 
 import random
@@ -47,7 +50,7 @@ from .errors import BudgetExceeded, InvalidM, PrereqFailed
 from .modgroup import Mat2
 
 _ROW_CACHE_SIZE = 256
-COSET_BUDGET = 1_000_000  # most rows walked (N per admissible c) or cosets per table
+COSET_BUDGET = 1_000_000  # most rows swept (see _coset_walk) or cosets per table
 
 Entries = tuple[int, int, int, int]  # (a, b, c, d) of an integer 2x2 matrix
 
@@ -69,6 +72,12 @@ def _unit_steps(n: int, m: int) -> tuple[Entries, ...]:
         d0 = pow(u, -1, n) if n > 1 else 1
         steps.append((u, (u * d0 - 1) // n, n, d0))
     return tuple(steps)
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _square_gcd(n: int, m: int) -> int:
+    """gcd(N, u^2 - 1 over the u of _scalars(n, m))."""
+    return gcd(n, *(u * u - 1 for u in _scalars(n, m)))
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -159,8 +168,9 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
 
     Only rows whose c is a multiple of N / gcd(N, a1) for some a1 | l can
     pass, so only the _row_block of each such c is read.  Raises
-    BudgetExceeded, before any block is swept, when those blocks span more
-    than COSET_BUDGET rows (N per admissible c).
+    BudgetExceeded, before any block is swept, when those blocks sweep more
+    than COSET_BUDGET rows: M at c = 0 (one per unit residue mod M) and N
+    per other admissible c.
     """
     if l < 1 or n < 1:
         raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
@@ -169,10 +179,9 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     a1s = divisors(l)
     steps = {n // gcd(n, a1) for a1 in a1s}
     cs = sorted({c for step in steps for c in range(0, n, step)})
-    if len(cs) * n > COSET_BUDGET:
-        raise BudgetExceeded(
-            f"Delta({l}, {n}; {m}) walks {len(cs) * n} rows, budget {COSET_BUDGET}"
-        )
+    rows = m + (len(cs) - 1) * n  # cs holds c = 0
+    if rows > COSET_BUDGET:
+        raise BudgetExceeded(f"Delta({l}, {n}; {m}) walks {rows} rows, budget {COSET_BUDGET}")
     walk = []
     for c in cs:
         passing = [a1 for a1 in a1s if (c * a1) % n == 0]
@@ -330,11 +339,18 @@ def conjugation_invariance(
     translates w r of _translates, each tested as it is drawn; the witness
     is the first failing sample, as a Mat2.  For (x, y) = (sigma, sigma^-1)
     and then (sigma^-1, sigma), the a and c entries of x (w r) y are
-    integer linear forms in the entries of w, formed once per r from x and
-    r y.  Every conjugate has determinant l (each r does, w and sigma have
-    determinant one), so a sample is decided by N | c and a == 1 (mod M)
-    alone; a failing one is rebuilt on full integers and re-checked by
-    in_delta_entries.
+    integer linear forms a0 wa + a1 wb + a2 wc + a3 wd and c0 wa + ... in
+    the entries of w, formed once per r from x and r y.  Every conjugate
+    has determinant l (each r does, w and sigma have determinant one), so
+    a sample is decided by N | c and a == 1 (mod M) alone; a failing one is
+    rebuilt on full integers and re-checked by in_delta_entries.
+
+    Every word w is (u, b; 0, u^-1) mod N, u in _scalars(n, m), and
+    Gamma0(N; M) reaches each such (u, b); as u == 1 (mod M), every w r
+    passes iff c1, c0 + c3 and c0 _square_gcd(n, m) are 0 mod N, and a1 == 0,
+    a0 + a3 == 1 (mod M).  If so for both (x, y) and every r of a non-empty
+    table, nothing is drawn, and `checked` still counts the 2 (len(reps) +
+    budget) conjugates that drawing would test and pass: the same JSON.
     """
     c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
     if n % (m * m):
@@ -360,7 +376,13 @@ def conjugation_invariance(
                 xc * p % n, xc * q % n, xd * p % n, xd * q % n,
             ))
         forms.append(both)
-    one = 1 % m
+    one, e = 1 % m, _square_gcd(n, m)
+    if reps and budget >= 0 and all(
+        not c1 and not (c0 + c3) % n and not c0 * e % n and not a1
+        and (a0 + a3) % m == one
+        for both in forms for _x, _y, a0, a1, _a2, a3, c0, c1, _c2, c3 in both
+    ):
+        return ConjugationResult(True, None, 2 * (len(reps) + budget), note)
     samples = chain(
         ((1, 0, 0, 1, i) for i in range(len(reps))),
         islice(_translates(n, m, len(reps), random.Random(seed)), budget),

@@ -607,6 +607,33 @@ def mat2_conjugation_invariance(
     return {"passed": True, "checked": checked, "note": note}
 
 
+def conjugation_class_passes(
+    sigma: Mat2, reps: list[Mat2], l: int, n: int, m: int
+) -> bool:
+    """Whether sigma w r sigma^-1 and sigma^-1 w r sigma lie in
+    Delta(l, N; M) for every representative r and every w in Gamma0(N; M).
+
+    Membership reads w mod N alone (the entries of a conjugate are linear
+    in those of w, and its determinant is l), and Gamma0(N; M) mod N is
+    the set of (u, b; 0, u^-1) with u a unit that is 1 mod M and b any
+    residue.  So one lift of each is tried: (u, k; N, d0) (1, t; 0, 1)
+    with d0 = u^-1 mod N, k = (u d0 - 1)/N and u t + k == b (mod N)."""
+    sig_inv = sigma.adjugate()
+    right = [(r * sig_inv, r * sigma) for r in reps]
+    for u in _units_one_mod(n, m) if n > 1 else (1,):
+        d0 = pow(u, -1, n) if n > 1 else 1
+        k = (u * d0 - 1) // n
+        for b in range(n):
+            w = Mat2(u, k, n, d0) * Mat2(1, (b - k) * d0 % n, 0, 1)
+            assert w.det == 1 and w.c % n == 0 and (w.a - 1) % m == 0
+            assert w.b % n == b % n and w.a % n == u % n
+            left = (sigma * w, sig_inv * w)
+            for pair in right:
+                if not all(delta_member(x * y, l, n, m) for x, y in zip(left, pair)):
+                    return False
+    return True
+
+
 def w_squared_in_center_gamma0(op) -> bool:
     """Check W^2 = lambda * gamma with lambda rational and gamma in Gamma0(N)
     for an Atkin-Lehner operator op."""

@@ -25,6 +25,7 @@ from cuspnorm.modgroup import Mat2, complete_first_column
 from oracles import (
     _canonical_row,
     canonical_rows,
+    conjugation_class_passes,
     coset_key,
     coset_walk_pairs,
     delta_member,
@@ -36,6 +37,7 @@ from oracles import (
     rand_sl2,
     same_coset,
 )
+from test_same_outputs import CONJUGATION_DIGEST, _json_digest
 
 
 def sigma1(l):
@@ -245,6 +247,9 @@ def test_conjugation_invariance_examples():
         conjugation_invariance(Mat2(1, 0, 1, 1), 4, 9, 3)
     with pytest.raises(PrereqFailed):
         conjugation_invariance(Mat2(1, 0, 3, 1), 4, 12, 3)
+    # a budget below 0 is refused by islice, on a table the forms pass too
+    with pytest.raises(ValueError, match="islice"):
+        conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=-1)
 
 
 def test_conjugated_reps_form_rep_system():
@@ -428,6 +433,63 @@ def test_conjugation_invariance_matches_the_mat2_oracle_for_any_sigma(
     assert got.to_json() == mat2_conjugation_invariance(sigma, reps, l, n, m, budget, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(-5, 5),
+    st.sampled_from(POWERFUL_PAIRS),
+    st.integers(1, 13),
+    st.booleans(),
+)
+@example(-18, 25, -1, (4, 2), 12, False)  # fails
+@example(1, 5, 0, (25, 1), 1, False)  # N | c1, c0 + c3, not c0 (u^2 - 1) at u = 2
+@example(1, 3, 0, (36, 2), 13, True)  # (1, 0; 18, 1): passes
+@example(1, 3, 0, (36, 2), 12, True)  # l != 1 (mod M): fails
+def test_conjugation_decision_matches_the_class_oracle(a, c, t, pair, l, normal):
+    # the sampler is skipped exactly when every translate of every
+    # representative passes.  sigma is any element of SL2(Z) with
+    # C(sigma) = N/M waived, or, if normal, has lower-left entry (N/M) c
+    # with gcd(c, M) = 1, so that cases that pass are drawn too
+    n, m = pair
+    if normal:
+        c = n // m * c
+    assume(gcd(a, c) == 1 and (not normal or gcd(c // (n // m), m) == 1))
+    sigma = complete_first_column(a, c) * Mat2(1, t, 0, 1)
+    calls, translates = [], hecke._translates
+    with mock.patch.object(hecke, "cusp_denominator", lambda tau, n: n // m), \
+            mock.patch.object(hecke, "_translates",
+                              lambda *args: calls.append(args) or translates(*args)):
+        got = conjugation_invariance(sigma, l, n, m, budget=5, seed=0)
+    reps = coset_reps_delta(l, n, m).reps
+    decided = not calls
+    assert decided == conjugation_class_passes(sigma, reps, l, n, m)
+    assert got.passed or not decided  # a decided pass is the sampled result
+
+
+def test_c7_conjugation_grid_draws_no_translate(monkeypatch):
+    # every op of the C7 conjugation grid is decided on its forms, with the
+    # JSON that drawing all 150 translates gives
+    def no_draws(*args):
+        raise AssertionError(f"a translate was drawn: {args}")
+
+    monkeypatch.setattr(hecke, "_translates", no_draws)
+    docs = []
+    for n in (4, 8, 9, 16, 25, 27, 36):
+        for m in range(1, n + 1):
+            if n % (m * m):
+                continue
+            for l in range(1, 14):
+                if l % m == 1 % m:
+                    res = conjugation_invariance(
+                        Mat2(1, 0, n // m, 1), l, n, m, budget=150, seed=7
+                    )
+                    nreps = coset_reps_delta(l, n, m).count
+                    assert res.passed and res.checked == 2 * (nreps + 150), (n, m, l)
+                    docs.append(res.to_json())
+    assert _json_digest(docs) == CONJUGATION_DIGEST
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.tuples(*[st.integers(-40, 40)] * 4),
@@ -451,22 +513,30 @@ def test_in_delta_entries_agrees_with_delta_member(entries, pair, l, forced):
 
 
 def test_coset_budget(monkeypatch):
-    # Delta(4, 9; 3) walks the c = 0 block alone (9 rows) and has 7 cosets;
-    # l = 3 at N = 9 walks c in {0, 3, 6} (27 rows)
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 8)
-    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 9 rows"):
+    # each block is charged the rows it sweeps: M for c = 0 (one per unit
+    # residue mod M) and N for every other admissible c.  Delta(4, 9; 3)
+    # walks the c = 0 block alone (3 rows) and has 7 cosets; l = 3 at N = 9
+    # walks c in {0, 3, 6} (3 + 9 + 9 = 21 rows)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 3 rows"):
         coset_reps_delta(4, 9, 3)
-    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 9 rows"):
+    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 3 rows"):
         coset_count_invariance(4, 9, 3)
     res = run(["hecke", "--level", "9", "--m", "3", "--l", "4"])
     assert res.exit_code == 1
     assert res.payload["error"]["type"] == "BudgetExceeded"
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 9)
+    # at budget 3 the walk fits but the 7 cosets do not; the count builds
+    # no table
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 3)
+    assert coset_count_invariance(4, 9, 3).count_nm == 7
+    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) has 7 cosets"):
+        coset_reps_delta(4, 9, 3)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 7)
     assert coset_reps_delta(4, 9, 3).count == 7
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 26)
-    with pytest.raises(BudgetExceeded, match=r"Delta\(3, 9; 3\) walks 27 rows"):
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 20)
+    with pytest.raises(BudgetExceeded, match=r"Delta\(3, 9; 3\) walks 21 rows"):
         coset_count_invariance(3, 9, 3)
-    monkeypatch.setattr(hecke, "COSET_BUDGET", 27)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 21)
     assert coset_reps_delta(3, 9, 3).count == 3
     # at N = 1 the one row fits, but sigma_1(64) = 127 cosets do not;
     # the count comparison builds no table, so it still runs
@@ -478,6 +548,18 @@ def test_coset_budget(monkeypatch):
     assert coset_count_invariance(64, 1, 1).count_nm == 127
     monkeypatch.setattr(hecke, "COSET_BUDGET", 127)
     assert coset_reps_delta(64, 1, 1).count == 127
+
+
+def test_coset_budget_charges_the_c_zero_block_its_units():
+    # with gcd(l, N) = 1 only the c = 0 block is walked, M rows, so a prime
+    # level past COSET_BUDGET still answers
+    n = 1_000_003
+    assert n > hecke.COSET_BUDGET
+    assert coset_reps_delta(1, n, 1).reps == [Mat2(1, 0, n, 1)]
+    assert coset_count_invariance(2, n, 1).count_nm == 3
+    # at l = N every c = 0..N-1 is admissible
+    with pytest.raises(BudgetExceeded, match=f"walks {1 + (n - 1) * n} rows"):
+        coset_reps_delta(n, n, 1)
 
 
 def test_tables_at_large_level():
