@@ -12,12 +12,14 @@ the unipotent correction n so that
 is integral of determinant one with denominator N/M.  sigma is formed on
 integers, each entry of W * tau * n scaled by one exact division, and
 every postcondition is re-verified on the constructed certificate rather
-than trusted.
+than trusted.  `_search_space` is the one source of gap_reduce's order: the
+construction, then M | N0 ascending, S by (|S|, sorted S), the columns at
+W z; W, W z and adj(tau) adj(W) are built on the first use of each S.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt
 
 from .arith import crt_solve, divisors, factor, n_over_m_squared, squarefree_split
@@ -367,44 +369,48 @@ def _first_column_candidates(w: PointH, n: int, m: int):
     return out
 
 
+def _search_space(tau: Mat2, z: PointH, n: int):
+    """The certificates gap_reduce tries at z, tau from fd_reduce(z), in
+    order: the construction, then one per column of `_first_column_candidates`
+    at W z, for M | N0 ascending and, within M, S by (|S|, sorted S).  W, W z
+    and adj(tau) adj(W) = N_S tau^-1 W^-1 are built on the first use of S; a
+    shift n is adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  Each (M, S)
+    lists its columns in full, or raises BudgetExceeded, before one yield."""
+    yield width_one_conjugate(tau, n)
+    primes = [p for p, _e in factor(n)]  # ascending, so S runs by (|S|, sorted S)
+    per_s = {}  # S -> (W, W z, adj(tau) adj(W)), built on first use
+    for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
+        for s in (s for k in range(len(primes) + 1) for s in combinations(primes, k)):
+            if s not in per_s:
+                op = atkin_lehner_matrix(n, set(s))
+                per_s[s] = op, mobius_act(op.w, z), tau.adjugate() * op.w.adjugate()
+            op, w_point, back = per_s[s]
+            m1 = gcd(m, op.n_s)
+            for a, c in _first_column_candidates(w_point, n, m):
+                sigma = complete_first_column(a, c)
+                shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
+                yield _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
+
+
 def gap_reduce(z: PointH, n: int) -> ReductionCertificate:
     """Move z by a width-one conjugation to z' = sigma^{-1} W z with
     certified height and lattice lower bounds.
 
-    One rule for either method: a certificate is returned only when every
-    check it records holds, as `_checked` decides; its checks are the
-    postconditions of `_certificate` and those that `_checked` records at z.
-    The local-profile construction is tried first.  Its lattice bound can
-    genuinely fail (the target constant is stronger than what it
-    guarantees), so a deterministic search then runs over M^2 | N, prime
-    subsets S and the finitely many sigma-columns that meet the height
-    bound, up to sign as sigma and -sigma pass or fail together.  A
-    candidate's shift n = tau^-1 W^-1 sigma diag(M1, N_S/M1) is formed on
-    integers as adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  If no
-    candidate passes, the construction certificate is returned with its
-    failing verdicts intact, and its provable floor, which `_checked`
-    leaves out when the target floor fails, is scanned then, once.  A
-    search with more sigma-columns than its budget raises BudgetExceeded
-    instead.
+    Returns the first certificate of `_search_space`, the one source of the
+    search order, that `_checked` accepts: one rule for either method.  The
+    construction comes first; its lattice bound can genuinely fail (the
+    target constant is stronger than what it guarantees), so the search
+    over M, S and sigma-columns follows, each S's W built on first use.  If
+    none passes, the construction is returned with its failing verdicts,
+    and its provable floor, which `_checked` leaves out when the target
+    floor fails, is scanned then, once.  Raises BudgetExceeded past a budget.
     """
     tau, z0 = fd_reduce(z)
-    cert = width_one_conjugate(tau, n)
-    if _checked(cert, z, z0):
-        return cert
-    primes = [p for p, _e in factor(n)]  # ascending, so S runs by (|S|, sorted S)
-    subsets = [set(s) for k in range(len(primes) + 1) for s in combinations(primes, k)]
-    for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
-        for s in subsets:
-            op = atkin_lehner_matrix(n, s)  # per (M, S): the first one usually succeeds
-            w_point = mobius_act(op.w, z)
-            m1 = gcd(m, op.n_s)
-            back = tau.adjugate() * op.w.adjugate()  # N_S tau^-1 W^-1
-            for a, c in _first_column_candidates(w_point, n, m):
-                sigma = complete_first_column(a, c)
-                shift = back * sigma * Mat2(m1, 0, 0, op.n_s // m1)
-                cand = _certificate(tau, op, m, m1, shift, op.n_s, sigma, "search")
-                if _checked(cand, z, z0):
-                    return cand
+    space = _search_space(tau, z, n)
+    cert = next(space)  # the construction, returned if no certificate passes
+    for cand in chain((cert,), space):
+        if _checked(cand, z, z0):
+            return cand
     v = cert.verification
     if not v["lattice_ok"]:  # recorded last, where _checked leaves it out
         v["lattice_provable_ok"] = verify_gap_provable(cert.z_prime, n, cert.m).passed

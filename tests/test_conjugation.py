@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -23,6 +25,7 @@ from cuspnorm.modgroup import Mat2, PointH, complete_first_column, fd_reduce, mo
 from oracles import (
     first_column_columns,
     fraction_json,
+    fraction_mobius_act,
     fraction_shift,
     fraction_sigma,
     gap_sweep_points,
@@ -492,6 +495,68 @@ def test_every_search_column_meets_the_postconditions():
         y = Fraction(rng.randint(1, 64), rng.randint(1, 64 * n * n))
         w = PointH(rand_fraction(rng, -2, 2), y)
         _columns_meet_postconditions(w, Mat2.identity(), n, m, op)
+
+
+# a C3 violator whose search runs out, over 4 M and 4 prime sets S
+EXHAUSTED_SEARCH = (36, PointH(Fraction(-19, 27), Fraction(2, 27)))
+# the search never runs here, but the whole space has columns at S = {},
+# {5}, {2, 3}, {2, 5} and {2, 3, 5}: {5} comes before {2, 3}
+THREE_PRIME_POINT = (30, PointH(Fraction(11, 6), Fraction(1, 9)))
+
+
+def _search_space_by_definition(z, n):
+    """(method, M, sorted S, first column of sigma) of every search
+    certificate: M with M^2 | N ascending, then S by (|S|, sorted S), then
+    the columns with c >= 0 at W z, each from the oracles."""
+    subsets = sorted((sorted(s) for s in all_prime_subsets(n)), key=lambda s: (len(s), s))
+    return [
+        ("search", m, s, col)
+        for m in _square_divisor_ms(n)
+        for s in subsets
+        for col in first_column_columns(
+            fraction_mobius_act(atkin_lehner_matrix(n, set(s)).w, z), n, m)
+        if col[1] >= 0
+    ]
+
+
+def test_search_space_is_the_search_space_in_order():
+    # _search_space yields the construction, then exactly the search space
+    # built here from the definitions, in the order the search reads it
+    points = [*CERTIFIED_COUNTEREXAMPLES, EXHAUSTED_SEARCH, THREE_PRIME_POINT]
+    for n, z in gap_sweep_points(12):
+        tau, z0 = fd_reduce(z)
+        if not conjugation._checked(width_one_conjugate(tau, n), z, z0):
+            points.append((n, z))
+    assert len(points) > 4
+    for n, z in points:
+        tau, _z0 = fd_reduce(z)
+        first, *rest = conjugation._search_space(tau, z, n)
+        assert first.to_json() == width_one_conjugate(tau, n).to_json(), (n, z)
+        got = [(c.method, c.m, sorted(c.w.s_primes), (c.sigma.a, c.sigma.c)) for c in rest]
+        assert got == _search_space_by_definition(z, n), (n, z)
+    n, z = THREE_PRIME_POINT
+    seen = [s for _method, _m, s, _col in _search_space_by_definition(z, n)]
+    assert seen == [[], [5], [2, 3], [2, 5], [2, 3, 5]]
+
+
+def test_search_space_builds_each_prime_set_once(monkeypatch):
+    # W, W z and adj(tau) adj(W) depend on S alone: one Atkin-Lehner
+    # operator for the construction, then one per S, though the search
+    # visits 16 pairs (M, S); the returned JSON is pinned by its digest
+    calls = []
+    real = conjugation.atkin_lehner_matrix
+
+    def counted(n, s):
+        calls.append(frozenset(s))
+        return real(n, s)
+
+    monkeypatch.setattr(conjugation, "atkin_lehner_matrix", counted)
+    n, z = EXHAUSTED_SEARCH
+    doc = gap_reduce(z, n).to_json()
+    assert doc["method"] == "construction" and not doc["verification"]["lattice_ok"]
+    assert len(calls) == 5 and len(set(calls[1:])) == 4
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == (
+        "856f22575d3b7e296070e26bad2ec4d174f0cb4b59feb20274495c0cfb37b98f")
 
 
 def test_certificate_of_sigma_outside_sl2_fails_without_raising():

@@ -498,7 +498,7 @@ def test_parabolic_count_invariant_under_gamma0(case, word, unit):
     assert moved.n_p == classify_counts(z, l, delta, n, m).n_p
 
 
-# -- the windows against SL2(Z) \ M_l, for l up to 48 ------------------------
+# -- the windows against SL2(Z) \ M_l, for l up to 48 (300 in examples) ------
 
 HERMITE_PAIRS_CAP = 20_000  # at most about 50 ms of kernel time per case
 # the points of the boundary cases: y from 3 down to 1/1000
@@ -550,6 +550,11 @@ def hermite_cases(draw):
 @example((PointH(Fraction(1, 3), Fraction(1, 1000)), 48, Fraction(1), 24, 6))
 @example((PointH(Fraction(-2, 7), Fraction(1, 1000)), 36, Fraction(5, 2), 24, 3))
 @example((PointH(Fraction(1, 5), Fraction(1, 2)), 48, Fraction(5, 2), 4, 5))
+# l past the draws' 48, up to 300
+@example((PointH(Fraction(1, 3), Fraction(1, 2)), 289, Fraction(1), 17, 1))
+@example((PointH(Fraction(-2, 7), Fraction(1, 5)), 300, Fraction(5, 2), 12, 1))
+@example((PointH(Fraction(1, 5), Fraction(1, 3)), 289, Fraction(1), 36, 6))
+@example((PointH(Fraction(2, 7), Fraction(1, 30)), 241, Fraction(1), 24, 2))
 def test_windows_agree_with_the_hermite_oracle(case):
     # every gamma of u(gamma z, z) <= delta, also those on the boundary,
     # found as g h over the Hermite matrices h, not from (c, d) windows
