@@ -6,6 +6,7 @@ Everything here is deterministic and exact; inputs are desk-scale
 thousands), so trial division is plenty.
 """
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import Inconsistent, InvalidM
@@ -38,6 +39,12 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+@lru_cache(maxsize=256)
+def factored(n: int) -> tuple[tuple[int, int], ...]:
+    """factor(n) as a tuple, computed once per n (a level read at each point)."""
+    return tuple(factor(n))
 
 
 def divisors(n: int) -> list[int]:

@@ -14,15 +14,18 @@ integers, each entry of W * tau * n scaled by one exact division, and
 every postcondition is re-verified on the constructed certificate rather
 than trusted.  `_search_space` is the one source of gap_reduce's order: the
 construction, then M | N0 ascending, S by (|S|, sorted S), the columns at
-W z; W, W z and adj(tau) adj(W) are built on the first use of each S.
+W z.  `_level` builds the M, S and W of a level once per level; W z and
+adj(tau) adj(W) are built on the first use of each S in a call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import chain, combinations, repeat
 from math import gcd, isqrt
+from operator import is_not
 
-from .arith import crt_solve, divisors, factor, n_over_m_squared, squarefree_split
+from .arith import crt_solve, divisors, factored, n_over_m_squared, squarefree_split
 from .cusps import local_profile
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidPrimeSet
 from .modgroup import (
@@ -61,7 +64,7 @@ def atkin_lehner_matrix(n: int, s: set[int]) -> AtkinLehnerOp:
     """
     n_s = 1
     prime_set = frozenset(s)
-    exponents = dict(factor(n))
+    exponents = dict(factored(n))
     for p in prime_set:
         if p not in exponents:
             raise InvalidPrimeSet(f"prime {p} does not divide level {n}")
@@ -72,6 +75,15 @@ def atkin_lehner_matrix(n: int, s: set[int]) -> AtkinLehnerOp:
     al = (pow(n_s, -1, m) - 1) % m + 1 if m > 1 else 1
     be = (al * n_s - 1) // m
     return AtkinLehnerOp(Mat2(n_s * al, be, n, n_s), prime_set, n_s, n)
+
+
+@lru_cache(maxsize=256)  # sized as hecke's _ROW_CACHE_SIZE caches
+def _level(n: int):
+    """Level N as gap_reduce reads it: factored(n), {sorted S: W}, the M | N0 ascending."""
+    primes = [p for p, _e in factored(n)]  # ascending, so S runs by (|S|, sorted S)
+    subsets = (s for k in range(len(primes) + 1) for s in combinations(primes, k))
+    ops = {s: atkin_lehner_matrix(n, set(s)) for s in subsets}
+    return factored(n), ops, tuple(divisors(squarefree_split(n)[1]))
 
 
 @dataclass
@@ -192,8 +204,8 @@ def _certificate(
     return ReductionCertificate(tau, op, m1, m, n_shift, n_den, sigma, verification, method)
 
 
-def _all_hold(verification: dict) -> bool:
-    return all(v for v in verification.values() if isinstance(v, bool))
+def _all_hold(verification: dict) -> bool:  # skips c_sigma and a GapVerdict
+    return all(map(is_not, verification.values(), repeat(False)))
 
 
 def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
@@ -217,7 +229,7 @@ def width_one_conjugate(tau: Mat2, n: int) -> ReductionCertificate:
             m *= p**cp
         else:
             m *= p ** (np_ - cp)
-    op = atkin_lehner_matrix(n, {p for p, _np, _cp, wp in prof if wp > 0})
+    op = _level(n)[1][tuple(p for p, _np, _cp, wp in prof if wp > 0)]
     a_, b_, c_, d_ = (op.w * tau).entries()
     congruences = []
     for p, np_, _cp, wp in prof:
@@ -372,19 +384,19 @@ def _first_column_candidates(w: PointH, n: int, m: int):
 def _search_space(tau: Mat2, z: PointH, n: int):
     """The certificates gap_reduce tries at z, tau from fd_reduce(z), in
     order: the construction, then one per column of `_first_column_candidates`
-    at W z, for M | N0 ascending and, within M, S by (|S|, sorted S).  W, W z
-    and adj(tau) adj(W) = N_S tau^-1 W^-1 are built on the first use of S; a
-    shift n is adj(tau) adj(W) sigma diag(M1, N_S/M1) over N_S.  Each (M, S)
-    lists its columns in full, or raises BudgetExceeded, before one yield."""
+    at W z, for M | N0 ascending and, within M, S by (|S|, sorted S), as
+    `_level(n)` lists them.  W z and adj(tau) adj(W) = N_S tau^-1 W^-1 are
+    built on the first use of S; a shift n is adj(tau) adj(W) sigma diag(M1,
+    N_S/M1) over N_S.  Each (M, S) lists all its columns, or raises
+    BudgetExceeded, before one yield."""
     yield width_one_conjugate(tau, n)
-    primes = [p for p, _e in factor(n)]  # ascending, so S runs by (|S|, sorted S)
-    per_s = {}  # S -> (W, W z, adj(tau) adj(W)), built on first use
-    for m in divisors(squarefree_split(n)[1]):  # M^2 | N exactly when M | N0
-        for s in (s for k in range(len(primes) + 1) for s in combinations(primes, k)):
+    _factors, ops, ms = _level(n)
+    per_s = {}  # S -> (W z, adj(tau) adj(W)), built on first use
+    for m in ms:
+        for s, op in ops.items():
             if s not in per_s:
-                op = atkin_lehner_matrix(n, set(s))
-                per_s[s] = op, mobius_act(op.w, z), tau.adjugate() * op.w.adjugate()
-            op, w_point, back = per_s[s]
+                per_s[s] = mobius_act(op.w, z), tau.adjugate() * op.w.adjugate()
+            w_point, back = per_s[s]
             m1 = gcd(m, op.n_s)
             for a, c in _first_column_candidates(w_point, n, m):
                 sigma = complete_first_column(a, c)

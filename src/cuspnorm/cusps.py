@@ -11,7 +11,7 @@ formula C = gcd(c, N) total.
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, factor, valuation
+from .arith import divisors, factored, valuation
 from .modgroup import Mat2
 
 
@@ -37,7 +37,7 @@ def local_profile(tau: Mat2, n: int) -> tuple[tuple[int, int, int, int], ...]:
     tau.require_sl2()
     c = tau.c
     entries = []
-    for p, np_ in factor(n):
+    for p, np_ in factored(n):
         cp = np_ if c == 0 else min(valuation(c, p), np_)
         wp = max(np_ - 2 * cp, 0)
         entries.append((p, np_, cp, wp))

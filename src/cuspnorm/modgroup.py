@@ -70,7 +70,8 @@ class Mat2:
     def is_sl2(self) -> bool:
         """int entries and determinant one; a Fraction or float entry fails
         even when its value is an integer."""
-        return all(type(e) is int for e in self.entries()) and self.det == 1
+        return (type(self.a) is int and type(self.b) is int and type(self.c) is int
+                and type(self.d) is int and self.det == 1)
 
     def require_sl2(self) -> "Mat2":
         if not self.is_sl2():

@@ -540,9 +540,10 @@ def test_search_space_is_the_search_space_in_order():
 
 
 def test_search_space_builds_each_prime_set_once(monkeypatch):
-    # W, W z and adj(tau) adj(W) depend on S alone: one Atkin-Lehner
-    # operator for the construction, then one per S, though the search
-    # visits 16 pairs (M, S); the returned JSON is pinned by its digest
+    # W depends on (N, S) alone: with the level cache cleared, the first
+    # gap_reduce at N = 36 builds one Atkin-Lehner operator per prime set
+    # of 36, though the search visits 16 pairs (M, S), and a second call at
+    # level 36 builds none; the returned JSON is pinned by its digest
     calls = []
     real = conjugation.atkin_lehner_matrix
 
@@ -551,12 +552,52 @@ def test_search_space_builds_each_prime_set_once(monkeypatch):
         return real(n, s)
 
     monkeypatch.setattr(conjugation, "atkin_lehner_matrix", counted)
+    conjugation._level.cache_clear()
     n, z = EXHAUSTED_SEARCH
     doc = gap_reduce(z, n).to_json()
     assert doc["method"] == "construction" and not doc["verification"]["lattice_ok"]
-    assert len(calls) == 5 and len(set(calls[1:])) == 4
+    assert sorted(calls, key=sorted) == [set(s) for s in ([], [2], [2, 3], [3])]
+    calls.clear()
+    assert gap_reduce(z, n).to_json() == doc
+    assert gap_reduce(PointH(Fraction(1, 5), Fraction(1, 7)), n).w.level == n
+    assert calls == []
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == (
         "856f22575d3b7e296070e26bad2ec4d174f0cb4b59feb20274495c0cfb37b98f")
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 36, 60, 210, 1024, 729, 746496])
+def test_level_record_matches_the_definitions(n):
+    # the record gap_reduce reads at N: N's factorisation, every prime set
+    # by (|S|, sorted S), each with the operator atkin_lehner_matrix builds
+    # afresh, and every M with M^2 | N ascending
+    factors, ops, ms = conjugation._level(n)
+    assert list(factors) == factor(n)
+    subsets = sorted((sorted(s) for s in all_prime_subsets(n)), key=lambda s: (len(s), s))
+    assert [list(s) for s in ops] == subsets
+    for s, op in ops.items():
+        fresh = atkin_lehner_matrix(n, set(s))
+        assert op.w == fresh.w and op.s_primes == fresh.s_primes, (n, s)
+        assert (op.n_s, op.level) == (fresh.n_s, fresh.level), (n, s)
+    assert list(ms) == [m for m in range(1, isqrt(n) + 1) if n % (m * m) == 0]
+
+
+def test_points_at_one_level_share_one_operator_per_prime_set():
+    # two C3 points at N = 4 that the construction certifies with S = {2}
+    # hold the one operator of the level record, not two equal copies
+    certs = [gap_reduce(z, n) for n, z in gap_sweep_points(4) if n == 4]
+    with_s2 = [c for c in certs if c.w.s_primes == {2}]
+    assert len(with_s2) >= 2
+    assert with_s2[0].w is with_s2[1].w is conjugation._level(4)[1][(2,)]
+
+
+def test_all_hold_reads_only_the_bool_checks():
+    # c_sigma (an int) and a passing GapVerdict are skipped; one False fails
+    verdict = verify_gap_certificate(PointH(0, 1), 1, 1)
+    assert verdict.passed
+    v = {"sigma_in_sl2": True, "c_sigma": 4, "lattice": verdict, "lattice_ok": True}
+    assert conjugation._all_hold(v)
+    assert not conjugation._all_hold({**v, "y_bound_ok": False})
+    assert conjugation._all_hold({**v, "c_sigma": 0})  # 0 is an int, not False
 
 
 def test_certificate_of_sigma_outside_sl2_fails_without_raising():

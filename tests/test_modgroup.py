@@ -170,9 +170,9 @@ def test_mat2_basics():
 
 
 def test_require_sl2_rejects_entries_that_are_not_int():
-    # det 1 is not enough: a Fraction or a float entry is not an integer
-    # matrix, even when its value is integral
-    for g in (Mat2(Fraction(1), 0, 0, 1), Mat2(1.0, 0, 0, 1)):
+    # det 1 is not enough: a Fraction, a float or a bool entry is not an
+    # integer matrix, even when its value is integral
+    for g in (Mat2(Fraction(1), 0, 0, 1), Mat2(1.0, 0, 0, 1), Mat2(True, 0, 0, 1)):
         assert g.det == 1 and not g.is_sl2()
         with pytest.raises(NotUnimodular):
             g.require_sl2()
