@@ -6,13 +6,14 @@ A cell is (lemma, N, M, L-or-Lambda, sample index); its point z is drawn
 from a per-cell seeded generator and rejection-sampled into G(N; M), so the
 output is byte-identical across reruns and worker counts.  Cells are
 independent pure computations; with jobs > 1 they are fanned out to a
-process pool and merged in canonical order.
+process pool and merged in canonical order.  The pool is imported only
+then, so a jobs=1 sweep and every other importer of this module never load
+multiprocessing.
 """
 
 import hashlib
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -246,6 +247,7 @@ def lemma_harness(config: HarnessConfig) -> HarnessResult:
     regardless of the jobs setting."""
     cells = harness_cells(config)
     if config.jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so importers never load it
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=8))
     else:

@@ -208,7 +208,9 @@ def test_pool_size_is_capped_by_the_cells(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # lemma_harness imports the pool inside its jobs > 1 branch, so the stub
+    # goes where that import looks it up
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = dict(lemma="para", n_lo=1, n_hi=1)
     pooled = lemma_harness(HarnessConfig(**cfg, jobs=64))
     assert sizes == [len(harness_cells(HarnessConfig(**cfg)))] == [2]
