@@ -566,8 +566,8 @@ def delta_member(g: Mat2, l: int, n: int, m: int) -> bool:
 def mat2_gamma0nm_word(n: int, m: int, rng: random.Random) -> Mat2:
     """A random Gamma0(N; M)-word as a product of Mat2 letters: T^t, the
     lower N-shear and (u, (u d0 - 1)/N; N, d0) for a unit u == 1 (mod M)
-    with d0 = u^-1 mod N, drawn in the package's order (the letter count,
-    then per letter its kind and its shift or unit)."""
+    with d0 = u^-1 mod N, drawn in a fixed order (the letter count, then
+    per letter its kind and its shift or unit), so a seed fixes the word."""
     units = _units_one_mod(n, m) if n > 1 else (1,)
     g = Mat2.identity()
     for _ in range(rng.randint(2, 5)):
