@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import isqrt, prod
 
@@ -42,6 +42,21 @@ class ExponentVector:
 
     def __getitem__(self, param: str) -> Fraction:
         return self.exps[PARAMS.index(param)]
+
+    @cached_property
+    def halves(self) -> tuple[tuple[str, int, int], ...]:
+        """(param, k, h) for each nonzero exponent e = k + h/2, in PARAMS
+        order, with integer k and h in {0, 1}; computed once per vector.
+        Raises ConfigError for an exponent outside Z/2, on every read."""
+        out = []
+        for param, e in zip(PARAMS, self.exps):
+            if not e:
+                continue
+            twice, rem = divmod(2 * e.numerator, e.denominator)
+            if rem:
+                raise ConfigError(f"exponent {e} of {param} is not in Z/2")
+            out.append((param, *divmod(twice, 2)))
+        return tuple(out)
 
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         return ExponentVector(tuple(a + b for a, b in zip(self.exps, other.exps)))
@@ -321,24 +336,24 @@ def evaluate_terms(terms, **values) -> Decimal:
     (keywords named as in PARAMS), as a Decimal rounded at working_precision():
     default_dps() (CUSPNORM_PRECISION) plus 10 guard digits.
 
-    Every exponent must be a multiple of 1/2, so each monomial is exactly
-    (r_num / r_den) * sqrt(s) with integers r_num, r_den, s.  The terms
-    whose s is a perfect square are summed as one exact Fraction, rounded
-    once at the end, so an exact decimal tie reaches nstr unrounded; every
-    other term costs one rounded division, square root and product.
+    Every exponent must be a multiple of 1/2 (ExponentVector.halves), so
+    each monomial is exactly (r_num / r_den) * sqrt(s) with integers r_num,
+    r_den, s.  The terms whose s is a perfect square are summed exactly as
+    one integer fraction exact_num / exact_den, left unreduced, and divided
+    once at the end, so an exact decimal tie reaches nstr unrounded.  A
+    Decimal quotient of integers is correctly rounded from the exact
+    rational, and an exact one takes the exponent nearest the ideal 0 that
+    holds it, so the quotient depends only on the rational's value: the
+    unreduced pair gives the same Decimal, digit for digit, as the reduced
+    Fraction would.  Every other term costs one rounded division, square
+    root and product.
     """
-    exact = Fraction(0)
+    exact_num, exact_den = 0, 1
     with working_precision():
         total = Decimal(0)
         for vec in terms:
             r_num = r_den = s = 1
-            for param, e in zip(PARAMS, vec.exps):
-                if not e:
-                    continue
-                twice, rem = divmod(2 * e.numerator, e.denominator)
-                if rem:
-                    raise ConfigError(f"exponent {e} of {param} is not in Z/2")
-                k, half = divmod(twice, 2)
+            for param, k, half in vec.halves:
                 v = values[param]
                 num, den = v.numerator, v.denominator
                 if k > 0:
@@ -352,10 +367,11 @@ def evaluate_terms(terms, **values) -> Decimal:
                     r_den *= den
             root = isqrt(s)
             if root * root == s:
-                exact += Fraction(r_num * root, r_den)
+                exact_num = exact_num * r_den + r_num * root * exact_den
+                exact_den *= r_den
             else:
                 total += Decimal(r_num) / r_den * Decimal(s).sqrt()
-        return total + Decimal(exact.numerator) / exact.denominator
+        return total + Decimal(exact_num) / exact_den
 
 
 # the amplifier envelope, in display order

@@ -104,11 +104,14 @@ def _a_progressions(d: int, c: int, l: int, m: int) -> tuple:
 
 def _cleared(z: PointH, l: int, delta, n: int, m: int) -> tuple:
     """One enumeration problem on integers, (l, N, M, px, py, q, dn, dd)
-    with z = (px + i py)/q, its stored triple, and delta = dn/dd."""
-    delta = Fraction(delta)
-    if l < 1 or delta < 0 or n < 1 or m < 1:
+    with z = (px + i py)/q, its stored triple, and delta = dn/dd.  A
+    Fraction delta is read as it is; any other is converted first."""
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
+    if l < 1 or dn < 0 or n < 1 or m < 1:
         raise ValueError("need l >= 1, delta >= 0, N >= 1, M >= 1")
-    return (l, n, m, z.px, z.py, z.q, delta.numerator, delta.denominator)
+    return (l, n, m, z.px, z.py, z.q, dn, dd)
 
 
 def _upper_windows(cl: tuple):

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -80,8 +81,7 @@ def sample_point_in_g(
     den = 4 * n * n
     # least j with j^2 >= 12 M^4 N^2 = 3 (2 M^2 N)^2, which is never a square
     num_lo = isqrt(12 * m**4 * n * n) + 1
-    hi = y_hi_sq * den * den
-    num_hi = isqrt(hi.numerator // hi.denominator)
+    num_hi = isqrt(y_hi_sq.numerator * den * den // y_hi_sq.denominator)
     if num_hi < num_lo:
         return None
     xden = 2 * n + 1
@@ -138,9 +138,20 @@ _LEMMA_COUNTS = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _determinant_plan(lemma: str, lval: int, m: int, l1: int) -> tuple:
+    """The determinant multiset of a cell as ascending (l, multiplicity)
+    pairs, built once per (lemma, L, M, l1); a tuple, so no caller can
+    change what the cache holds."""
+    return tuple(sorted(_LEMMA_COUNTS[lemma][0](lval, m, l1).items()))
+
+
+_parse_delta = lru_cache(maxsize=16)(Fraction)  # a sweep's one delta, parsed once
+
+
 def _run_cell(args: tuple) -> dict | None:
     (lemma, n, m, lval, k, seed, delta_s, l1) = args
-    delta = Fraction(delta_s)
+    delta = _parse_delta(delta_s)
     dps = default_dps()
     rng = random.Random(_cell_seed(seed, lemma, n, m, lval, k))
     if lemma == "ampl":
@@ -157,10 +168,10 @@ def _run_cell(args: tuple) -> dict | None:
                 lhs, _pairs = amplified_count_sum(z, lval, delta, n, m)
                 rhs = bound_rhs_ampl(n, m, lval, y)
             else:
-                determinants, count = _LEMMA_COUNTS[lemma]
+                count = _LEMMA_COUNTS[lemma][1]
                 lhs = Decimal(sum(
                     mult * count(z, l, delta, n, m)
-                    for l, mult in sorted(determinants(lval, m, l1).items())
+                    for l, mult in _determinant_plan(lemma, lval, m, l1)
                 ))
                 terms = ENVELOPES[lemma]
                 if lemma == "para" and isqrt(lval) ** 2 != lval:

@@ -10,23 +10,28 @@ lattice-floor scan, the gap search's first columns, the Moebius action and
 the width-one sigma and shift compute with their own product of Fraction
 matrices where the package clears denominators to integers, the sampled
 Hecke conjugation check multiplies Mat2 objects where the package keeps
-integer 4-tuples, and the number-theoretic oracles (cusp orbits and widths,
-Hermite decomposition, coset labels, Delta membership, the passing pairs
-of the coset walk, primality, Euler phi, W^2, the Fourier exponent) work
-from definitions and import no private helper of the code they check.
+integer 4-tuples, the envelope evaluator sums its exact terms as a reduced
+Fraction where the package keeps an unreduced integer pair, and the
+number-theoretic oracles (cusp orbits and widths, Hermite decomposition,
+coset labels, Delta membership, the passing pairs of the coset walk,
+primality, Euler phi, W^2, the Fourier exponent) work from definitions and
+import no private helper of the code they check.
 """
 
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, lcm, sqrt
+from math import ceil, floor, gcd, isqrt, lcm, sqrt
 
 import numpy as np
 
+from cuspnorm.bounds import PARAMS
 from cuspnorm.conjugation import GapVerdict
-from cuspnorm.errors import InvalidM, OutOfRange
+from cuspnorm.errors import ConfigError, InvalidM, OutOfRange
 from cuspnorm.modgroup import Mat2, PointH, point_pair_u
+from cuspnorm.precision import working_precision
 
 S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
@@ -693,3 +698,39 @@ def fourier_exponent(mu, h) -> tuple[str, Fraction]:
     if h <= -2 * mu:
         return "low", -(1 + h) / 2
     return "high", mu / 2 - Fraction(1, 2) - h / 4
+
+
+def fraction_evaluate_terms(terms, **values) -> Decimal:
+    """The envelope evaluator as it was before its exact terms were summed
+    on integers: each exponent split into k + h/2 on every call, and the
+    terms whose radicand is a perfect square summed as one reduced Fraction,
+    rounded once at the end at working_precision()."""
+    exact = Fraction(0)
+    with working_precision():
+        total = Decimal(0)
+        for vec in terms:
+            r_num = r_den = s = 1
+            for param, e in zip(PARAMS, vec.exps):
+                if not e:
+                    continue
+                twice, rem = divmod(2 * e.numerator, e.denominator)
+                if rem:
+                    raise ConfigError(f"exponent {e} of {param} is not in Z/2")
+                k, half = divmod(twice, 2)
+                v = values[param]
+                num, den = v.numerator, v.denominator
+                if k > 0:
+                    r_num *= num**k
+                    r_den *= den**k
+                elif k < 0:
+                    r_num *= den**-k
+                    r_den *= num**-k
+                if half:
+                    s *= num * den
+                    r_den *= den
+            root = isqrt(s)
+            if root * root == s:
+                exact += Fraction(r_num * root, r_den)
+            else:
+                total += Decimal(r_num) / r_den * Decimal(s).sqrt()
+        return total + Decimal(exact.numerator) / exact.denominator

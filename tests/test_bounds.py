@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from cuspnorm import bounds
 from cuspnorm.bounds import (
     AMPL_RHS_TERMS,
     ENVELOPES,
+    FOURIER_BRANCHES,
+    LAMBDA_CHOICE,
+    PARAMS,
     ConstraintSet,
     ExponentVector,
     dominated_by,
@@ -28,7 +35,7 @@ from cuspnorm.errors import (
     UnboundedPolytope,
 )
 from cuspnorm.precision import nstr
-from oracles import fourier_exponent
+from oracles import fourier_exponent, fraction_evaluate_terms
 
 F = Fraction
 
@@ -289,6 +296,86 @@ def test_exact_tie_rounds_half_up(monkeypatch, dps, n, m, lval, y, printed):
     monkeypatch.setenv("CUSPNORM_PRECISION", str(dps))
     rhs = evaluate_terms(ENVELOPES["eq7"], N=n, M=m, y=y, N0=1, L=lval)
     assert nstr(rhs, dps) == printed
+
+
+def _tie_case(dps, n, m, lval, y):
+    return ENVELOPES["eq7"], {"N": n, "M": m, "y": y, "N0": 1, "L": lval}, dps
+
+
+_POSITIVE = st.builds(F, st.integers(1, 10**4), st.integers(1, 10**4))
+_VALUES = st.fixed_dictionaries(
+    # squares make the radicand a perfect square often, so both kinds of term occur
+    {p: st.one_of(_POSITIVE, _POSITIVE.map(lambda v: v * v)) for p in PARAMS}
+)
+_TERMS = st.lists(
+    st.builds(
+        lambda exps: ExponentVector(tuple(exps)),
+        st.lists(st.integers(-10, 10).map(lambda t: F(t, 2)), min_size=6, max_size=6),
+    ),
+    min_size=1,
+    max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS, _VALUES, st.integers(1, 60))
+@example(*_tie_case(5, 12, 1, 3, F(281, 288)))
+@example(*_tie_case(7, 24, 1, 6, F(773, 2304)))
+@example(*_tie_case(8, 24, 2, 6, F(1447, 2304)))
+# no exact term: sqrt(2) and sqrt(6)/3
+@example((monomial(N=F(1, 2)), monomial(L=F(1, 2), y=F(-1, 2))),
+         {"N": 2, "L": 2, "y": 3}, 20)
+# only exact terms: 9^(3/2) + 4 * (1/3)^2 * 16^(1/2) = 27 + 16/9
+@example((monomial(N=F(3, 2)), monomial(L=1, y=2, M=F(1, 2))),
+         {"N": 9, "L": 4, "y": F(1, 3), "M": 16}, 12)
+def test_evaluate_terms_matches_the_fraction_oracle(terms, values, dps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CUSPNORM_PRECISION", str(dps))
+        got = evaluate_terms(terms, **values)
+        want = fraction_evaluate_terms(terms, **values)
+    assert got == want
+    assert str(got) == str(want)
+    assert nstr(got, dps) == nstr(want, dps)
+
+
+def _halves_by_definition(vec):
+    """(param, k, h) with e = k + h/2 for each nonzero exponent, or None
+    when some exponent is not in Z/2."""
+    out = []
+    for param, e in zip(PARAMS, vec.exps):
+        if e:
+            k = floor(e)
+            h = 2 * (e - k)
+            if h not in (0, 1):
+                return None
+            out.append((param, k, int(h)))
+    return tuple(out)
+
+
+def test_halves_match_the_definition():
+    vectors = [v for terms in ENVELOPES.values() for v in terms]
+    vectors += list(FOURIER_BRANCHES.values()) + [LAMBDA_CHOICE]
+    for vec in vectors:
+        want = _halves_by_definition(vec)
+        if want is None:  # y^(-1/4) and N^(1/3)
+            for _ in range(2):
+                with pytest.raises(ConfigError):
+                    vec.halves
+        else:
+            assert vec.halves == want
+            assert vec.halves is vec.halves  # computed once
+    assert _halves_by_definition(FOURIER_BRANCHES["high"]) is None
+    assert _halves_by_definition(LAMBDA_CHOICE) is None
+
+
+def test_halves_failure_is_not_cached():
+    vec = monomial(N=F(1, 3))
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="1/3 of N is not in Z/2"):
+            vec.halves
+        with pytest.raises(ConfigError, match="1/3 of N is not in Z/2"):
+            evaluate_terms((vec,), N=8)
+    assert "halves" not in vars(vec)
 
 
 def test_smooth_count_examples():

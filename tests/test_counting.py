@@ -144,6 +144,24 @@ def test_delta_monotonicity():
         assert counts == sorted(counts)
 
 
+def test_delta_is_read_the_same_in_every_form():
+    # a Fraction delta is used as it is, any other is converted first
+    rng = random.Random(41)
+    counters = (count_delta_near, count_star, count_upper)
+    for _ in range(20):
+        n = rng.choice([1, 4, 9, 12, 36])
+        m = rng.choice([d for d in (1, 2, 3, 6) if n % (d * d) == 0])
+        l = rng.randint(1, 12)
+        z = rand_point(rng, den_max=8)
+        for forms in ((1, "1", Fraction(1)), (Fraction(3, 2), "3/2", 1.5)):
+            counts = {tuple(f(z, l, d, n, m) for f in counters) for d in forms}
+            assert len(counts) == 1
+    for f in counters:
+        for bad in (Fraction(-1, 2), "-1/2", -1):
+            with pytest.raises(ValueError, match="need l >= 1, delta >= 0"):
+                f(I, 1, bad, 1, 1)
+
+
 def test_g_membership_monotone_in_y():
     # for fixed x, membership in G(N; M) only improves as y grows
     rng = random.Random(37)

@@ -1,4 +1,5 @@
 import traceback
+from collections import Counter
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from cuspnorm.harness import (
     sample_point_in_g,
 )
 from cuspnorm.modgroup import PointH
+from oracles import is_prime
 
 import random
 
@@ -155,6 +157,37 @@ def test_envelope_spot_check(lemma):
             assert mpmath.almosteq(
                 mpmath.mpf(row["ratio"]), mpmath.mpf(row["lhs"]) / rhs, rel_eps=tol
             )
+
+
+def _determinants_by_definition(lemma, lval, m, l1):
+    """The lemma's determinants at (L, M, l1), one per term of its sum."""
+    prog = [a for a in range(1, lval + 1) if (a - 1) % m == 0]
+    primes = [p for p in prog if is_prime(p)]
+    pairs = [(p, q) for p in primes for q in primes]
+    return {
+        "eq1": prog,
+        "eq2": [a * a for a in prog],
+        "eq3": [l1 * a * a for a in prog],
+        "eq4": [p * q for p, q in pairs],
+        "eq5": [p * q * q for p, q in pairs],
+        "eq6": [p * p * q * q for p, q in pairs],
+        "eq7": prog,
+        "para": [lval],
+    }[lemma]
+
+
+def test_determinant_plan_matches_the_definition():
+    for lemma in [name for name in harness.LEMMAS if name != "ampl"]:
+        for lval in range(1, 17):
+            for m in range(1, 5):
+                for l1 in range(1, 4):
+                    plan = harness._determinant_plan(lemma, lval, m, l1)
+                    want = _determinants_by_definition(lemma, lval, m, l1)
+                    assert plan == tuple(sorted(Counter(want).items()))
+                    assert type(plan) is tuple
+                    assert all(type(pair) is tuple for pair in plan)
+                    # built once: a second call returns the cached tuple
+                    assert harness._determinant_plan(lemma, lval, m, l1) is plan
 
 
 def test_para_nonsquare_rows_have_zero_lhs():
