@@ -18,7 +18,7 @@ class InvalidPrimeSet(CuspnormError):
 
 
 class InternalSolveFailure(CuspnormError):
-    """A congruence solve that theory guarantees solvable found no solution.
+    """A solve or decision that theory guarantees failed its exact check.
 
     Surfacing this instead of silently retrying is a correctness tripwire.
     """

@@ -20,15 +20,16 @@ walked: those whose c is a multiple of N / gcd(N, a) for some a | l, each
 c's canonical rows read as one block (_row_block, with no sweep at c = 0);
 when gcd(l, N) = 1 only the rows with c = 0 are.  Table and count both
 read that one (row, a) walk; the count adds l/a per passing pair and
-builds no matrix, and _coset_entries, the one place representatives are
+builds no matrix, and _coset_reps, the one place representatives are
 formed, multiplies each passing lift by its Hermite matrices on ints.
 
-Conjugation invariance is decided on the representatives alone: under its
-prerequisites C(sigma) = N/M and M^2 | N, sigma and sigma^-1 normalise
-Gamma0(N; M), so a translate w r of a representative r passes exactly
-when r does, and no translate is drawn.
+Conjugation invariance is decided by l mod M: under its prerequisites
+C(sigma) = N/M and M^2 | N, each conjugate of each r in Delta(l, N; M) by
+sigma or sigma^-1 passes iff l == 1 (mod M).  The decision is re-verified
+on the first representative, the only one formed; no table is built.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -36,7 +37,7 @@ from math import gcd
 from .arith import bezout, divisors
 from .counting import in_delta_entries
 from .cusps import cusp_denominator
-from .errors import BudgetExceeded, InvalidM, PrereqFailed
+from .errors import BudgetExceeded, InternalSolveFailure, InvalidM, PrereqFailed
 from .modgroup import Mat2
 
 _ROW_CACHE_SIZE = 256
@@ -163,11 +164,12 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     return walk
 
 
-def _coset_entries(l: int, n: int, m: int) -> list[Entries]:
-    """Entries of one representative per right coset of Gamma0(N; M) in
-    Delta(l, N; M): u * (a1, b1; 0, l/a1) for each passing (u, a1) of
-    _coset_walk and 0 <= b1 < l/a1, each checked to lie in Delta(l, N; M).
-    Output order: rows, then a1, then b1.
+def _coset_reps(l: int, n: int, m: int) -> tuple[int, Iterator[Mat2]]:
+    """The coset count and, lazily, one representative per right coset of
+    Gamma0(N; M) in Delta(l, N; M): u * (a1, b1; 0, l/a1) for each passing
+    (u, a1) of _coset_walk and 0 <= b1 < l/a1, formed on ints and checked
+    to lie in Delta(l, N; M) as it is formed.  Output order: rows, then
+    a1, then b1.
 
     Raises BudgetExceeded when there are more than COSET_BUDGET cosets,
     before the first is built."""
@@ -177,20 +179,23 @@ def _coset_entries(l: int, n: int, m: int) -> list[Entries]:
         raise BudgetExceeded(
             f"Delta({l}, {n}; {m}) has {count} cosets, budget {COSET_BUDGET}"
         )
-    reps = []
-    for (ua, ub, uc, ud), a1 in walk:
-        d1 = l // a1
-        for b1 in range(d1):
-            gamma = (ua * a1, ua * b1 + ub * d1, uc * a1, uc * b1 + ud * d1)
-            assert in_delta_entries(*gamma, l, n, m), (gamma, l, n, m)
-            reps.append(gamma)
-    return reps
+
+    def reps() -> Iterator[Mat2]:
+        for (ua, ub, uc, ud), a1 in walk:
+            d1 = l // a1
+            a, b0, c, d0 = ua * a1, ub * d1, uc * a1, ud * d1
+            for b1 in range(d1):
+                b, d = ua * b1 + b0, uc * b1 + d0
+                assert in_delta_entries(a, b, c, d, l, n, m), ((a, b, c, d), l, n, m)
+                yield Mat2(a, b, c, d)
+
+    return count, reps()
 
 
 def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
     """One representative per right coset of Gamma0(N; M) in Delta(l, N; M),
-    from _coset_entries."""
-    return CosetTable(l, n, m, [Mat2(*g) for g in _coset_entries(l, n, m)])
+    from _coset_reps."""
+    return CosetTable(l, n, m, list(_coset_reps(l, n, m)[1]))
 
 
 @dataclass
@@ -235,13 +240,6 @@ class ConjugationResult:
         return out
 
 
-def _times(g: Entries, h: Entries) -> Entries:
-    """Entries of the product g h of two integer 2x2 matrices."""
-    a, b, c, d = g
-    e, f, x, y = h
-    return a * e + b * x, a * f + b * y, c * e + d * x, c * f + d * y
-
-
 def conjugation_invariance(
     sigma: Mat2,
     l: int,
@@ -250,47 +248,48 @@ def conjugation_invariance(
     budget: int = 200,
     seed: int = 0,
 ) -> ConjugationResult:
-    """Check that sigma gamma sigma^-1 and sigma^-1 gamma sigma stay in
-    Delta(l, N; M) for every gamma in it, on the _coset_entries
-    representatives r alone.
+    """Decide whether sigma gamma sigma^-1 and sigma^-1 gamma sigma stay in
+    Delta(l, N; M) for every gamma in it: they do iff l == 1 (mod M).
 
     Requires C(sigma) = N/M and M^2 | N; when l != 1 (mod M) nothing is
     asserted by the theory, which the result's note records.
 
-    The prerequisites make sigma and sigma^-1 normalise Gamma0(N; M).  For
-    sigma = (a, b; c, d) and w = (alpha, beta; N gamma, delta) in
-    Gamma0(N; M), the lower-left entry of sigma w sigma^-1 is
-    c d (alpha - delta) + d^2 N gamma - c^2 beta: (N/M) | c and
-    alpha == delta == 1 (mod M) give N | c (alpha - delta), and
-    (N/M)^2 | c^2 with M^2 | N gives N | c^2.  Its upper-left entry is
-    a d alpha + b d N gamma - a c beta - b c delta == a d - b c = 1
-    (mod M), as M | N/M | c.  sigma^-1 = (d, -b; -c, a) meets the same
-    conditions.  Delta(l, N; M) is closed under left multiplication by
-    Gamma0(N; M), so x (w r) y = (x w y)(x r y) lies in it exactly when
-    x r y does: each coset is decided on its representative.
+    For sigma = (a, b; c, d) and r = (A, B; C, D) in Delta(l, N; M), the
+    conjugate sigma r sigma^-1 has determinant l, upper-left entry
+    a d A + b d C - a c B - b c D == A == 1 (mod M), as M | N/M | c, and
+    lower-left entry c d (A - D) + d^2 C - c^2 B == c d (A - D) (mod N), as
+    M^2 | N gives N | c^2.  C(sigma) = N/M and ad - bc = 1 make
+    c = (N/M) c' with gcd(c' d, M) = 1, so N divides it iff M | A - D, that
+    is iff l == 1 (mod M), as A == 1 and D == AD == l (mod M).
+    sigma^-1 = (d, -b; -c, a) meets the same conditions.
 
-    For each r, sigma r sigma^-1 and then sigma^-1 r sigma are tested by
-    in_delta_entries; the witness is the first failing r, as a Mat2, and
-    `checked` counts the conjugates tested up to it.  On a pass `checked`
-    is 2 (len(reps) + budget), the count of a check that also tests
-    `budget` random translates w r, each of which passes by the lemma, so
-    the JSON is that check's for every seed; `seed` changes no output.
-    Raises ValueError when budget < 0.
+    The decision is re-verified on the first representative r of
+    _coset_reps, the only one formed: both conjugates, as Mat2
+    products, must agree with it by in_delta_entries, or
+    InternalSolveFailure is raised.  A failure returns witness r and
+    `checked` 1.  A pass returns `checked` = 2 (count + budget), the count
+    of a check that also tests `budget` random translates of the
+    representatives, so the JSON is that check's for every seed; `seed`
+    changes no output.  Raises InvalidM when M < 1 and ValueError when
+    budget < 0.
     """
     c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
+    if m < 1:
+        raise InvalidM(f"M = {m} does not divide N = {n}")
     if n % (m * m):
         raise PrereqFailed(f"M^2 = {m * m} does not divide N = {n}")
     if c_sigma != n // m:
         raise PrereqFailed(f"C(sigma) = {c_sigma} != N/M = {n // m}")
-    note = "" if l % m == 1 % m else "l != 1 (mod M): invariance is not asserted"
-    sig, inv = sigma.entries(), sigma.adjugate().entries()
-    reps = _coset_entries(l, n, m)
+    passed = l % m == 1 % m
+    note = "" if passed else "l != 1 (mod M): invariance is not asserted"
+    count, reps = _coset_reps(l, n, m)
     if budget < 0:
         raise ValueError(f"conjugation budget = {budget} is negative")
-    checked = 0
-    for r in reps:
-        for x, y in ((sig, inv), (inv, sig)):
-            checked += 1
-            if not in_delta_entries(*_times(_times(x, r), y), l, n, m):
-                return ConjugationResult(False, Mat2(*r), checked, note)
-    return ConjugationResult(True, None, 2 * (len(reps) + budget), note)
+    r = next(reps)
+    inv = sigma.adjugate()
+    for x, y in ((sigma, inv), (inv, sigma)):
+        if in_delta_entries(*(x * r * y).entries(), l, n, m) != passed:
+            raise InternalSolveFailure(f"conjugating {r!r} by {x!r} contradicts l mod M")
+    if passed:
+        return ConjugationResult(True, None, 2 * (count + budget), note)
+    return ConjugationResult(False, r, 1, note)

@@ -10,7 +10,7 @@ from cuspnorm.arith import divisors, squarefree_split
 from cuspnorm.counting import in_delta_entries
 from cuspnorm.cusps import cusp_denominator
 from cuspnorm.cli import run
-from cuspnorm.errors import BudgetExceeded, InvalidM, PrereqFailed
+from cuspnorm.errors import BudgetExceeded, InternalSolveFailure, InvalidM, PrereqFailed
 from cuspnorm.hecke import (
     conjugation_invariance,
     coset_count_invariance,
@@ -236,15 +236,23 @@ def test_conjugation_invariance_examples():
     assert res.passed
     res = conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=200)
     assert res.passed and res.witness is None
-    # l != 1 mod M: the theory asserts nothing; either outcome is legal but
-    # the note must say so
+    # l != 1 mod M: the theory asserts nothing, which the note says, and
+    # the first representative fails at sigma's conjugate
     res = conjugation_invariance(Mat2(1, 0, 3, 1), 2, 9, 3, budget=60)
     assert "not asserted" in res.note
+    assert (res.passed, res.checked) == (False, 1)
+    assert res.witness == coset_reps_delta(2, 9, 3).reps[0]
     with pytest.raises(PrereqFailed):
         conjugation_invariance(Mat2(1, 0, 1, 1), 4, 9, 3)
     with pytest.raises(PrereqFailed):
         conjugation_invariance(Mat2(1, 0, 3, 1), 4, 12, 3)
-    # a budget below 0 is refused, after the prerequisites and the table
+    # M < 1 is refused as InvalidM, before M^2 | N is read
+    with pytest.raises(InvalidM, match="M = 0 does not divide"):
+        conjugation_invariance(Mat2(1, 0, 9, 1), 1, 9, 0)
+    with pytest.raises(InvalidM, match="M = -3 does not divide"):
+        conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, -3)
+    # a budget below 0 is refused, after the prerequisites and the coset
+    # count
     with pytest.raises(ValueError, match="budget = -1 is negative"):
         conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=-1)
 
@@ -339,17 +347,43 @@ def width_one_sigma(a, k, t, n, m):
     return sigma
 
 
-def test_conjugation_invariance_tests_both_conjugates_in_order(monkeypatch):
-    # on a real table the two conjugates of a representative share their
-    # verdict, so both are seen to be tested, sigma's first, only on a
-    # matrix outside Delta(15, 9; 3): sigma r sigma^-1 passes for
-    # sigma = (-7, 2; 3, -1) and fails for its inverse
-    r = (-2, -3, 3, -3)
-    monkeypatch.setattr(hecke, "_coset_entries", lambda l, n, m: [r])
-    got = conjugation_invariance(Mat2(-7, 2, 3, -1), 15, 9, 3, budget=4)
-    assert (got.passed, got.witness, got.checked) == (False, Mat2(*r), 2)
-    got = conjugation_invariance(Mat2(-1, -2, -3, -7), 15, 9, 3, budget=4)
-    assert (got.passed, got.witness, got.checked) == (False, Mat2(*r), 1)
+def test_conjugation_invariance_forms_one_representative(monkeypatch):
+    # the decision reads l mod M and re-verifies it on reps[0] alone: one
+    # membership test as reps[0] is formed and one per conjugate, however
+    # many cosets there are
+    calls = []
+    member = hecke.in_delta_entries
+    monkeypatch.setattr(hecke, "in_delta_entries", lambda *a: calls.append(a[:4]) or member(*a))
+    cases = [(Mat2(1, 0, 1, 1), 64, 1, 1, 127), (Mat2(1, 0, 18, 1), 13, 36, 2, 14),
+             (complete_first_column(7, 54), 12, 36, 2, 24), (Mat2(1, 0, 3, 1), 1, 9, 3, 1)]
+    for sigma, l, n, m, count in cases:
+        r = coset_reps_delta(l, n, m).reps[0]
+        inv = sigma.adjugate()
+        calls.clear()
+        got = conjugation_invariance(sigma, l, n, m, budget=3)
+        assert got.checked == (2 * (count + 3) if got.passed else 1)
+        assert calls == [r.entries(), (sigma * r * inv).entries(), (inv * r * sigma).entries()]
+
+
+@pytest.mark.parametrize("l", [4, 2])
+@pytest.mark.parametrize("which", [0, 1])
+def test_conjugation_invariance_raises_when_a_conjugate_contradicts_l_mod_m(
+    monkeypatch, l, which
+):
+    # membership flipped on one conjugate of reps[0] (sigma's, or its
+    # inverse's) contradicts the decision by l mod M, on a pass (l = 4) and
+    # a failure (l = 2).  r and its two conjugates are distinct matrices
+    sigma, n, m = Mat2(-7, 2, 3, -1), 9, 3
+    r = coset_reps_delta(l, n, m).reps[0]
+    inv = sigma.adjugate()
+    conjugates = [(sigma * r * inv).entries(), (inv * r * sigma).entries()]
+    assert len({r.entries(), *conjugates}) == 3
+    member = hecke.in_delta_entries
+    monkeypatch.setattr(
+        hecke, "in_delta_entries", lambda *a: member(*a) != (a[:4] == conjugates[which])
+    )
+    with pytest.raises(InternalSolveFailure, match="contradicts l mod M"):
+        conjugation_invariance(sigma, l, n, m)
 
 
 @settings(max_examples=60, deadline=None)
