@@ -16,6 +16,17 @@ than trusted.  `_search_space` is the one source of gap_reduce's order: the
 construction, then M | N0 ascending, S by (|S|, sorted S), the columns at
 W z.  `_level` builds the M, S and W of a level once per level; W z and
 adj(tau) adj(W) are built on the first use of each S in a call.
+
+The gap verdict `lattice_ok` is meant as a function on X0(N): gap_reduce
+at g z and at z agree for g in Gamma0(N).  Sketch: for an Atkin-Lehner W,
+g' = W g W^-1 lies in Gamma0(N), which W normalises, and sigma -> g' sigma
+maps a certificate at z to one at g z with the same z', as
+(g' sigma)^-1 W g z = sigma^-1 W z; C(g' sigma) = C(sigma), the bottom
+row of g' being (0, u) mod N with u a unit.  So the same z' are reachable
+from z and from g z, and both floors read z' alone.  The open step: the
+search lists a passing z' whenever one exists, up to the integer
+translations the floors ignore.  It takes every sigma-column that meets
+the height floor, which the target floor needs too.
 """
 
 from dataclasses import dataclass

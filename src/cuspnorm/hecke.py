@@ -18,23 +18,38 @@ Neither membership condition reads b, so each row is tested once per
 divisor a of l, and only the rows that can pass c * a == 0 (mod N) are
 walked: those whose c is a multiple of N / gcd(N, a) for some a | l, each
 c's canonical rows read as one block (_row_block, with no sweep at c = 0);
-when gcd(l, N) = 1 only the rows with c = 0 are.  Table and count both
-read that one (row, a) walk; the count adds l/a per passing pair and
-builds no matrix, and _coset_reps, the one place representatives are
-formed, multiplies each passing lift by its Hermite matrices on ints.
+when gcd(l, N) = 1 only the rows with c = 0 are.  Only coset_reps_delta
+walks, multiplying each passing lift by its Hermite matrices on ints.
+
+Counts are products of local factors (coset_count), the pair method read
+locally.  A pair (row, a1) passes iff N | c a1 and u_a a1 == 1 (mod M),
+u_a the upper-left entry of u.  The latter fails when a prime p | M
+divides a1; otherwise M | c, so u_a d == 1 and it reads d == a1 (mod M).
+The units mod N act freely on primitive rows and move d mod M through
+every unit mod M, so each of their orbits, a point of P^1(Z/N), holds
+exactly one passing B_M-orbit.  So the count is the sum over a1 | l prime
+to M of l/a1 times the rows (c : d) of P^1(Z/N) with N | c a1, and by CRT
+the product over p | l, with a = v_p(l) and e = v_p(N), of
+sum_{j=0..a} p^(a-j) r_j, the term j = 0 alone when p | M: the Hermite
+divisor a1 = p^j gives p^(a-j) cosets per row of P^1(Z/p^e) with
+p^e | c p^j, and there are r_j = p^j of those, (p^(e-j) t : 1), for
+j < e, and all r_j = p^e + p^(e-1) rows for j >= e (r_j = 1 at e = 0).
+So the counts at M and at 1 agree iff gcd(l, M) = 1: for a >= 1 the
+factor at p | M is p^a, and at M = 1 its j = 1 term makes it larger.
+Each table built re-checks its length against the count.
 
 Conjugation invariance is decided by l mod M: under its prerequisites
 C(sigma) = N/M and M^2 | N, each conjugate of each r in Delta(l, N; M) by
 sigma or sigma^-1 passes iff l == 1 (mod M).  The decision is re-verified
-on the first representative, the only one formed; no table is built.
+on r = (1, 0; N, l), the table's first representative when N > 1, formed
+in closed form; no row is walked.
 """
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import bezout, divisors
+from .arith import bezout, divisors, factor, valuation
 from .counting import in_delta_entries
 from .cusps import cusp_denominator
 from .errors import BudgetExceeded, InternalSolveFailure, InvalidM, PrereqFailed
@@ -65,7 +80,7 @@ def _row_block(c: int, n: int, m: int) -> tuple[int, ...]:
     unmarked d with gcd(d, gcd(c, N)) = 1 and marks its Stab(c)-orbit, on
     which Stab(c) acts freely.  At c = 0 an orbit is the units d == r
     (mod M) for one unit r mod M, read at its least d ((0,) at N = 1).
-    M | N is checked by _coset_walk.
+    M | N is checked by coset_count.
     """
     if c == 0:
         return tuple(sorted(next(d for d in range(r, n, m) if gcd(d, n) == 1)
@@ -129,9 +144,26 @@ class CosetTable:
         }
 
 
+def coset_count(l: int, n: int, m: int) -> int:
+    """|Gamma0(N; M) \\ Delta(l, N; M)|, the product over p | l of the local
+    factors of the module docstring; no row is walked.  The one check of
+    (l, N, M): raises ValueError unless l, N >= 1 and InvalidM unless M | N.
+    """
+    if l < 1 or n < 1:
+        raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
+    if m < 1 or n % m:
+        raise InvalidM(f"M = {m} does not divide N = {n}")
+    count = 1
+    for p, a in factor(l):
+        pe = p ** valuation(n, p)  # r_j: p^j for j < e, else pe + pe // p (1 at e = 0)
+        js = range(1 if m % p == 0 else a + 1)
+        count *= sum(p ** (a - j) * (p ** j if p ** j < pe else pe + pe // p) for j in js)
+    return count
+
+
 def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     """The passing pairs (entries of u, a1) of the pair method, in output
-    order: rows, then a1 ascending.
+    order: rows, then a1 ascending, for (l, N, M) checked by coset_count.
 
     A pair (row (c, d), h = (a1, b1; 0, d1)) contributes iff
     c * a1 == 0 (mod N) and a_lift * a1 == 1 (mod M); both conditions are
@@ -145,10 +177,6 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     than COSET_BUDGET rows: M at c = 0 (one per unit residue mod M) and N
     per other admissible c.
     """
-    if l < 1 or n < 1:
-        raise ValueError(f"coset_reps_delta expects l, N >= 1, got l={l}, N={n}")
-    if m < 1 or n % m:
-        raise InvalidM(f"M = {m} does not divide N = {n}")
     a1s = divisors(l)
     steps = {n // gcd(n, a1) for a1 in a1s}
     cs = sorted({c for step in steps for c in range(0, n, step)})
@@ -164,38 +192,30 @@ def _coset_walk(l: int, n: int, m: int) -> list[tuple[Entries, int]]:
     return walk
 
 
-def _coset_reps(l: int, n: int, m: int) -> tuple[int, Iterator[Mat2]]:
-    """The coset count and, lazily, one representative per right coset of
-    Gamma0(N; M) in Delta(l, N; M): u * (a1, b1; 0, l/a1) for each passing
-    (u, a1) of _coset_walk and 0 <= b1 < l/a1, formed on ints and checked
-    to lie in Delta(l, N; M) as it is formed.  Output order: rows, then
-    a1, then b1.
-
-    Raises BudgetExceeded when there are more than COSET_BUDGET cosets,
-    before the first is built."""
-    walk = _coset_walk(l, n, m)
-    count = sum(l // a1 for _u, a1 in walk)
-    if count > COSET_BUDGET:
-        raise BudgetExceeded(
-            f"Delta({l}, {n}; {m}) has {count} cosets, budget {COSET_BUDGET}"
-        )
-
-    def reps() -> Iterator[Mat2]:
-        for (ua, ub, uc, ud), a1 in walk:
-            d1 = l // a1
-            a, b0, c, d0 = ua * a1, ub * d1, uc * a1, ud * d1
-            for b1 in range(d1):
-                b, d = ua * b1 + b0, uc * b1 + d0
-                assert in_delta_entries(a, b, c, d, l, n, m), ((a, b, c, d), l, n, m)
-                yield Mat2(a, b, c, d)
-
-    return count, reps()
-
-
 def coset_reps_delta(l: int, n: int, m: int) -> CosetTable:
-    """One representative per right coset of Gamma0(N; M) in Delta(l, N; M),
-    from _coset_reps."""
-    return CosetTable(l, n, m, list(_coset_reps(l, n, m)[1]))
+    """One representative per right coset of Gamma0(N; M) in Delta(l, N; M):
+    u * (a1, b1; 0, l/a1) for each passing (u, a1) of _coset_walk and
+    0 <= b1 < l/a1, formed on ints and checked to lie in Delta(l, N; M) as
+    it is formed.  Output order: rows, then a1, then b1.
+
+    Raises BudgetExceeded, after the walk's row check and before the first
+    representative is built, when coset_count exceeds COSET_BUDGET, and
+    InternalSolveFailure when the table's length is not coset_count."""
+    count = coset_count(l, n, m)
+    walk = _coset_walk(l, n, m)
+    if count > COSET_BUDGET:
+        raise BudgetExceeded(f"Delta({l}, {n}; {m}) has {count} cosets, budget {COSET_BUDGET}")
+    reps = []
+    for (ua, ub, uc, ud), a1 in walk:
+        d1 = l // a1
+        a, b0, c, d0 = ua * a1, ub * d1, uc * a1, ud * d1
+        for b1 in range(d1):
+            b, d = ua * b1 + b0, uc * b1 + d0
+            assert in_delta_entries(a, b, c, d, l, n, m), ((a, b, c, d), l, n, m)
+            reps.append(Mat2(a, b, c, d))
+    if len(reps) != count:
+        raise InternalSolveFailure(f"Delta({l}, {n}; {m}) has {len(reps)} cosets, not {count}")
+    return CosetTable(l, n, m, reps)
 
 
 @dataclass
@@ -217,13 +237,9 @@ class CountInvariance:
 
 def coset_count_invariance(l: int, n: int, m: int) -> CountInvariance:
     """Compare |Gamma0(N;M) \\ Delta(l,N;M)| with |Gamma0(N) \\ Delta(l,N;1)|,
-    the coset-level shadow of the Hecke algebra isomorphism.  Counted from
-    _coset_walk without building the tables: each passing (u, a1) gives
-    l/a1 cosets.  At M = 1 both counts read the one walk."""
-    count_nm = sum(l // a1 for _u, a1 in _coset_walk(l, n, m))
-    if m == 1:
-        return CountInvariance(count_nm, count_nm)
-    return CountInvariance(count_nm, sum(l // a1 for _u, a1 in _coset_walk(l, n, 1)))
+    the coset-level shadow of the Hecke algebra isomorphism.  Both are read
+    from coset_count, with no walk; they agree iff gcd(l, M) = 1."""
+    return CountInvariance(coset_count(l, n, m), coset_count(l, n, 1))
 
 
 @dataclass
@@ -263,15 +279,16 @@ def conjugation_invariance(
     is iff l == 1 (mod M), as A == 1 and D == AD == l (mod M).
     sigma^-1 = (d, -b; -c, a) meets the same conditions.
 
-    The decision is re-verified on the first representative r of
-    _coset_reps, the only one formed: both conjugates, as Mat2
-    products, must agree with it by in_delta_entries, or
-    InternalSolveFailure is raised.  A failure returns witness r and
-    `checked` 1.  A pass returns `checked` = 2 (count + budget), the count
-    of a check that also tests `budget` random translates of the
-    representatives, so the JSON is that check's for every seed; `seed`
-    changes no output.  Raises InvalidM when M < 1 and ValueError when
-    budget < 0.
+    The decision is re-verified on r = (1, 0; N, l), which lies in
+    Delta(l, N; M) and is coset_reps_delta's first representative when
+    N > 1: both conjugates, as Mat2 products, must agree with it by
+    in_delta_entries, or InternalSolveFailure is raised.  A failure returns
+    witness r and `checked` 1.  A pass returns `checked` = 2 (count +
+    budget), count = coset_count(l, N, M), the count of a check that also
+    tests `budget` random translates of the representatives, so the JSON
+    is that check's for every seed; `seed` changes no output.  Arguments
+    are checked before any work: InvalidM when M < 1, PrereqFailed, then
+    coset_count's errors, then ValueError when budget < 0.
     """
     c_sigma = cusp_denominator(sigma, n)  # raises unless sigma is in SL2(Z)
     if m < 1:
@@ -280,13 +297,12 @@ def conjugation_invariance(
         raise PrereqFailed(f"M^2 = {m * m} does not divide N = {n}")
     if c_sigma != n // m:
         raise PrereqFailed(f"C(sigma) = {c_sigma} != N/M = {n // m}")
-    passed = l % m == 1 % m
-    note = "" if passed else "l != 1 (mod M): invariance is not asserted"
-    count, reps = _coset_reps(l, n, m)
+    count = coset_count(l, n, m)
     if budget < 0:
         raise ValueError(f"conjugation budget = {budget} is negative")
-    r = next(reps)
-    inv = sigma.adjugate()
+    passed = l % m == 1 % m
+    note = "" if passed else "l != 1 (mod M): invariance is not asserted"
+    r, inv = Mat2(1, 0, n, l), sigma.adjugate()
     for x, y in ((sigma, inv), (inv, sigma)):
         if in_delta_entries(*(x * r * y).entries(), l, n, m) != passed:
             raise InternalSolveFailure(f"conjugating {r!r} by {x!r} contradicts l mod M")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspnorm import conjugation
@@ -358,6 +358,54 @@ def test_gap_target_floor_counterexample_is_honest():
         assert not v["lattice_ok"]
         assert v["y_bound_ok"]
         assert v["lattice_provable_ok"]
+
+
+C3_VIOLATORS = [  # (N, x, y) where gap_reduce misses C3's target floor
+    (8, Fraction(-1, 3), Fraction(5, 39)),
+    (18, Fraction(-34, 53), Fraction(5, 53)),
+    (18, Fraction(-19, 49), Fraction(2, 49)),
+    (25, Fraction(41, 53), Fraction(2, 53)),
+    (36, Fraction(-19, 27), Fraction(2, 27)),
+    (48, Fraction(-15, 59), Fraction(3, 59)),
+    (48, Fraction(13, 15), Fraction(1, 30)),
+]
+
+
+@st.composite
+def c3_points(draw):
+    """(N, x, y) by C3's rule: N <= 60, x = a/den and y = b/den, den <= 64."""
+    den = draw(st.integers(1, 64))
+    x = Fraction(draw(st.integers(-2 * den, 2 * den)), den)
+    return draw(st.integers(1, 60)), x, Fraction(draw(st.integers(1, 2 * den)), den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.sampled_from(C3_VIOLATORS), c3_points()),
+    st.integers(-6, 6),
+    st.integers(-40, 40),
+    st.integers(-3, 3),
+)
+@example(C3_VIOLATORS[0], 1, 1, 0)
+@example(C3_VIOLATORS[1], -6, 37, 2)
+@example(C3_VIOLATORS[2], 5, -31, -1)
+@example(C3_VIOLATORS[3], 3, 7, 3)
+@example(C3_VIOLATORS[4], -1, -5, 0)
+@example(C3_VIOLATORS[5], 2, 23, 1)
+@example(C3_VIOLATORS[6], -4, -11, -2)
+def test_gap_verdict_is_invariant_under_gamma0(point, k, d, t):
+    # gamma = (a, b; N k, d) in Gamma0(N), |c| <= 6N and |d| <= 40: the
+    # target-floor verdict at gamma z is the one at z (see the module
+    # docstring of conjugation for the argument and its open step)
+    n, x, y = point
+    c = n * k
+    assume(gcd(c, d) == 1)
+    a = pow(d, -1, abs(c)) if c else d
+    gamma = Mat2(a + t * c, (a * d - 1) // c + t * d if c else t * d, c, d)
+    assert gamma.det == 1
+    z = PointH(x, y)
+    moved = gap_reduce(mobius_act(gamma, z), n).verification["lattice_ok"]
+    assert moved == gap_reduce(z, n).verification["lattice_ok"], (n, z, gamma)
 
 
 CONSTRUCTION_KEYS = [

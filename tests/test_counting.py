@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import mpmath
 import pytest
@@ -23,6 +23,7 @@ from cuspnorm.counting import (
 )
 from cuspnorm.errors import BudgetExceeded, InvalidM
 from cuspnorm.harness import sample_point_in_g
+from cuspnorm.hecke import coset_count
 from cuspnorm.modgroup import Mat2, PointH, mobius_act, point_pair_u
 from oracles import (
     box_oracle_delta,
@@ -142,6 +143,33 @@ def test_delta_monotonicity():
             for d in (0, Fraction(1, 2), 1, 2)
         ]
         assert counts == sorted(counts)
+
+
+MAIN_TERM_COUNTS = {  # (l, N, M): count_delta_near at delta = 1000 and 4000
+    (7, 9, 3): (8040, 31896),
+    (1, 4, 2): (3962, 15934),
+    (5, 16, 4): (3034, 11934),
+    (3, 25, 1): (3212, 12836),
+}
+
+
+def test_counts_near_a_point_approach_the_main_term():
+    """#{gamma in Delta(l, N; M) : u(gamma z, z) <= delta} against the
+    hyperbolic main term 24 delta |Gamma \\ Delta| / (psi(N) phi(M)),
+    Gamma = Gamma0(N; M).  The disc u(w, z) <= delta has area 4 pi delta,
+    each coset Gamma r meets it about |Gamma & {+-I}| area / vol(Gamma \\ H)
+    times, and vol = (pi/3) [PSL2(Z) : Gamma-bar]
+    = (pi/6) psi(N) phi(M) |Gamma & {+-I}|.  At z = 1/3 + i/2 the ratio
+    reads 0.9905 to 1.0113 at delta = 1000 and 0.9945 to 1.0028 at 4000.
+    The counting windows and hecke.coset_count share no code."""
+    z = PointH(Fraction(1, 3), Fraction(1, 2))
+    for (l, n, m), counts in MAIN_TERM_COUNTS.items():
+        assert tuple(count_delta_near(z, l, delta, n, m) for delta in (1000, 4000)) == counts
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        psi = n * prod(Fraction(p + 1, p) for p in primes)  # [SL2(Z) : Gamma0(N)]
+        phi = sum(gcd(k, m) == 1 for k in range(1, m + 1))
+        main = Fraction(24 * 4000 * coset_count(l, n, m)) / (psi * phi)
+        assert abs(counts[1] / main - 1) < Fraction(1, 50), (l, n, m)
 
 
 def test_delta_is_read_the_same_in_every_form():

@@ -13,6 +13,7 @@ from cuspnorm.cli import run
 from cuspnorm.errors import BudgetExceeded, InternalSolveFailure, InvalidM, PrereqFailed
 from cuspnorm.hecke import (
     conjugation_invariance,
+    coset_count,
     coset_count_invariance,
     coset_reps_delta,
     _row_block,
@@ -135,7 +136,9 @@ def test_coset_walk_matches_the_all_rows_oracle():
                 walk = hecke._coset_walk(l, n, m)
                 assert all(ua * ud - ub * uc == 1 for (ua, ub, uc, ud), _a1 in walk)
                 got = [((u[2] % n, u[3] % n), a1) for u, a1 in walk]
-                assert got == coset_walk_pairs(l, n, m), (l, n, m)
+                pairs = coset_walk_pairs(l, n, m)
+                assert got == pairs, (l, n, m)
+                assert coset_count(l, n, m) == sum(l // a1 for _row, a1 in pairs), (l, n, m)
                 off_c_zero += any(c for (c, _d), _a1 in got)
     assert off_c_zero
 
@@ -210,14 +213,49 @@ def test_count_invariance_examples():
     assert (r.count_nm, r.count_n, r.equal) == (7, 7, True)
 
 
-def test_count_invariance_walks_once_at_m_one(monkeypatch):
+def test_only_the_table_walks_rows(monkeypatch):
+    # counts come from the local factors and conjugation from l mod M; only
+    # coset_reps_delta calls _coset_walk, once per table
     walked = []
     walk = hecke._coset_walk
     monkeypatch.setattr(hecke, "_coset_walk", lambda *a: walked.append(a) or walk(*a))
     r = coset_count_invariance(7, 10, 1)
-    assert (r.count_nm, r.count_n, walked) == (8, 8, [(7, 10, 1)])
-    walked.clear()
-    assert coset_count_invariance(4, 9, 3).equal and walked == [(4, 9, 3), (4, 9, 1)]
+    assert (r.count_nm, r.count_n, walked) == (8, 8, [])
+    r = coset_count_invariance(4, 9, 3)
+    assert (r.count_nm, r.count_n, walked) == (7, 7, [])
+    assert conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3).passed and walked == []
+    assert not conjugation_invariance(Mat2(1, 0, 3, 1), 2, 9, 3).passed and walked == []
+    assert coset_reps_delta(4, 9, 3).count == 7 and walked == [(4, 9, 3)]
+
+
+def test_table_length_is_checked_against_the_count(monkeypatch):
+    # every table re-verifies the local-factor count: a count that
+    # disagrees with the walk raises, and one above the budget is refused
+    # after the row check
+    count = coset_count
+    monkeypatch.setattr(hecke, "coset_count", lambda *a: count(*a) + 1)
+    with pytest.raises(InternalSolveFailure, match=r"Delta\(4, 9; 3\) has 7 cosets, not 8"):
+        coset_reps_delta(4, 9, 3)
+    monkeypatch.setattr(hecke, "COSET_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match="has 8 cosets, budget 7"):
+        coset_reps_delta(4, 9, 3)
+
+
+@st.composite
+def levels_and_divisors(draw):
+    n = draw(st.integers(1, 10**4))
+    return n, draw(st.sampled_from(divisors(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels_and_divisors(), st.integers(1, 60))
+@example((2**13, 2**6), 48)
+@example((9000, 30), 60)
+def test_coset_count_matches_the_walk(pair, l):
+    # the local-factor product against the pair walk's sum of l / a1, for
+    # any M | N (M^2 need not divide N)
+    n, m = pair
+    assert coset_count(l, n, m) == sum(l // a1 for _u, a1 in hecke._coset_walk(l, n, m))
 
 
 def test_count_invariance_can_fail_off_the_good_range():
@@ -251,10 +289,12 @@ def test_conjugation_invariance_examples():
         conjugation_invariance(Mat2(1, 0, 9, 1), 1, 9, 0)
     with pytest.raises(InvalidM, match="M = -3 does not divide"):
         conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, -3)
-    # a budget below 0 is refused, after the prerequisites and the coset
-    # count
+    # a budget below 0 is refused, after the prerequisites and the checks
+    # of (l, N, M)
     with pytest.raises(ValueError, match="budget = -1 is negative"):
         conjugation_invariance(Mat2(1, 0, 3, 1), 4, 9, 3, budget=-1)
+    with pytest.raises(ValueError, match="expects l, N >= 1, got l=0"):
+        conjugation_invariance(Mat2(1, 0, 3, 1), 0, 9, 3, budget=-1)
 
 
 def test_conjugated_reps_form_rep_system():
@@ -348,21 +388,26 @@ def width_one_sigma(a, k, t, n, m):
 
 
 def test_conjugation_invariance_forms_one_representative(monkeypatch):
-    # the decision reads l mod M and re-verifies it on reps[0] alone: one
-    # membership test as reps[0] is formed and one per conjugate, however
-    # many cosets there are
+    # the decision reads l mod M and re-verifies it on r = (1, 0; N, l)
+    # alone, formed in closed form: one membership test per conjugate,
+    # however many cosets there are.  For N > 1, r is reps[0], and a
+    # failure returns it as the witness
     calls = []
     member = hecke.in_delta_entries
     monkeypatch.setattr(hecke, "in_delta_entries", lambda *a: calls.append(a[:4]) or member(*a))
     cases = [(Mat2(1, 0, 1, 1), 64, 1, 1, 127), (Mat2(1, 0, 18, 1), 13, 36, 2, 14),
              (complete_first_column(7, 54), 12, 36, 2, 24), (Mat2(1, 0, 3, 1), 1, 9, 3, 1)]
     for sigma, l, n, m, count in cases:
-        r = coset_reps_delta(l, n, m).reps[0]
+        r = Mat2(1, 0, n, l)
+        assert coset_count(l, n, m) == count
+        if n > 1:
+            assert coset_reps_delta(l, n, m).reps[0] == r
         inv = sigma.adjugate()
         calls.clear()
         got = conjugation_invariance(sigma, l, n, m, budget=3)
         assert got.checked == (2 * (count + 3) if got.passed else 1)
-        assert calls == [r.entries(), (sigma * r * inv).entries(), (inv * r * sigma).entries()]
+        assert got.witness == (None if got.passed else r)
+        assert calls == [(sigma * r * inv).entries(), (inv * r * sigma).entries()]
 
 
 @pytest.mark.parametrize("l", [4, 2])
@@ -478,8 +523,8 @@ def test_coset_budget(monkeypatch):
     monkeypatch.setattr(hecke, "COSET_BUDGET", 2)
     with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 3 rows"):
         coset_reps_delta(4, 9, 3)
-    with pytest.raises(BudgetExceeded, match=r"Delta\(4, 9; 3\) walks 3 rows"):
-        coset_count_invariance(4, 9, 3)
+    # the count comparison walks no row, so no budget applies to it
+    assert coset_count_invariance(4, 9, 3).count_nm == 7
     res = run(["hecke", "--level", "9", "--m", "3", "--l", "4"])
     assert res.exit_code == 1
     assert res.payload["error"]["type"] == "BudgetExceeded"
@@ -492,17 +537,19 @@ def test_coset_budget(monkeypatch):
     monkeypatch.setattr(hecke, "COSET_BUDGET", 7)
     assert coset_reps_delta(4, 9, 3).count == 7
     monkeypatch.setattr(hecke, "COSET_BUDGET", 20)
-    with pytest.raises(BudgetExceeded, match=r"Delta\(3, 9; 3\) walks 21 rows"):
-        coset_count_invariance(3, 9, 3)
+    assert coset_count_invariance(3, 9, 3).count_nm == 3
     monkeypatch.setattr(hecke, "COSET_BUDGET", 21)
     assert coset_reps_delta(3, 9, 3).count == 3
-    # at N = 1 the one row fits, but sigma_1(64) = 127 cosets do not;
-    # the count comparison builds no table, so it still runs
+    # at N = 1 the one row fits, but sigma_1(64) = 127 cosets do not; the
+    # count comparison and the conjugation check build no table, so they
+    # still run, and a negative budget is reported, not the table's size
     monkeypatch.setattr(hecke, "COSET_BUDGET", 126)
     with pytest.raises(BudgetExceeded, match="has 127 cosets"):
         coset_reps_delta(64, 1, 1)
-    with pytest.raises(BudgetExceeded, match="has 127 cosets"):
-        conjugation_invariance(Mat2(1, 0, 1, 1), 64, 1, 1)
+    res = conjugation_invariance(Mat2(1, 0, 1, 1), 64, 1, 1)
+    assert (res.passed, res.checked) == (True, 2 * (127 + 200))
+    with pytest.raises(ValueError, match="budget = -1 is negative"):
+        conjugation_invariance(Mat2(1, 0, 1, 1), 64, 1, 1, budget=-1)
     assert coset_count_invariance(64, 1, 1).count_nm == 127
     monkeypatch.setattr(hecke, "COSET_BUDGET", 127)
     assert coset_reps_delta(64, 1, 1).count == 127
@@ -536,3 +583,25 @@ def test_tables_at_large_level():
     assert coset_reps_delta(3, n, 10).count == sigma1(3)
     r = coset_count_invariance(3, n, 10)
     assert (r.count_nm, r.count_n, r.equal) == (4, 4, True)
+    # past the row budget the counts still answer, and so does the
+    # conjugation check, with witness (1, 0; N, l)
+    r = coset_count_invariance(2, 2**20, 1)
+    assert (r.count_nm, r.count_n, r.equal) == (4, 4, True)
+    r = coset_count_invariance(2, 2**40, 2**20)
+    assert (r.count_nm, r.count_n, r.equal) == (2, 4, False)
+    res = conjugation_invariance(Mat2(1, 0, 2**10, 1), 2, 2**20, 2**10)
+    assert (res.passed, res.checked, res.witness) == (False, 1, Mat2(1, 0, 2**20, 2))
+
+
+def test_count_invariance_holds_iff_l_is_prime_to_m():
+    # at p | M with a = v_p(l) >= 1 the local factor is p^a, and at M = 1
+    # it is larger; at p not dividing M the factors are equal
+    cases = 0
+    for n in range(1, 200):
+        for m in divisors(n):
+            if n % (m * m):
+                continue
+            for l in range(1, 40):
+                assert coset_count_invariance(l, n, m).equal == (gcd(l, m) == 1), (l, n, m)
+                cases += 1
+    assert cases == 12_012
